@@ -64,14 +64,6 @@ _CSV_COLUMNS = {
 }
 
 
-def _fmt(x) -> object:
-    if isinstance(x, float):
-        if x == int(x) and abs(x) < 1e15 and not math.isinf(x):
-            return x
-        return x
-    return x
-
-
 def _settings_from(args: argparse.Namespace) -> EvalSettings:
     tol = args.tol
     if tol is None:
@@ -104,7 +96,7 @@ def _emit(command: str, rows: List[Dict[str, object]], fmt: str, out: io.TextIOB
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(cols)
     for row in rows:
-        writer.writerow([_fmt(row[c]) for c in cols])
+        writer.writerow([row[c] for c in cols])
 
 
 def _cmd_eval(args: argparse.Namespace, out: io.TextIOBase) -> int:
@@ -123,17 +115,13 @@ def _cmd_eval(args: argparse.Namespace, out: io.TextIOBase) -> int:
         chi = chars[args.char_index]
     elif fam is not Family.RIEMANN and alpha is None:
         raise DomainError("--a is required for this family")
-    rows = []
-    for sigma in sigmas:
-        for t in ts:
-            s = complex(sigma, t)
-            if chi is not None:
-                v = l_function(chi, s, cfg)
-            elif fam is Family.RIEMANN:
-                v = eval_family(fam, s, 1.0, cfg)
-            else:
-                v = eval_family(fam, s, alpha, cfg)
-            rows.append({"sigma": sigma, "t": t, "re": v.real, "im": v.imag})
+    points = [complex(sigma, t) for sigma in sigmas for t in ts]
+    if chi is not None:
+        values = [l_function(chi, s, cfg) for s in points]
+    else:
+        # the whole grid in one call
+        values = eval_family(fam, np.array(points), 1.0 if fam is Family.RIEMANN else alpha, cfg).tolist()
+    rows = [{"sigma": s.real, "t": s.imag, "re": v.real, "im": v.imag} for s, v in zip(points, values)]
     _emit("eval", rows, args.format, out)
     return EXIT_OK
 

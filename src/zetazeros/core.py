@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
+import numpy as np
+
 
 class ZetaError(Exception):
     """Base class for all errors raised by this package."""
@@ -192,3 +194,17 @@ def require_finite(s: complex) -> complex:
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise DomainError(f"point must be finite, got {s!r}")
     return s
+
+
+def as_points(s) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    """A number or an array of numbers as a flat complex array of finite
+    points, plus the shape to hand results back in (``()`` for a number)."""
+    pts = np.asarray(s, dtype=complex)
+    if not np.isfinite(pts).all():
+        raise DomainError(f"point must be finite, got {s!r}")
+    return pts.reshape(-1), pts.shape
+
+
+def from_points(values: np.ndarray, shape: Tuple[int, ...]):
+    """Undo ``as_points``: a Python complex for shape (), else an array of that shape."""
+    return complex(values[0]) if shape == () else values.reshape(shape)

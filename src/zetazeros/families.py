@@ -13,6 +13,10 @@ Evaluation routes (0 < a <= 1/2 throughout):
 For Re s below the series threshold, P and O are routed through their
 functional-equation partners (Z and Y at 1-s), with the Z pole part of the
 P route recombined analytically so the formula stays exact through s = 0.
+
+The evaluators work on arrays of points: each route gets the points that
+need it in one kernel call, and the gamma and trigonometric factors of the
+functional equations are taken point by point.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
+import numpy as np
+
 from .core import (
     DEFAULT_SETTINGS,
     Alpha,
@@ -30,6 +36,8 @@ from .core import (
     EvalSettings,
     Family,
     PoleError,
+    as_points,
+    from_points,
     require_finite,
 )
 from .special import (
@@ -68,8 +76,41 @@ def _sin_half_over_s(s: complex) -> complex:
     return cmath.sin(0.5 * math.pi * s) / s
 
 
-def z_family(s: complex, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> complex:
-    if s == 1.0:
+def _per_point(fn: Callable, s: np.ndarray) -> np.ndarray:
+    """fn at each point, as a complex array (one row per point if fn returns a tuple)."""
+    return np.array([fn(x) for x in s.tolist()], dtype=complex)
+
+
+def _fe_prefactor(s: complex) -> complex:
+    """2 Gamma(1-s) (2pi)^{s-1}: the factor that takes a family at 1-s to its
+    partner at s."""
+    return 2.0 * gamma(1.0 - s) * cmath.exp((s - 1.0) * math.log(_TWO_PI))
+
+
+def _p_factors(s: complex, av: float) -> Tuple[complex, complex]:
+    """The two point factors of the reflected P route: P(s) = f0 * E(1-s) - f1,
+    with E the entire part of Z."""
+    pref = _fe_prefactor(s)
+    pole_sum = cmath.exp(s * math.log(av)) + cmath.exp(s * math.log(1.0 - av))
+    return pref * cmath.sin(0.5 * math.pi * s), pref * _sin_half_over_s(s) * pole_sum
+
+
+def _split(s: np.ndarray, mask: np.ndarray, inside, outside) -> np.ndarray:
+    """inside(s[mask]) and outside(s[~mask]), put back in place."""
+    if mask.all():
+        return inside(s)
+    if not mask.any():
+        return outside(s)
+    out = np.empty(s.shape, dtype=complex)
+    out[mask] = inside(s[mask])
+    out[~mask] = outside(s[~mask])
+    return out
+
+
+# Each evaluator takes a 1-D complex array of points and returns their values.
+
+def z_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
+    if (s == 1.0).any():
         raise PoleError(
             "Z(s, a) has a simple pole at s = 1 (limit +inf from the right, -inf from the left)",
             1.0 + 0.0j,
@@ -80,50 +121,46 @@ def z_family(s: complex, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> comp
     return hurwitz_zeta(s, a.value, cfg) + hurwitz_zeta(s, 1.0 - a.value, cfg)
 
 
-def y_family(s: complex, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> complex:
+def y_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
     if a.value == 0.5:
-        return 0.0 + 0.0j
+        return np.zeros(s.shape, dtype=complex)
     return hurwitz_pair_diff(s, a.value, cfg)
 
 
-def p_family(s: complex, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> complex:
-    if s.real > cfg.series_sigma_threshold:
-        av = a.value
-        if a.exact is not None:
-            return periodic_zeta(s, a, cfg) + periodic_zeta(s, a.conjugate, cfg)
-        return periodic_zeta(s, av, cfg) + periodic_zeta(s, 1.0 - av, cfg)
-    # P(s,a) = 2 Gamma(1-s) (2pi)^{s-1} sin(pi s/2) Z(1-s, a); split Z into its
-    # entire part plus the two pole parts so the sin/(−s) pair stays finite.
-    av = a.value
-    w = 1.0 - s
-    entire = hurwitz_pair_sum_minus_pole(w, av, cfg)
-    pref = 2.0 * gamma(w) * cmath.exp((s - 1.0) * math.log(_TWO_PI))
-    sin_term = cmath.sin(0.5 * math.pi * s)
-    # pole parts of Z(1-s): [a^s + (1-a)^s] / (-s); combined with sin(pi s/2)
-    pole_sum = cmath.exp(s * math.log(av)) + cmath.exp(s * math.log(1.0 - av))
-    return pref * (sin_term * entire - _sin_half_over_s(s) * pole_sum)
+def p_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
+    def series(x):
+        return periodic_zeta(x, a, cfg) + periodic_zeta(x, a.conjugate, cfg)
+
+    def reflected(x):
+        # P(s,a) = 2 Gamma(1-s) (2pi)^{s-1} sin(pi s/2) Z(1-s, a); split Z into
+        # its entire part plus the two pole parts [a^s + (1-a)^s] / (-s) so the
+        # sin/(-s) pair stays finite.
+        factors = _per_point(lambda z: _p_factors(z, a.value), x)
+        return factors[:, 0] * hurwitz_pair_sum_minus_pole(1.0 - x, a.value, cfg) - factors[:, 1]
+
+    return _split(s, s.real > cfg.series_sigma_threshold, series, reflected)
 
 
-def o_family(s: complex, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> complex:
+def o_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
     if a.value == 0.5:
-        return 0.0 + 0.0j
-    if s.real > cfg.series_sigma_threshold:
-        if a.exact is not None:
-            diff = periodic_zeta(s, a, cfg) - periodic_zeta(s, a.conjugate, cfg)
-        else:
-            diff = periodic_zeta(s, a.value, cfg) - periodic_zeta(s, 1.0 - a.value, cfg)
-        return -1j * diff
-    # O(s,a) = 2 Gamma(1-s) (2pi)^{s-1} cos(pi s/2) Y(1-s, a); Y is entire.
-    w = 1.0 - s
-    pref = 2.0 * gamma(w) * cmath.exp((s - 1.0) * math.log(_TWO_PI))
-    return pref * cmath.cos(0.5 * math.pi * s) * hurwitz_pair_diff(w, a.value, cfg)
+        return np.zeros(s.shape, dtype=complex)
+
+    def series(x):
+        return -1j * (periodic_zeta(x, a, cfg) - periodic_zeta(x, a.conjugate, cfg))
+
+    def reflected(x):
+        # O(s,a) = 2 Gamma(1-s) (2pi)^{s-1} cos(pi s/2) Y(1-s, a); Y is entire.
+        factor = _per_point(lambda z: _fe_prefactor(z) * cmath.cos(0.5 * math.pi * z), x)
+        return factor * hurwitz_pair_diff(1.0 - x, a.value, cfg)
+
+    return _split(s, s.real > cfg.series_sigma_threshold, series, reflected)
 
 
-def x_family(s: complex, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> complex:
+def x_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
     return y_family(s, a, cfg) + o_family(s, a, cfg)
 
 
-_EVALUATORS: Dict[Family, Callable[[complex, Alpha, EvalSettings], complex]] = {
+_EVALUATORS: Dict[Family, Callable[[np.ndarray, Alpha, EvalSettings], np.ndarray]] = {
     Family.Z: z_family,
     Family.P: p_family,
     Family.Y: y_family,
@@ -132,24 +169,28 @@ _EVALUATORS: Dict[Family, Callable[[complex, Alpha, EvalSettings], complex]] = {
 }
 
 
-def eval_family(fam: Family, s: complex, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS) -> complex:
+def eval_family(fam: Family, s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
     """Evaluate one of the supported families at s.
 
+    ``s`` is a number (the result is a complex) or an array of points (the
+    result is an array of the same shape, computed in batched kernel calls).
     Composed families restrict a to (0, 1/2]; the Hurwitz zeta takes (0, 1]
     and the periodic zeta (0, 1).  L-functions need a character: see
     ``zetazeros.dirichlet.l_function``.
     """
-    s = require_finite(s)
+    pts, shape = as_points(s)
     alpha = Alpha.coerce(a)
     if fam.is_composed:
-        return _EVALUATORS[fam](s, _check_composed_alpha(alpha), cfg)
-    if fam is Family.HURWITZ:
-        return hurwitz_zeta(s, alpha, cfg)
-    if fam is Family.PERIODIC:
-        return periodic_zeta(s, alpha, cfg)
-    if fam is Family.RIEMANN:
-        return riemann_zeta(s, cfg)
-    raise DomainError(f"eval_family cannot evaluate {fam}; L-functions require a character")
+        values = _EVALUATORS[fam](pts, _check_composed_alpha(alpha), cfg)
+    elif fam is Family.HURWITZ:
+        values = hurwitz_zeta(pts, alpha, cfg)
+    elif fam is Family.PERIODIC:
+        values = periodic_zeta(pts, alpha, cfg)
+    elif fam is Family.RIEMANN:
+        values = riemann_zeta(pts, cfg)
+    else:
+        raise DomainError(f"eval_family cannot evaluate {fam}; L-functions require a character")
+    return from_points(values, shape)
 
 
 # (family, partner, trig) for family(1-s) = 2 Gamma(s) (2pi)^{-s} trig(pi s/2) partner(s)
@@ -214,7 +255,7 @@ def partial_a(fam: Family, s: complex, a: AlphaLike, cfg: EvalSettings = DEFAULT
     if fam is Family.Z:
         if s == 0.0:
             raise PoleError("d/da Z pole: s + 1 = 1", 0.0 + 0.0j)
-        return -s * y_family(s + 1.0, _check_composed_alpha(alpha), cfg)
+        return -s * eval_family(Family.Y, s + 1.0, alpha, cfg)
     if fam is Family.P:
-        return -_TWO_PI * o_family(s - 1.0, _check_composed_alpha(alpha), cfg)
+        return -_TWO_PI * eval_family(Family.O, s - 1.0, alpha, cfg)
     raise DomainError(f"partial_a supports HURWITZ, Z, P; got {fam}")

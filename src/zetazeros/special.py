@@ -2,7 +2,9 @@
 Riemann/Hurwitz zeta via Euler-Maclaurin, and the periodic zeta.
 
 All evaluation is pure and reentrant; the Bernoulli coefficient tables are
-built once at import time and never mutated.  Powers of positive real bases
+built once at import time and never mutated.  The zeta kernels take a number
+or an array of points; Euler-Maclaurin work runs in blocks of points, and a
+single number is a block of one.  Powers of positive real bases
 always use the principal real logarithm, so no branch cut is ever crossed.
 """
 
@@ -13,7 +15,7 @@ import math
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +28,8 @@ from .core import (
     EvalSettings,
     PoleError,
     UnsupportedError,
+    as_points,
+    from_points,
     require_finite,
 )
 
@@ -174,17 +178,44 @@ def log_gamma(s: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin engine for weighted combinations sum_j w_j * zeta(s, b_j).
+# Euler-Maclaurin engine for weighted combinations sum_j w_j * zeta(s, b_j),
+# run over blocks of points so that numpy's per-call cost is shared.
 
 _EM_MAX_HALF_ORDER = 29  # B_58 is the last correction, B_60 bounds the remainder
+_EM_BLOCK_POINTS = 32  # points per block: numpy's per-call cost is shared, temporaries stay small
+_EM_BLOCK_TERMS = 1 << 15  # and at most this many direct-sum terms, so a huge shift m cannot blow up memory
+_EPS = 2.220446049250313e-16
+
+# 2k-3 for k = 2 .. K: order k extends the Pochhammer product s(s+1)...(s+2k-2)
+# of order k-1 by (s+2k-3)(s+2k-2).
+_POCH_OFFSETS = np.arange(1.0, 2.0 * _EM_MAX_HALF_ORDER - 2.0, 2.0)
+
+
+class _EMConstants(NamedTuple):
+    """What one pass needs of the bases and the shift m, whatever the point."""
+
+    logs: np.ndarray  # (m+1, nb): log(n + b) for n <= m; row m is log(m + b)
+    bases: np.ndarray  # (nb,): b
+    tails: np.ndarray  # (nb,): m + b
+    span: np.ndarray  # (nb,): log(m + b) - log b
+    corr: np.ndarray  # (K, nb): B_2k/(2k)! (m + b)^{-(2k-1)}, k = 1 .. K
 
 
 @lru_cache(maxsize=512)
-def _log_bases(key: Tuple[float, ...], m: int) -> np.ndarray:
+def _em_constants(key: Tuple[float, ...], m: int) -> _EMConstants:
     bases = np.asarray(key, dtype=float)
-    grid = np.arange(m, dtype=float)[:, None] + bases[None, :]
-    out = np.log(grid)
-    out.setflags(write=False)
+    logs = np.log(np.arange(m + 1, dtype=float)[:, None] + bases[None, :])
+    odd = 2.0 * np.arange(1, _EM_MAX_HALF_ORDER + 1) - 1.0
+    b2k = np.asarray(_B2K_OVER_FACT[1:_EM_MAX_HALF_ORDER + 1])
+    out = _EMConstants(
+        logs=logs,
+        bases=bases,
+        tails=bases + m,
+        span=logs[m] - logs[0],
+        corr=b2k[:, None] * np.exp(-odd[:, None] * logs[m][None, :]),
+    )
+    for arr in out:
+        arr.setflags(write=False)
     return out
 
 
@@ -199,113 +230,150 @@ def _em_parameters(s: complex, cfg: EvalSettings) -> Tuple[int, int]:
     return m, cfg.em_order // 2
 
 
-def _cexpm1(z: complex) -> complex:
-    if abs(z.real) < 0.5 and abs(z.imag) < 0.5:
-        return complex(np.expm1(np.complex128(z)))
-    return cmath.exp(z) - 1.0
+def _pole_quotient(w: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """expm1(w x) / (-w) for each point w = 1 - s and each x in span, shape
+    (points, len(span)), with its limit -x at s = 1: the pole part
+    [e^{(1-s) x} - 1] / (s - 1), stable arbitrarily close to s = 1."""
+    out = np.expm1(np.multiply.outer(w, span))
+    at_one = w == 0.0
+    if at_one.any():
+        out[at_one] = span
+        w = w + at_one
+    out /= -w[:, None]
+    return out
 
 
 def _hurwitz_combination(
-    s: complex,
+    s,
     bases: Sequence[float],
     weights: Sequence[complex],
     cfg: EvalSettings,
     subtract_pole: bool = False,
-) -> Tuple[complex, float]:
+):
     """Euler-Maclaurin value of sum_j w_j * zeta(s, b_j), with remainder estimate.
+
+    ``s`` is a number or a 1-D array of points; the result is (value, rem)
+    of the same kind.  Points are grouped by their shift m and run in blocks
+    of at most _EM_BLOCK_POINTS points and _EM_BLOCK_TERMS direct-sum terms
+    (a block holds one point at least).  A point whose remainder does not certify
+    the target gets up to two more passes, each with twice the shift, unless
+    round-off already dominates; the pass with the smallest remainder wins.
 
     With subtract_pole=True each term is zeta(s, b_j) - b_j^{1-s}/(s-1), an
     entire function; the integral term is then assembled through expm1 so the
     combination stays stable arbitrarily close to s = 1.
     """
+    scalar = not isinstance(s, np.ndarray)
+    pts = np.array([s], dtype=complex) if scalar else s
+    if not subtract_pole and (pts == 1.0).any():
+        raise PoleError("zeta(s, a) has a simple pole at s = 1", 1.0 + 0.0j)
     base_key = tuple(float(b) for b in bases)
     w_arr = np.asarray(weights, dtype=complex)
-    m, k_start = _em_parameters(s, cfg)
     tol = cfg.target_abs_tol
+    groups: Dict[int, List[int]] = {}
+    for i, x in enumerate(pts.tolist()):
+        m, k_start = _em_parameters(x, cfg)
+        groups.setdefault(m, []).append(i)
+    values = np.empty(pts.shape, dtype=complex)
+    rems = np.empty(pts.shape)
 
-    best: Optional[Tuple[complex, float]] = None
-    for attempt in range(3):
-        value, series_rem, round_rem = _em_once(s, base_key, w_arr, m, k_start, subtract_pole, tol)
-        rem = series_rem + round_rem
-        if best is None or rem < best[1]:
-            best = (value, rem)
-        # Absolute target for O(1) values, relative once the value itself is large.
-        if rem <= tol * max(1.0, abs(value)):
-            return best
-        if round_rem >= series_rem:
-            break  # roundoff dominates; a larger shift only makes it worse
-        m = 2 * m  # a larger shift sharpens the truncation bound
-    return best
+    for m, members in groups.items():
+        idx = np.array(members)
+        for attempt in range(3):
+            per_block = max(1, min(_EM_BLOCK_POINTS, _EM_BLOCK_TERMS // (m * len(base_key))))
+            blocks = [
+                _em_once(pts[idx[i:i + per_block]], base_key, w_arr, m, k_start, subtract_pole, tol)
+                for i in range(0, idx.size, per_block)
+            ]
+            value, series_rem, round_rem = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+            rem = series_rem + round_rem
+            # Where round-off dominates, a larger shift only makes it worse.  The
+            # target is absolute for O(1) values, relative once the value is large.
+            retry = round_rem < series_rem
+            if retry.any():
+                retry &= rem > tol * np.maximum(1.0, np.abs(value))
+            if attempt:
+                better = rem < rems[idx]
+                values[idx[better]] = value[better]
+                rems[idx[better]] = rem[better]
+            else:
+                values[idx] = value
+                rems[idx] = rem
+            idx = idx[retry]
+            if not idx.size:
+                break
+            m = 2 * m  # a larger shift sharpens the truncation bound
+    if scalar:
+        return complex(values[0]), float(rems[0])
+    return values, rems
 
 
 def _em_once(
-    s: complex,
+    s: np.ndarray,
     base_key: Tuple[float, ...],
     w_arr: np.ndarray,
     m: int,
     k_start: int,
     subtract_pole: bool,
     tol: float,
-) -> Tuple[complex, float, float]:
-    eps = 2.220446049250313e-16
-    logs = _log_bases(base_key, m)  # shape (m, nbases)
-    direct_terms = np.exp(-s * logs)
-    direct = complex(direct_terms.sum(axis=0) @ w_arr)
-    round_rem = eps * float(np.abs(direct_terms).sum()) * float(np.abs(w_arr).max())
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Euler-Maclaurin pass with shift m over a block of points:
+    (value, series remainder, round-off estimate), one entry per point."""
+    c = _em_constants(base_key, m)
+    w_abs = np.abs(w_arr)
+    with np.errstate(all="ignore"):
+        powers = np.exp((-s)[:, None, None] * c.logs)  # (points, m+1, nbases): (n+b)^{-s}
+        direct = np.add.reduce(powers[:, :m], axis=1) @ w_arr
+        round_rem = np.add.reduce(np.abs(powers[:, :m]), axis=(1, 2)) * (_EPS * np.maximum.reduce(w_abs))
+        p = powers[:, m]  # (m+b)^{-s}
 
-    tails_log = np.log(np.asarray(base_key) + m)  # log(m + b_j)
-    p = np.exp(-s * tails_log)  # (m+b_j)^{-s}
+        if subtract_pole:
+            # [(m+b)^{1-s} - b^{1-s}] / (s-1) = b^{1-s} expm1((1-s) span) / (s-1)
+            # per base, stable at s = 1.
+            integral = (_pole_quotient(1.0 - s, c.span) * (c.bases * powers[:, 0])) @ w_arr
+        else:
+            integral = (p @ (w_arr * c.tails)) / (s - 1.0)
+        boundary = 0.5 * (p @ w_arr)
 
-    if subtract_pole:
-        # [(m+b)^{1-s} - b^{1-s}] / (s-1) per base, via expm1 for stability at s=1.
-        integral = 0.0 + 0.0j
-        for j, b in enumerate(base_key):
-            lb = math.log(b)
-            span = tails_log[j] - lb
-            if s == 1.0:
-                quotient = -span
-            else:
-                quotient = _cexpm1((1.0 - s) * span) / (s - 1.0)
-            integral += w_arr[j] * cmath.exp((1.0 - s) * lb) * quotient
-    else:
-        if s == 1.0:
-            raise PoleError("zeta(s, a) has a simple pole at s = 1", 1.0 + 0.0j)
-        integral = complex((p * np.exp(tails_log)) @ w_arr) / (s - 1.0)
+        # Bernoulli corrections for every order k = 1 .. K at once:
+        # term_k = B_{2k}/(2k)! * s(s+1)...(s+2k-2) * (m+b)^{-s-2k+1} per base.
+        poch = np.empty((s.size, _EM_MAX_HALF_ORDER), dtype=complex)
+        poch[:, 0] = s
+        steps = np.add(s[:, None], _POCH_OFFSETS, out=poch[:, 1:])
+        steps *= steps + 1.0
+        np.multiply.accumulate(poch, axis=1, out=poch)
+        per_base = poch[:, :, None] * (p[:, None, :] * c.corr)
+        terms = per_base @ w_arr
+        mag = np.maximum.reduce(np.abs(per_base), axis=2) * np.add.reduce(w_abs)
 
-    boundary = 0.5 * complex(p @ w_arr)
-
-    # Bernoulli corrections: term_k = B_{2k}/(2k)! * s(s+1)...(s+2k-2) * (m+b)^{-s-2k+1}
-    powers = p * np.exp(-tails_log)  # (m+b)^{-s-1}
-    inv_sq = np.exp(-2.0 * tails_log)
-    wsum = float(np.abs(w_arr).sum())
-    poch = s
-    corrections = 0.0 + 0.0j
-    prev_mag = math.inf
-    rem = math.inf
-    for k in range(1, _EM_MAX_HALF_ORDER + 1):
-        if poch == 0.0:
-            rem = 0.0  # Pochhammer hit an exact zero: the expansion terminated
-            break
-        term_vec = _B2K_OVER_FACT[k] * poch * powers
-        mag = float(np.abs(term_vec).max()) * wsum
-        if k > 1 and mag > prev_mag:
-            rem = mag  # asymptotic series started growing; stop before it
-            break
-        corrections += complex(term_vec @ w_arr)
-        prev_mag = mag
-        rem = mag
-        round_rem = max(round_rem, eps * mag)
-        if k >= k_start and mag <= 1e-3 * tol:
-            break
-        poch = poch * (s + 2 * k - 1) * (s + 2 * k)
-        powers = powers * inv_sq
+        # The stopping rule, applied once.  Order k ends the series before it
+        # when the asymptotic series starts growing (k > 1), and after it when
+        # k >= k_start and the term is negligible.  A Pochhammer product that
+        # hit an exact zero (the expansion terminated) zeroes every later
+        # term, so the second rule ends the series there with rem = 0.  The
+        # events are interleaved as (before k, after k) so that argmax finds
+        # the first; the last column stands for "all K orders used".
+        n_ord = _EM_MAX_HALF_ORDER
+        events = np.zeros((s.size, 2 * n_ord + 1), dtype=bool)
+        events[:, 2:2 * n_ord:2] = mag[:, 1:] > mag[:, :-1]
+        events[:, 2 * k_start - 1:2 * n_ord:2] = mag[:, k_start - 1:] <= 1e-3 * tol
+        events[:, -1] = True
+        first = events.argmax(axis=1)
+        sums = np.zeros((s.size, n_ord + 1), dtype=complex)
+        np.add.accumulate(terms, axis=1, out=sums[:, 1:])
+        rows = np.arange(s.size)
+        corrections = sums[rows, (first + 1) // 2]
+        rem = mag[rows, np.minimum(first // 2, n_ord - 1)]
+        # Each order used has |term| <= the first's; the first bounds their round-off.
+        round_rem = np.maximum(round_rem, _EPS * mag[:, 0])
     return direct + integral + boundary + corrections, rem, round_rem
 
 
 def _tol_scale(tol: float, value: complex) -> float:
     # target_abs_tol is an absolute target for O(1) values; for large values it
     # is interpreted relative to the value (double precision cannot do better).
-    return tol * max(1.0, abs(value))
+    # hypot, unlike abs(), gives inf rather than raising for |value| > DBL_MAX.
+    return tol * max(1.0, math.hypot(value.real, value.imag))
 
 
 def _warn_accuracy(rem: float, tol: float, s: complex) -> None:
@@ -318,37 +386,57 @@ def _warn_accuracy(rem: float, tol: float, s: complex) -> None:
     warnings.warn(w, stacklevel=3)
 
 
-def hurwitz_zeta(s: complex, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS) -> complex:
+def _settle(
+    pts: np.ndarray,
+    values: np.ndarray,
+    rems: np.ndarray,
+    cfg: EvalSettings,
+    reflect: Optional[Callable[[complex], Tuple[complex, float]]] = None,
+) -> None:
+    """Per point, in place: a value whose remainder does not certify the target
+    is replaced by ``reflect(s)`` (Re s < 0 only) when that route's bound is
+    smaller, and a point still uncertified gets an AccuracyWarning.  A value
+    or bound that is not finite certifies nothing."""
+    tol = cfg.target_abs_tol
+    uncertified = ~(rems <= tol * np.maximum(1.0, np.abs(values)))
+    if not uncertified.any():
+        return
+    for i in np.flatnonzero(uncertified).tolist():
+        s, value, rem = complex(pts[i]), complex(values[i]), float(rems[i])
+        if reflect is not None and s.real < 0.0:
+            refl, refl_rem = reflect(s)
+            if refl_rem < rem or math.isnan(rem):
+                value, rem = refl, refl_rem
+                values[i] = value
+        if not rem <= _tol_scale(tol, value):
+            _warn_accuracy(rem, tol, s)
+
+
+def hurwitz_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
     """Hurwitz zeta zeta(s, a) with full analytic continuation (s != 1).
 
-    ``a`` is normally in (0, 1] but any a > 0 is accepted (the shifted values
-    are what the recurrence zeta(s,a) = a^{-s} + zeta(s,a+1) produces).
+    ``s`` is a number (the result is a complex) or an array of points (the
+    result is an array of the same shape).  ``a`` is normally in (0, 1] but
+    any a > 0 is accepted (the shifted values are what the recurrence
+    zeta(s,a) = a^{-s} + zeta(s,a+1) produces).
 
     Euler-Maclaurin is the workhorse.  Deep in the left half-plane with t != 0
     its direct block cancels catastrophically in doubles, so when the internal
     error model cannot certify target_abs_tol the reflection through the
-    absolutely convergent conjugate series at 1-s is used instead; if neither
-    route certifies the tolerance an AccuracyWarning is attached.
+    absolutely convergent conjugate series at 1-s is used instead, point by
+    point; if neither route certifies the tolerance an AccuracyWarning is
+    attached.
     """
-    s = require_finite(s)
-    if s == 1.0:
-        raise PoleError("zeta(s, a) has a simple pole at s = 1", 1.0 + 0.0j)
+    pts, shape = as_points(s)
     if isinstance(a, Alpha):
         av = a.value
     else:
         av = float(a)
         if not av > 0.0:
             raise DomainError(f"hurwitz_zeta requires a > 0, got {av!r}")
-    value, rem = _hurwitz_combination(s, (av,), (1.0,), cfg)
-    if rem <= _tol_scale(cfg.target_abs_tol, value):
-        return value
-    if s.real < 0.0:
-        refl, refl_rem = _hurwitz_reflect(s, av, cfg)
-        if refl_rem < rem:
-            value, rem = refl, refl_rem
-    if rem > _tol_scale(cfg.target_abs_tol, value):
-        _warn_accuracy(rem, cfg.target_abs_tol, s)
-    return value
+    values, rems = _hurwitz_combination(pts, (av,), (1.0,), cfg)
+    _settle(pts, values, rems, cfg, lambda x: _hurwitz_reflect(x, av, cfg))
+    return from_points(values, shape)
 
 
 def _hurwitz_reflect(s: complex, a: float, cfg: EvalSettings) -> Tuple[complex, float]:
@@ -392,45 +480,34 @@ def _hurwitz_reflect(s: complex, a: float, cfg: EvalSettings) -> Tuple[complex, 
     return value - shift, rem
 
 
-def hurwitz_zeta_minus_pole(s: complex, a: float, cfg: EvalSettings = DEFAULT_SETTINGS) -> complex:
+def hurwitz_zeta_minus_pole(s, a: float, cfg: EvalSettings = DEFAULT_SETTINGS):
     """The entire part zeta(s, a) - a^{1-s}/(s-1), valid at s = 1 as well."""
-    s = require_finite(s)
-    value, rem = _hurwitz_combination(s, (float(a),), (1.0,), cfg, subtract_pole=True)
-    if rem > _tol_scale(cfg.target_abs_tol, value):
-        _warn_accuracy(rem, cfg.target_abs_tol, s)
-    return value
+    pts, shape = as_points(s)
+    values, rems = _hurwitz_combination(pts, (float(a),), (1.0,), cfg, subtract_pole=True)
+    _settle(pts, values, rems, cfg)
+    return from_points(values, shape)
 
 
-def hurwitz_pair_diff(s: complex, a: float, cfg: EvalSettings = DEFAULT_SETTINGS) -> complex:
+def hurwitz_pair_diff(s, a: float, cfg: EvalSettings = DEFAULT_SETTINGS):
     """zeta(s, a) - zeta(s, 1-a) computed through one shared Euler-Maclaurin pass.
 
     The paired form keeps the two pole parts together (the difference is
     entire), so it is usable at every s including s = 1, and it avoids the
     cancellation of two separately rounded values for Re s > 0.  Deep in the
     left half-plane with t != 0 the sine-kernel reflection through the
-    conjugate series at 1-s takes over when Euler-Maclaurin cannot certify
-    the tolerance.
+    conjugate series at 1-s takes over, point by point, when Euler-Maclaurin
+    cannot certify the tolerance.  ``s`` is a number or an array of points.
     """
-    s = require_finite(s)
+    pts, shape = as_points(s)
     if not 0.0 < a < 1.0:
         raise DomainError("pair difference needs 0 < a < 1")
-    entire, rem = _hurwitz_combination(s, (a, 1.0 - a), (1.0, -1.0), cfg, subtract_pole=True)
+    entire, rems = _hurwitz_combination(pts, (a, 1.0 - a), (1.0, -1.0), cfg, subtract_pole=True)
     # pole difference [a^{1-s} - (1-a)^{1-s}] / (s-1), finite at s = 1
-    u = math.log(a / (1.0 - a))
-    if s == 1.0:
-        pole_diff = complex(-u)
-    else:
-        pole_diff = cmath.exp((1.0 - s) * math.log(1.0 - a)) * _cexpm1((1.0 - s) * u) / (s - 1.0)
-    value = entire + pole_diff
-    if rem <= _tol_scale(cfg.target_abs_tol, value):
-        return value
-    if s.real < 0.0:
-        refl, refl_rem = _pair_diff_reflect(s, a, cfg)
-        if refl_rem < rem:
-            value, rem = refl, refl_rem
-    if rem > _tol_scale(cfg.target_abs_tol, value):
-        _warn_accuracy(rem, cfg.target_abs_tol, s)
-    return value
+    w = 1.0 - pts
+    pole_diff = np.exp(w * math.log(1.0 - a)) * _pole_quotient(w, np.array([math.log(a / (1.0 - a))]))[:, 0]
+    values = entire + pole_diff
+    _settle(pts, values, rems, cfg, lambda x: _pair_diff_reflect(x, a, cfg))
+    return from_points(values, shape)
 
 
 def _pair_diff_reflect(s: complex, a: float, cfg: EvalSettings) -> Tuple[complex, float]:
@@ -449,24 +526,19 @@ def _pair_diff_reflect(s: complex, a: float, cfg: EvalSettings) -> Tuple[complex
     logpref = math.log(2.0) + log_gamma(w) - w * math.log(_TWO_PI)
     if o_val == 0.0:
         return 0.0 + 0.0j, 0.0
-    value = cmath.exp(logpref + _log_sin_half(w) + cmath.log(o_val))
+    value = cmath.exp(logpref + _log_sin_pi(0.5 * w) + cmath.log(o_val))
     return value, abs(value) * (o_err / max(abs(o_val), 1e-300) + eps)
 
 
-def _log_sin_half(w: complex) -> complex:
-    return _log_sin_pi(0.5 * w)
-
-
-def hurwitz_pair_sum_minus_pole(s: complex, a: float, cfg: EvalSettings = DEFAULT_SETTINGS) -> complex:
+def hurwitz_pair_sum_minus_pole(s, a: float, cfg: EvalSettings = DEFAULT_SETTINGS):
     """zeta(s,a) + zeta(s,1-a) minus both pole parts; entire in s."""
-    s = require_finite(s)
-    value, rem = _hurwitz_combination(s, (a, 1.0 - a), (1.0, 1.0), cfg, subtract_pole=True)
-    if rem > _tol_scale(cfg.target_abs_tol, value):
-        _warn_accuracy(rem, cfg.target_abs_tol, s)
-    return value
+    pts, shape = as_points(s)
+    values, rems = _hurwitz_combination(pts, (a, 1.0 - a), (1.0, 1.0), cfg, subtract_pole=True)
+    _settle(pts, values, rems, cfg)
+    return from_points(values, shape)
 
 
-def riemann_zeta(s: complex, cfg: EvalSettings = DEFAULT_SETTINGS) -> complex:
+def riemann_zeta(s, cfg: EvalSettings = DEFAULT_SETTINGS):
     """Riemann zeta as the a = 1 instance of the Hurwitz zeta."""
     return hurwitz_zeta(s, 1.0, cfg)
 
@@ -535,21 +607,16 @@ def _li_series(s: complex, a: float, cfg: EvalSettings) -> Tuple[complex, float]
     return best
 
 
-def _li_rational(s: complex, r: int, q: int, cfg: EvalSettings) -> complex:
-    """Exact finite form Li_s(e^{2 pi i r/q}) = q^{-s} sum_n e^{2 pi i rn/q} zeta(s, n/q)."""
+def _li_rational(s: np.ndarray, r: int, q: int, cfg: EvalSettings) -> np.ndarray:
+    """Exact finite form Li_s(e^{2 pi i r/q}) = q^{-s} sum_n e^{2 pi i rn/q} zeta(s, n/q)
+    at an array of points."""
     bases = tuple((n + 1) / q for n in range(q))
     weights = tuple(cmath.exp(2j * math.pi * ((r * (n + 1)) % q) / q) for n in range(q))
     entire, _ = _hurwitz_combination(s, bases, weights, cfg, subtract_pole=True)
-    # Add back the subtracted pole parts; their residues cancel since sum w_j = 0.
-    poles = 0.0 + 0.0j
-    if s != 1.0:
-        for b, w in zip(bases, weights):
-            poles += w * cmath.exp((1.0 - s) * math.log(b))
-        poles /= s - 1.0
-    else:
-        for b, w in zip(bases, weights):
-            poles += w * -math.log(b)
-    return cmath.exp(-s * math.log(q)) * (entire + poles)
+    # Add back the subtracted pole parts b^{1-s}/(s-1); their residues cancel
+    # since sum w_j = 0, so each may be taken as [b^{1-s} - 1]/(s-1).
+    poles = _pole_quotient(1.0 - s, np.log(bases)) @ np.asarray(weights)
+    return np.exp(-s * math.log(q)) * (entire + poles)
 
 
 def _li_functional_equation(s: complex, a: float, cfg: EvalSettings) -> complex:
@@ -573,7 +640,7 @@ def _li_functional_equation(s: complex, a: float, cfg: EvalSettings) -> complex:
         if s == 0.0:
             polepart = 1j * (v - u)
         else:
-            polepart = 1j * cmath.exp(s * u) * _cexpm1(s * (v - u)) / s
+            polepart = 1j * cmath.exp(s * u) * complex(np.expm1(s * (v - u))) / s
         pref = gamma(w) * cmath.exp((s - 1.0) * math.log(_TWO_PI))
         return pref * (cmath.exp(half) * fa + cmath.exp(-half) * fb + polepart)
 
@@ -590,29 +657,37 @@ def _li_functional_equation(s: complex, a: float, cfg: EvalSettings) -> complex:
     return out
 
 
-def periodic_zeta(s: complex, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS) -> complex:
+def periodic_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
     """Periodic zeta Li_s(e^{2 pi i a}) for 0 < a < 1, entire in s.
 
-    Strategy: exact value at s = 0; for Re s above the configured threshold
-    either the accelerated direct series (float a) or the exact rational
-    decomposition into Hurwitz zetas (exact a = r/q); otherwise the
-    functional-equation route through zeta(1-s, .).
+    ``s`` is a number or an array of points; each point takes its own route.
+    Exact value at s = 0; for Re s above the configured threshold either the
+    exact rational decomposition into Hurwitz zetas (exact a = r/q, all such
+    points in one Euler-Maclaurin call) or the accelerated direct series
+    (float a); otherwise the functional-equation route through zeta(1-s, .).
     """
-    s = require_finite(s)
+    pts, shape = as_points(s)
     alpha = Alpha.coerce(a)
     av = alpha.value
     if not 0.0 < av < 1.0:
         raise DomainError("periodic zeta needs 0 < a < 1 (a = 1 is the Riemann zeta)")
-    if s == 0.0:
-        # -1/2 + (i/2) cot(pi a): the s -> 0 limit of the continuation, equal to
-        # z/(1-z) for z = e^{2 pi i a}.
-        return complex(-0.5, 0.5 / math.tan(math.pi * av))
-    if s.real > cfg.series_sigma_threshold:
-        if alpha.exact is not None and abs(s - 1.0) > 5e-3:
-            r, q = alpha.exact
-            return _li_rational(s, r, q, cfg)
-        value, err = _li_series(s, av, cfg)
-        if err > _tol_scale(cfg.target_abs_tol, value):
-            _warn_accuracy(err, cfg.target_abs_tol, s)
-        return value
-    return _li_functional_equation(s, av, cfg)
+    tol = cfg.target_abs_tol
+    out = np.empty(pts.shape, dtype=complex)
+    rational = []
+    for i, x in enumerate(pts.tolist()):
+        if x == 0.0:
+            # -1/2 + (i/2) cot(pi a): the s -> 0 limit of the continuation, equal
+            # to z/(1-z) for z = e^{2 pi i a}.
+            out[i] = complex(-0.5, 0.5 / math.tan(math.pi * av))
+        elif x.real <= cfg.series_sigma_threshold:
+            out[i] = _li_functional_equation(x, av, cfg)
+        elif alpha.exact is not None and abs(x - 1.0) > 5e-3:
+            rational.append(i)
+        else:
+            value, err = _li_series(x, av, cfg)
+            if err > _tol_scale(tol, value):
+                _warn_accuracy(err, tol, x)
+            out[i] = value
+    if rational:
+        out[rational] = _li_rational(pts[rational], *alpha.exact, cfg)
+    return from_points(out, shape)

@@ -5,12 +5,13 @@ argument-principle zero counting in rectangles.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
+
+import numpy as np
 
 from .core import (
     Alpha,
@@ -158,12 +159,13 @@ def scan_real_zeros(
 
     n = max(2, int(round((hi - lo) / step)) + 1)
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    grid = eval_family(fam, np.array(xs, dtype=complex), alpha, cfg)  # the whole grid in one call
 
     records: List[ZeroRecord] = []
 
     if fam is Family.PERIODIC:
         g = _abs_section(fam, alpha, cfg)
-        vals = [g(x) for x in xs]
+        vals = np.abs(grid).tolist()
         for i in range(1, n - 1):
             if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1] and vals[i] < touch_tol:
                 loc = _refine_touch(g, xs[i - 1], xs[i + 1], _BRACKET_WIDTH)
@@ -171,7 +173,7 @@ def scan_real_zeros(
         return records
 
     f = _real_section(fam, alpha, cfg)
-    vals = [f(x) for x in xs]
+    vals = grid.real.tolist()
 
     i = 0
     while i < n - 1:
@@ -199,16 +201,23 @@ def scan_real_zeros(
             if resid < touch_tol:
                 records.append(ZeroRecord(loc, EVEN_TOUCH, (xs[i - 1], x1), resid))
         i += 1
-    # de-duplicate records closer than half a step (touch refinement overlap)
+    # De-duplicate records closer than half a step (touch refinement overlap).
+    # A bisected sign change is a simple zero whatever the residuals say, so
+    # it wins over an even touch; between records of one kind the smaller
+    # residual wins.
     records.sort(key=lambda rec: rec.location)
     dedup: List[ZeroRecord] = []
     for rec in records:
         if dedup and abs(rec.location - dedup[-1].location) < 0.5 * step:
-            if rec.residual < dedup[-1].residual:
+            if _rank(rec) < _rank(dedup[-1]):
                 dedup[-1] = rec
             continue
         dedup.append(rec)
     return dedup
+
+
+def _rank(rec: ZeroRecord) -> Tuple[bool, float]:
+    return rec.multiplicity_class != SIMPLE, rec.residual
 
 
 # ---------------------------------------------------------------------------
@@ -360,35 +369,42 @@ def _rectangle_path(c0: complex, c1: complex, samples: int) -> List[complex]:
 
 
 def _winding_pass(
-    f: Callable[[complex], complex], pts: List[complex]
+    f: Callable[[np.ndarray], np.ndarray], pts: List[complex]
 ) -> Tuple[float, float, int]:
-    """(total argument / 2pi, min |f|, evaluations); subdivides segments until
-    every argument increment is below pi/2."""
-    values = [f(p) for p in pts]
-    evals = len(pts)
-    min_abs = min(abs(v) for v in values)
+    """(total argument / 2pi, min |f|, evaluations); halves segments until
+    every argument increment is below pi/2.
+
+    ``f`` maps an array of points to their values.  The boundary samples are
+    evaluated in one call, and so is each refinement level: the midpoints of
+    all segments whose increment is still too large.
+    """
+    za = np.asarray(pts, dtype=complex)
+    fa = f(za)
+    evals = za.size
+    min_abs = float(np.abs(fa).min())
+    # segments (za[i], za[i+1]) with values (fa[i], fa[i+1])
+    zb, fb = za[1:], fa[1:]
+    za, fa = za[:-1], fa[:-1]
     total = 0.0
-    for i in range(len(pts) - 1):
-        seg = [(pts[i], values[i]), (pts[i + 1], values[i + 1])]
-        stack = [(seg[0], seg[1], 0)]
-        while stack:
-            (pa, va), (pb, vb), depth = stack.pop()
-            if va == 0.0 or vb == 0.0:
-                raise BoundaryError("zero on the rectangle boundary; reposition the rectangle")
-            d_arg = cmath.phase(vb / va)
-            if abs(d_arg) <= 0.5 * math.pi or depth >= _MAX_REFINE_DEPTH:
-                if depth >= _MAX_REFINE_DEPTH:
-                    raise BoundaryError(
-                        "argument increment will not settle; a zero is too close to the boundary"
-                    )
-                total += d_arg
-            else:
-                pm = 0.5 * (pa + pb)
-                vm = f(pm)
-                evals += 1
-                min_abs = min(min_abs, abs(vm))
-                stack.append(((pm, vm), (pb, vb), depth + 1))
-                stack.append(((pa, va), (pm, vm), depth + 1))
+    depth = 0
+    while za.size:
+        if (fa == 0.0).any() or (fb == 0.0).any():
+            raise BoundaryError("zero on the rectangle boundary; reposition the rectangle")
+        if depth >= _MAX_REFINE_DEPTH:
+            raise BoundaryError("argument increment will not settle; a zero is too close to the boundary")
+        d_arg = np.angle(fb / fa)
+        settled = np.abs(d_arg) <= 0.5 * math.pi
+        total += float(d_arg[settled].sum())
+        za, zb, fa, fb = (x[~settled] for x in (za, zb, fa, fb))
+        if not za.size:
+            break
+        zm = 0.5 * (za + zb)
+        fm = f(zm)
+        evals += zm.size
+        min_abs = min(min_abs, float(np.abs(fm).min()))
+        za, zb = np.concatenate((za, zm)), np.concatenate((zm, zb))
+        fa, fb = np.concatenate((fa, fm)), np.concatenate((fm, fb))
+        depth += 1
     return total / (2.0 * math.pi), min_abs, evals
 
 
@@ -416,7 +432,7 @@ def count_zeros_rectangle(
         if x0 - _POLE_CLEARANCE <= 1.0 <= x1 + _POLE_CLEARANCE and y0 - _POLE_CLEARANCE <= 0.0 <= y1 + _POLE_CLEARANCE:
             raise DomainError("rectangle must keep distance >= 0.01 from the pole at s = 1")
 
-    def f(s: complex) -> complex:
+    def f(s: np.ndarray) -> np.ndarray:
         return eval_family(fam, s, alpha, cfg)
 
     samples = max(int(initial_samples), 64)

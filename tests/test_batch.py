@@ -1,0 +1,131 @@
+"""Array evaluation against point-by-point evaluation.
+
+Every kernel takes an array of points and runs its Euler-Maclaurin work in
+blocks; a single number is a block of one.  These tests hold the two forms to
+the same values, the same errors and the same warnings, and hold the zero
+counts to the figures the point-by-point implementation produced.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from zetazeros import (
+    AccuracyWarning,
+    Alpha,
+    Family,
+    PoleError,
+    count_zeros_rectangle,
+    eval_family,
+    hurwitz_zeta,
+    periodic_zeta,
+)
+from zetazeros import special
+
+FAMILIES = (Family.Z, Family.P, Family.Y, Family.O, Family.X, Family.HURWITZ, Family.PERIODIC)
+SHIFTS = (Alpha.parse("2/7"), Alpha(0.31))
+
+
+def census_points(rng, n):
+    """Points on and inside count tiles like the census ones: sigma in [-1, 2], t <= 60."""
+    t_lo = rng.uniform(0.5, 55.0, n)
+    return rng.uniform(-1.0, 2.0, n) + 1j * (t_lo + rng.uniform(0.0, 5.0, n))
+
+
+def real_points(rng, n):
+    return rng.uniform(-16.0, 3.0, n) + 0j
+
+
+def assert_batch_matches_points(fn, pts):
+    batch = fn(pts)
+    assert isinstance(batch, np.ndarray) and batch.shape == pts.shape
+    for s, v in zip(pts.tolist(), batch.tolist()):
+        single = fn(s)
+        assert isinstance(single, complex)
+        assert abs(v - single) <= 1e-14 * max(1.0, abs(single)), (s, v, single)
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.value)
+@pytest.mark.parametrize("alpha", SHIFTS, ids=str)
+def test_family_array_matches_point_by_point(fam, alpha):
+    rng = np.random.default_rng(20261018)
+    pts = np.concatenate((census_points(rng, 40), real_points(rng, 24)))
+    assert_batch_matches_points(lambda s: eval_family(fam, s, alpha), pts)
+
+
+@pytest.mark.parametrize("alpha", SHIFTS, ids=str)
+def test_kernel_array_matches_point_by_point(alpha):
+    rng = np.random.default_rng(7)
+    pts = np.concatenate((census_points(rng, 40), real_points(rng, 24)))
+    assert_batch_matches_points(lambda s: hurwitz_zeta(s, alpha), pts)
+    assert_batch_matches_points(lambda s: periodic_zeta(s, alpha), pts)
+
+
+def test_array_shape_is_kept():
+    grid = np.array([[2.0 + 1.0j, 0.5 + 3.0j], [-1.5 + 0.0j, 3.0 + 20.0j]])
+    values = eval_family(Family.X, grid, Alpha.parse("1/5"))
+    assert values.shape == (2, 2)
+    assert values[1, 0] == eval_family(Family.X, -1.5, Alpha.parse("1/5"))
+
+
+def test_array_containing_the_pole_raises():
+    pts = np.array([0.5 + 1.0j, 1.0 + 0.0j, 2.0 + 0.0j])
+    with pytest.raises(PoleError):
+        eval_family(Family.Z, pts, Alpha.parse("1/3"))
+    with pytest.raises(PoleError):
+        hurwitz_zeta(pts, 0.3)
+
+
+def test_uncertified_point_in_a_block_still_warns(monkeypatch):
+    # Deep in the left half-plane with t != 0 the entire part has no reflection
+    # route, so only that point of the block stays uncertified.
+    flagged = []
+    monkeypatch.setattr(special, "_warn_accuracy", lambda rem, tol, s: flagged.append(s))
+    pts = np.array([2.0 + 1.0j, 0.5 + 10.0j, -12.0 + 40.0j, 3.0 + 0.0j, -0.5 + 5.0j])
+    special.hurwitz_zeta_minus_pole(pts, 0.3)
+    assert flagged == [-12.0 + 40.0j]
+
+
+def test_value_that_is_not_finite_is_not_certified():
+    # zeta(300, 0.001) overflows a double; the NaN that comes out must carry a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.warns(AccuracyWarning):
+            value = eval_family(Family.Y, np.array([300.0, 2.0]), 0.001)
+    assert not np.isfinite(value[0]) and np.isfinite(value[1])
+
+
+def test_blocks_hold_at_most_32_points(monkeypatch):
+    sizes = []
+    original = special._em_once
+
+    def recording(s, *args):
+        sizes.append(s.size)
+        return original(s, *args)
+
+    monkeypatch.setattr(special, "_em_once", recording)
+    pts = 2.0 + 1j * np.linspace(1.0, 20.0, 100)  # one shift m for all of them
+    hurwitz_zeta(pts, 0.3)
+    assert max(sizes) == special._EM_BLOCK_POINTS == 32
+    assert sum(sizes) >= pts.size
+
+
+# (family, a, corners, initial samples) -> (count, samples_used) as computed
+# one point at a time, before evaluation was batched.
+RECTANGLES = [
+    (Family.Z, "1/6", (-1 + 1j, 2 + 30j), 512, 11, 1538),
+    (Family.Z, "1/6", (-1 + 1j, 2 + 30j), 1024, 11, 3074),
+    (Family.Z, "1/6", (-1 + 1j, 2 + 16j), 512, 4, 1542),
+    (Family.Z, "1/6", (-1 + 16j, 2 + 30j), 512, 7, 1542),
+    (Family.Z, "0.3", (2 + 1j, 3 + 10j), 256, 0, 774),
+    (Family.Z, "0.3", (2 + 1j, 3 + 10j), 512, 0, 1542),
+    (Family.P, "2/5", (0.55 + 1j, 0.95 + 50j), 500, 8, 1514),
+    (Family.P, "2/5", (0.55 + 1j, 0.95 + 100j), 1000, 20, 3041),
+]
+
+
+@pytest.mark.parametrize("fam, a, corners, samples, count, used", RECTANGLES)
+def test_rectangle_counts_and_samples_unchanged(fam, a, corners, samples, count, used):
+    rc = count_zeros_rectangle(fam, Alpha.parse(a), corners, samples)
+    assert (rc.count, rc.samples_used) == (count, used)

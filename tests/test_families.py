@@ -33,6 +33,16 @@ def test_p_is_periodic_sum():
     assert p == pytest.approx(periodic_zeta(s, 0.2) + periodic_zeta(s, 0.8), rel=1e-11)
 
 
+def test_p_and_o_series_route_is_the_plain_periodic_sum():
+    # Above the series threshold P and O are the periodic sums at a and at
+    # a.conjugate, for exact and float shifts alike, to the last bit.
+    for a, partner in ((Alpha.parse("2/7"), Alpha.parse("5/7")), (Alpha(0.2), 1.0 - 0.2)):
+        for s in (complex(2.0, 1.5), complex(0.9, -12.0)):
+            plus, minus = periodic_zeta(s, a), periodic_zeta(s, partner)
+            assert eval_family(Family.P, s, a) == plus + minus
+            assert eval_family(Family.O, s, a) == -1j * (plus - minus)
+
+
 def test_spec_point_values():
     assert eval_family(Family.Z, 0.0, 0.37) == pytest.approx(0.0, abs=1e-12)
     assert eval_family(Family.P, 0.0, 0.2) == pytest.approx(-1.0, abs=1e-12)

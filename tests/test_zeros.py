@@ -81,6 +81,24 @@ def test_scan_splits_around_pole():
     assert recs == []
 
 
+def test_scan_keeps_sign_change_over_nearby_touch():
+    # A golden-section touch record next to a bisected sign change can have the
+    # smaller residual; the zero is still simple.
+    recs = scan_real_zeros(Family.Y, Alpha.parse("3/10"), -16.0907, 3.0221)
+    by_loc = {round(rec.location): rec for rec in recs}
+    assert set(by_loc) == {-15, -13, -11, -9, -7, -5, -3, -1}
+    assert by_loc[-13].multiplicity_class == SIMPLE
+    assert all(rec.multiplicity_class == SIMPLE for rec in recs)
+
+
+def test_scan_hurwitz_zero_near_origin_is_simple():
+    with pytest.warns(UserWarning, match="pole"):
+        recs = scan_real_zeros(Family.HURWITZ, Alpha.parse("7/11"), -16.09, 3.0217)
+    near = [rec for rec in recs if abs(rec.location + 0.42887) < 1e-4]
+    assert len(near) == 1
+    assert near[0].multiplicity_class == SIMPLE
+
+
 def test_scan_rejects_bad_interval():
     with pytest.raises(DomainError):
         scan_real_zeros(Family.Y, 0.3, 2.0, -2.0)
