@@ -15,8 +15,8 @@ functional-equation partners (Z and Y at 1-s), with the Z pole part of the
 P route recombined analytically so the formula stays exact through s = 0.
 
 The evaluators work on arrays of points: each route gets the points that
-need it in one kernel call, and the gamma and trigonometric factors of the
-functional equations are taken point by point.
+need it in one kernel call, and the factors of the functional equations
+(special._fe_factors, formed in log space) are taken point by point.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from .core import (
     require_finite,
 )
 from .special import (
-    gamma,
+    _fe_factors,
+    gamma,  # noqa: F401  (unused here; perfbench's tracer test patches families.gamma)
     hurwitz_pair_diff,
     hurwitz_pair_sum_minus_pole,
     hurwitz_zeta,
@@ -81,18 +82,16 @@ def _per_point(fn: Callable, s: np.ndarray) -> np.ndarray:
     return np.array([fn(x) for x in s.tolist()], dtype=complex)
 
 
-def _fe_prefactor(s: complex) -> complex:
-    """2 Gamma(1-s) (2pi)^{s-1}: the factor that takes a family at 1-s to its
-    partner at s."""
-    return 2.0 * gamma(1.0 - s) * cmath.exp((s - 1.0) * math.log(_TWO_PI))
-
-
 def _p_factors(s: complex, av: float) -> Tuple[complex, complex]:
     """The two point factors of the reflected P route: P(s) = f0 * E(1-s) - f1,
-    with E the entire part of Z."""
-    pref = _fe_prefactor(s)
+    with E the entire part of Z, f0 = 2 Gamma(1-s) (2pi)^{s-1} sin(pi s/2)
+    = c- + c+ at w = 1-s, and f1 = f0 [a^s + (1-a)^s] / s."""
+    c_minus, g, c_plus = _fe_factors(1.0 - s)
+    f0 = c_minus + c_plus
+    # Near s = 0, where c- + c+ cancels, f0/s is taken through sin(pi s/2)/s.
+    f0_over_s = 2.0 * g * _sin_half_over_s(s) if abs(s) < 0.25 else f0 / s
     pole_sum = cmath.exp(s * math.log(av)) + cmath.exp(s * math.log(1.0 - av))
-    return pref * cmath.sin(0.5 * math.pi * s), pref * _sin_half_over_s(s) * pole_sum
+    return f0, f0_over_s * pole_sum
 
 
 def _split(s: np.ndarray, mask: np.ndarray, inside, outside) -> np.ndarray:
@@ -149,9 +148,10 @@ def o_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> n
         return -1j * (periodic_zeta(x, a, cfg) - periodic_zeta(x, a.conjugate, cfg))
 
     def reflected(x):
-        # O(s,a) = 2 Gamma(1-s) (2pi)^{s-1} cos(pi s/2) Y(1-s, a); Y is entire.
-        factor = _per_point(lambda z: _fe_prefactor(z) * cmath.cos(0.5 * math.pi * z), x)
-        return factor * hurwitz_pair_diff(1.0 - x, a.value, cfg)
+        # O(s,a) = 2 Gamma(1-s) (2pi)^{s-1} cos(pi s/2) Y(1-s, a)
+        #        = i (c- - c+) Y(1-s, a) at w = 1-s; Y is entire.
+        c = _per_point(lambda z: _fe_factors(1.0 - z), x)
+        return 1j * (c[:, 0] - c[:, 2]) * hurwitz_pair_diff(1.0 - x, a.value, cfg)
 
     return _split(s, s.real > cfg.series_sigma_threshold, series, reflected)
 
@@ -219,9 +219,9 @@ def functional_equation_pair(
     alpha = _check_composed_alpha(Alpha.coerce(a))
     partner, trig = FUNCTIONAL_EQUATION_TABLE[fam]
     lhs = eval_family(fam, 1.0 - s, alpha, cfg)
-    trig_val = cmath.cos(0.5 * math.pi * s) if trig == "cos" else cmath.sin(0.5 * math.pi * s)
-    rhs = 2.0 * gamma(s) * cmath.exp(-s * math.log(_TWO_PI)) * trig_val * eval_family(partner, s, alpha, cfg)
-    return lhs, rhs
+    c_minus, _, c_plus = _fe_factors(s)
+    factor = c_minus + c_plus if trig == "cos" else 1j * (c_minus - c_plus)
+    return lhs, factor * eval_family(partner, s, alpha, cfg)
 
 
 def special_values(a: AlphaLike) -> SpecialValues:

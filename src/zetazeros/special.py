@@ -34,6 +34,7 @@ from .core import (
 )
 
 _TWO_PI = 2.0 * math.pi
+_LOG_TWO_PI = math.log(_TWO_PI)
 
 BERNOULLI_MAX_INDEX = 60
 
@@ -120,10 +121,17 @@ def _lanczos_series(z: complex) -> complex:
 
 
 def _gamma_right(z: complex) -> complex:
-    # Valid for Re z >= 0.5.
+    # Valid for Re z >= 0.5.  t^{z+1/2} e^{-t} is one exponential: its two
+    # factors overflow and underflow on their own near the top of the range.
     z -= 1.0
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * _lanczos_series(z)
+    try:
+        value = math.sqrt(2.0 * math.pi) * cmath.exp((z + 0.5) * cmath.log(t) - t) * _lanczos_series(z)
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise DomainError(f"Gamma is beyond the double range at {z + 1.0}")
+    return value
 
 
 def _nonpositive_integer(s: complex, tol: float = 0.0) -> Optional[int]:
@@ -138,8 +146,9 @@ def _nonpositive_integer(s: complex, tol: float = 0.0) -> Optional[int]:
 def gamma(s: complex) -> complex:
     """Gamma(s) for complex s; reflection formula is used for Re s < 1/2.
 
-    Raises PoleError at the nonpositive integers.  Relative accuracy is
-    ~1e-13 for |s| <= 100.
+    Raises PoleError at the nonpositive integers, and DomainError where
+    Gamma(s) or, for Re s < 1/2, Gamma(1-s) is beyond the double range.
+    Relative accuracy is ~1e-13 for |s| <= 100.
     """
     s = require_finite(s)
     pole = _nonpositive_integer(s)
@@ -175,6 +184,23 @@ def log_gamma(s: complex) -> complex:
         t = z + _LANCZOS_G + 0.5
         return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * cmath.log(t) - t + cmath.log(_lanczos_series(z))
     return math.log(math.pi) - _log_sin_pi(s) - log_gamma(1.0 - s)
+
+
+def _fe_factors(w: complex) -> Tuple[complex, complex, complex]:
+    """(c-, g, c+) with g = Gamma(w) (2pi)^{-w} and c-+ = g e^{-+ i pi w/2}.
+
+    Every functional equation here is a combination of these, through
+    2 g cos(pi w/2) = c- + c+ and 2 g sin(pi w/2) = i (c- - c+).  Each factor
+    is one exponential of log Gamma(w) - w log 2pi -+ i pi w/2, so c-+ stay in
+    double range where Gamma(w) underflows and e^{pi |Im w|/2} overflows.
+    Raises DomainError for a factor beyond the double range.
+    """
+    log_g = log_gamma(w) - w * _LOG_TWO_PI
+    half = 0.5j * math.pi * w
+    try:
+        return cmath.exp(log_g - half), cmath.exp(log_g), cmath.exp(log_g + half)
+    except OverflowError:
+        raise DomainError(f"functional-equation factor at w = {w} is beyond the double range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +402,14 @@ def _tol_scale(tol: float, value: complex) -> float:
     return tol * max(1.0, math.hypot(value.real, value.imag))
 
 
+def _relative_bound(rem: float, value: complex) -> float:
+    # rem / max(1, |value|), the measure of the target; inf for a value or
+    # bound that is not finite, which certifies nothing.
+    if math.isfinite(rem) and cmath.isfinite(value):
+        return rem / _tol_scale(1.0, value)
+    return math.inf
+
+
 def _warn_accuracy(rem: float, tol: float, s: complex) -> None:
     # Fixed message text so the default "once per message" warning filters can
     # deduplicate sweeps; details travel as attributes.
@@ -395,8 +429,9 @@ def _settle(
 ) -> None:
     """Per point, in place: a value whose remainder does not certify the target
     is replaced by ``reflect(s)`` (Re s < 0 only) when that route's bound is
-    smaller, and a point still uncertified gets an AccuracyWarning.  A value
-    or bound that is not finite certifies nothing."""
+    smaller relative to max(1, |value|), as the target is, and a point still
+    uncertified gets an AccuracyWarning.  A value or bound that is not finite
+    certifies nothing."""
     tol = cfg.target_abs_tol
     uncertified = ~(rems <= tol * np.maximum(1.0, np.abs(values)))
     if not uncertified.any():
@@ -405,7 +440,8 @@ def _settle(
         s, value, rem = complex(pts[i]), complex(values[i]), float(rems[i])
         if reflect is not None and s.real < 0.0:
             refl, refl_rem = reflect(s)
-            if refl_rem < rem or math.isnan(rem):
+            em_bound = _relative_bound(rem, value)
+            if _relative_bound(refl_rem, refl) < em_bound or em_bound == math.inf:
                 value, rem = refl, refl_rem
                 values[i] = value
         if not rem <= _tol_scale(tol, value):
@@ -440,43 +476,24 @@ def hurwitz_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
 
 
 def _hurwitz_reflect(s: complex, a: float, cfg: EvalSettings) -> Tuple[complex, float]:
-    """zeta(s, a) for Re s < 0 via
-    Gamma(w)/(2pi)^w [e^{-i pi w/2} Li_w(e^{2 pi i a}) + e^{i pi w/2} Li_w(e^{-2 pi i a})]
-    with w = 1 - s (Re w > 1, so both series converge absolutely)."""
+    """zeta(s, a) for Re s < 0 via c- Li_w(e^{2 pi i a}) + c+ Li_w(e^{-2 pi i a})
+    with w = 1 - s and c-+ from _fe_factors (Re w > 1, so both series converge
+    absolutely)."""
     # Reduce a to (0, 1]: zeta(s, a) = zeta(s, frac) - sum_{j} (frac+j)^{-s}.
     shift = 0.0 + 0.0j
     while a > 1.0:
         a -= 1.0
         shift += cmath.exp(-s * math.log(a))
     w = 1.0 - s
-    half = 0.5j * math.pi * w
-    eps = 2.220446049250313e-16
+    c_minus, _, c_plus = _fe_factors(w)
     if a == 1.0:
         zw, zw_rem = _hurwitz_combination(w, (1.0,), (1.0,), cfg)
-        pref = gamma(w) * cmath.exp(-w * math.log(_TWO_PI))
-        value = 2.0 * pref * cmath.cos(0.5 * math.pi * w) * zw
-        rem = (zw_rem + eps * abs(zw)) * 2.0 * abs(pref) * abs(cmath.cos(0.5 * math.pi * w))
-        return value - shift, rem
+        factor = c_minus + c_plus  # 2 Gamma(w) (2pi)^{-w} cos(pi w/2)
+        return factor * zw - shift, (zw_rem + _EPS * abs(zw)) * abs(factor)
     la, la_err = _li_series(w, a, cfg)
     lb, lb_err = _li_series(w, 1.0 - a, cfg)
-    if abs(s.imag) < 600.0:
-        pref = gamma(w) * cmath.exp(-w * math.log(_TWO_PI))
-        ta = cmath.exp(-half) * la
-        tb = cmath.exp(half) * lb
-        value = pref * (ta + tb)
-        rem = abs(pref) * (
-            abs(cmath.exp(-half)) * (la_err + eps * abs(la))
-            + abs(cmath.exp(half)) * (lb_err + eps * abs(lb))
-        )
-        return value - shift, rem
-    logpref = log_gamma(w) - w * math.log(_TWO_PI)
-    value = 0.0 + 0.0j
-    rem = 0.0
-    for term, err, sign in ((la, la_err, -1.0), (lb, lb_err, 1.0)):
-        if term != 0.0:
-            piece = cmath.exp(logpref + sign * half + cmath.log(term))
-            value += piece
-            rem += abs(piece) * (err / max(abs(term), 1e-300) + eps)
+    value = c_minus * la + c_plus * lb
+    rem = abs(c_minus) * (la_err + _EPS * abs(la)) + abs(c_plus) * (lb_err + _EPS * abs(lb))
     return value - shift, rem
 
 
@@ -512,22 +529,14 @@ def hurwitz_pair_diff(s, a: float, cfg: EvalSettings = DEFAULT_SETTINGS):
 
 def _pair_diff_reflect(s: complex, a: float, cfg: EvalSettings) -> Tuple[complex, float]:
     """zeta(s,a) - zeta(s,1-a) for Re s < 0 through
-    2 Gamma(w) (2pi)^{-w} sin(pi w/2) * (-i)(Li_w(e^{2pi i a}) - Li_w(e^{-2pi i a}))
-    with w = 1 - s; both series converge absolutely and nothing cancels."""
+    (c- - c+) (Li_w(e^{2pi i a}) - Li_w(e^{-2pi i a})) with w = 1 - s and c-+
+    from _fe_factors; both series converge absolutely and nothing cancels."""
     w = 1.0 - s
-    eps = 2.220446049250313e-16
+    c_minus, _, c_plus = _fe_factors(w)
     la, ea = _li_series(w, a, cfg)
     lb, eb = _li_series(w, 1.0 - a, cfg)
-    o_val = -1j * (la - lb)
-    o_err = ea + eb + eps * (abs(la) + abs(lb))
-    if abs(s.imag) < 600.0:
-        factor = 2.0 * gamma(w) * cmath.exp(-w * math.log(_TWO_PI)) * cmath.sin(0.5 * math.pi * w)
-        return factor * o_val, abs(factor) * o_err
-    logpref = math.log(2.0) + log_gamma(w) - w * math.log(_TWO_PI)
-    if o_val == 0.0:
-        return 0.0 + 0.0j, 0.0
-    value = cmath.exp(logpref + _log_sin_pi(0.5 * w) + cmath.log(o_val))
-    return value, abs(value) * (o_err / max(abs(o_val), 1e-300) + eps)
+    factor = c_minus - c_plus  # -2i Gamma(w) (2pi)^{-w} sin(pi w/2)
+    return factor * (la - lb), abs(factor) * (ea + eb + _EPS * (abs(la) + abs(lb)))
 
 
 def hurwitz_pair_sum_minus_pole(s, a: float, cfg: EvalSettings = DEFAULT_SETTINGS):
@@ -620,15 +629,14 @@ def _li_rational(s: np.ndarray, r: int, q: int, cfg: EvalSettings) -> np.ndarray
 
 
 def _li_functional_equation(s: complex, a: float, cfg: EvalSettings) -> complex:
-    """Continuation Li_s = Gamma(1-s)/(2pi)^{1-s} [e^{i pi (1-s)/2} zeta(1-s,a)
-    + e^{-i pi (1-s)/2} zeta(1-s,1-a)].
+    """Continuation Li_s = c+ zeta(1-s, a) + c- zeta(1-s, 1-a), with
+    c-+ = Gamma(1-s) (2pi)^{s-1} e^{-+ i pi (1-s)/2} from _fe_factors.
 
     Near s = 0 the two zeta factors blow up like 1/s against each other, so the
     pole parts are recombined through expm1 before anything large is formed.
-    Far up the imaginary axis the e^{pi|t|/2} factors are paired in log space.
     """
     w = 1.0 - s
-    half = 0.5j * math.pi * w
+    c_minus, g, c_plus = _fe_factors(w)
 
     if abs(s) < 0.25:
         fa = hurwitz_zeta_minus_pole(w, a, cfg)
@@ -641,20 +649,8 @@ def _li_functional_equation(s: complex, a: float, cfg: EvalSettings) -> complex:
             polepart = 1j * (v - u)
         else:
             polepart = 1j * cmath.exp(s * u) * complex(np.expm1(s * (v - u))) / s
-        pref = gamma(w) * cmath.exp((s - 1.0) * math.log(_TWO_PI))
-        return pref * (cmath.exp(half) * fa + cmath.exp(-half) * fb + polepart)
-
-    za = hurwitz_zeta(w, a, cfg)
-    zb = hurwitz_zeta(w, 1.0 - a, cfg)
-    if abs(s.imag) < 600.0:
-        pref = gamma(w) * cmath.exp((s - 1.0) * math.log(_TWO_PI))
-        return pref * (cmath.exp(half) * za + cmath.exp(-half) * zb)
-    logpref = log_gamma(w) + (s - 1.0) * math.log(_TWO_PI)
-    out = 0.0 + 0.0j
-    for term, sign in ((za, 1.0), (zb, -1.0)):
-        if term != 0.0:
-            out += cmath.exp(logpref + sign * half + cmath.log(term))
-    return out
+        return c_plus * fa + c_minus * fb + g * polepart
+    return c_plus * hurwitz_zeta(w, a, cfg) + c_minus * hurwitz_zeta(w, 1.0 - a, cfg)
 
 
 def periodic_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):

@@ -17,6 +17,28 @@ def z_pair(w, a):
     return mp.zeta(w, a) + mp.zeta(w, 1 - a)
 
 
+def periodic(s, a):
+    """Li_s(e^{2 pi i a}) by Hurwitz's formula in zeta(1-s, .): mp.polylog is
+    wrong at large |Im s|."""
+    w = 1 - s
+    half = mp.exp(0.5j * mp.pi * w)
+    return mp.gamma(w) * (2 * mp.pi) ** (-w) * (half * mp.zeta(w, a) + mp.zeta(w, 1 - a) / half)
+
+
+def family(name, s, a):
+    za, zb = mp.zeta(s, a), mp.zeta(s, 1 - a)
+    la, lb = periodic(s, a), periodic(s, 1 - a)
+    return {
+        "Z": za + zb,
+        "P": la + lb,
+        "Y": za - zb,
+        "O": -1j * (la - lb),
+        "X": za - zb - 1j * (la - lb),
+        "hurwitz": za,
+        "periodic": la,
+    }[name]
+
+
 def bisect(f, lo, hi, steps=200):
     lo, hi = mp.mpf(lo), mp.mpf(hi)
     flo = f(lo)
@@ -63,6 +85,20 @@ def main():
     }
     for name, val in refs.items():
         print(f"{name} = {mp.nstr(val, 22)}")
+
+    print("# BAND in tests/test_far_field.py: a = 0.3 where e^{pi |t|/2} overflows a double")
+    for sigma in ("-12.3", "0.3"):
+        for t in (455, 500, 600, 800):
+            s = mp.mpc(mp.mpf(sigma), t)
+            for name in ("Z", "P", "Y", "O", "X", "hurwitz", "periodic"):
+                v = family(name, s, mp.mpf("0.3"))
+                print(f"    ({name!r}, {sigma}, {t}): complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)}),")
+
+    print("# frozen values where reflection wins on relative bound")
+    print(f"zeta(-120+3j, 0.3) = {mp.nstr(mp.zeta(mp.mpc(-120, 3), mp.mpf('0.3')), 17)}")
+    print(f"zeta(-200, 0.3) = {mp.nstr(mp.zeta(-200, mp.mpf('0.3')), 17)}")
+    print(f"gamma(171.5) = {mp.nstr(mp.gamma(mp.mpf('171.5')), 17)}")
+    print(f"gamma(-170.5) = {mp.nstr(mp.gamma(mp.mpf('-170.5')), 17)}")
 
 
 if __name__ == "__main__":

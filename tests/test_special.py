@@ -7,12 +7,14 @@ Reference constants were produced by tests/oracles/make_reference.py
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from zetazeros import (
+    AccuracyWarning,
     Alpha,
     DomainError,
     EvalSettings,
@@ -101,6 +103,14 @@ def test_gamma_pole():
     assert err.value.location == -3.0
 
 
+def test_gamma_at_the_edge_of_the_double_range():
+    # frozen mpmath values; t^{z+1/2} and e^{-t} leave the range on their own here
+    assert gamma(171.5) == pytest.approx(9.4833675668247993e307, rel=1e-12)
+    assert gamma(-170.5) == pytest.approx(-3.3127395215386073e-308, rel=1e-12)
+    with pytest.raises(DomainError):
+        gamma(172.5)
+
+
 def test_log_gamma_exponentiates_to_gamma():
     rng = np.random.default_rng(12)
     for _ in range(40):
@@ -133,6 +143,17 @@ def test_hurwitz_reference_values():
     assert riemann_zeta(complex(3, -7)) == pytest.approx(
         complex(1.014200368971115932, -0.0961253958580224325), rel=1e-12
     )
+
+
+def test_hurwitz_route_chosen_by_relative_bound():
+    # frozen mpmath values.  Euler-Maclaurin's remainder is smaller in absolute
+    # terms but misses the relative target; the reflection certifies it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        assert hurwitz_zeta(complex(-120, 3), 0.3) == pytest.approx(
+            complex(-1.8297757942194366e104, -4.6532756876586174e103), rel=1e-12
+        )
+        assert hurwitz_zeta(-200.0, 0.3) == pytest.approx(5.5204111104114665e214, rel=1e-12)
 
 
 def test_hurwitz_negative_integer_bernoulli_identity():
