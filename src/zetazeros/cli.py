@@ -116,11 +116,11 @@ def _cmd_eval(args: argparse.Namespace, out: io.TextIOBase) -> int:
     elif fam is not Family.RIEMANN and alpha is None:
         raise DomainError("--a is required for this family")
     points = [complex(sigma, t) for sigma in sigmas for t in ts]
+    grid = np.array(points)  # the whole grid in one call
     if chi is not None:
-        values = [l_function(chi, s, cfg) for s in points]
+        values = l_function(chi, grid, cfg).tolist()
     else:
-        # the whole grid in one call
-        values = eval_family(fam, np.array(points), 1.0 if fam is Family.RIEMANN else alpha, cfg).tolist()
+        values = eval_family(fam, grid, 1.0 if fam is Family.RIEMANN else alpha, cfg).tolist()
     rows = [{"sigma": s.real, "t": s.imag, "re": v.real, "im": v.imag} for s, v in zip(points, values)]
     _emit("eval", rows, args.format, out)
     return EXIT_OK
@@ -371,3 +371,7 @@ def run(argv: Sequence[str], out: io.TextIOBase = sys.stdout, err: io.TextIOBase
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -25,10 +25,12 @@ from .core import (
     Family,
     PoleError,
     UnsupportedError,
+    as_points,
+    from_points,
     require_finite,
 )
 from .families import eval_family
-from .special import hurwitz_zeta, riemann_zeta
+from .special import _zeta_sum, riemann_zeta
 
 MAX_MODULUS = 100
 
@@ -240,20 +242,12 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     return total
 
 
-def l_function(chi: DirichletCharacter, s: complex, cfg: EvalSettings = DEFAULT_SETTINGS) -> complex:
-    """L(s, chi) = q^{-s} sum_r chi(r) zeta(s, r/q)."""
-    s = require_finite(s)
+def l_function(chi: DirichletCharacter, s, cfg: EvalSettings = DEFAULT_SETTINGS):
+    """L(s, chi) = q^{-s} sum_r chi(r) zeta(s, r/q), certified as one sum, at a number or an array s."""
+    pts, shape = as_points(s)
     q = chi.modulus
-    if chi.is_principal and s == 1.0:
-        raise PoleError("L(s, chi0) inherits the zeta pole at s = 1", 1.0 + 0.0j)
-    if q == 1:
-        return riemann_zeta(s, cfg)
-    total = 0.0 + 0.0j
-    for r in range(1, q + 1):
-        v = chi(r)
-        if v != 0.0:
-            total += v * hurwitz_zeta(s, r / q, cfg)
-    return total * cmath.exp(-s * math.log(q))
+    units = [r for r in range(1, q + 1) if chi(r) != 0.0]
+    return from_points(_zeta_sum(pts, [r / q for r in units], [chi(r) for r in units], cfg, q=q), shape)
 
 
 def chi_minus3() -> DirichletCharacter:
@@ -337,8 +331,6 @@ def linear_relation_residual(
             parity_factor = 1 + chi.parity if fam in (Family.Z, Family.P) else 1 - chi.parity
             if parity_factor == 0:
                 continue
-            if chi.is_principal and s == 1.0:
-                raise PoleError("principal L pole at s = 1", 1.0 + 0.0j)
             lval = l_function(chi, s, cfg)
             if fam in (Family.Z, Family.Y):
                 total += parity_factor * chi.conj()(r) * lval
@@ -348,13 +340,10 @@ def linear_relation_residual(
             rhs = cmath.exp(s * math.log(q)) / phi * total
         else:
             rhs = (total if fam is Family.P else -1j * total) / phi
-            completion = 0.0 + 0.0j
-            for n in range(1, q + 1):
-                if math.gcd(n, q) > 1:
-                    angle = 2.0 * math.pi * ((r * n) % q) / q
-                    weight = 2.0 * math.cos(angle) if fam is Family.P else 2.0 * math.sin(angle)
-                    completion += weight * hurwitz_zeta(s, n / q, cfg)
-            rhs += cmath.exp(-s * math.log(q)) * completion
+            shared = [n for n in range(1, q + 1) if math.gcd(n, q) > 1]
+            trig = math.cos if fam is Family.P else math.sin
+            weights = [2.0 * trig(2.0 * math.pi * ((r * n) % q) / q) for n in shared]
+            rhs += _zeta_sum(as_points(s)[0], [n / q for n in shared], weights, cfg, q=q)[0]
         return abs(lhs - rhs)
 
     if direction == "l_from_family":

@@ -4,8 +4,8 @@ special values and the a-derivative identities.
 Evaluation routes (0 < a <= 1/2 throughout):
 
   Z(s,a) = zeta(s,a) + zeta(s,1-a)               simple pole at s = 1
-  Y(s,a) = zeta(s,a) - zeta(s,1-a)               entire; one paired
-           Euler-Maclaurin pass so nothing large is ever subtracted
+  Y(s,a) = zeta(s,a) - zeta(s,1-a)               entire; Z and Y each take one
+           paired Euler-Maclaurin pass, certified on the sum
   P(s,a) = Li_s(e^{2pi i a}) + Li_s(e^{2pi i(1-a)})   entire
   O(s,a) = -i (Li_s(e^{2pi i a}) - Li_s(e^{2pi i(1-a)}))  entire
   X(s,a) = Y(s,a) + O(s,a)
@@ -42,6 +42,8 @@ from .core import (
 )
 from .special import (
     _fe_factors,
+    _pair_diff_reflect,
+    _zeta_sum,
     gamma,  # noqa: F401  (unused here; perfbench's tracer test patches families.gamma)
     hurwitz_pair_diff,
     hurwitz_pair_sum_minus_pole,
@@ -115,9 +117,8 @@ def z_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> n
             1.0 + 0.0j,
             limits=(-math.inf, math.inf),
         )
-    if a.value == 0.5:
-        return 2.0 * hurwitz_zeta(s, 0.5, cfg)
-    return hurwitz_zeta(s, a.value, cfg) + hurwitz_zeta(s, 1.0 - a.value, cfg)
+    av = a.value
+    return _zeta_sum(s, (av, 1.0 - av), (1.0, 1.0), cfg, reflect=lambda x: _pair_diff_reflect(x, av, 1.0, cfg))
 
 
 def y_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:

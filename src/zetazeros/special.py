@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +36,8 @@ from .core import (
 
 _TWO_PI = 2.0 * math.pi
 _LOG_TWO_PI = math.log(_TWO_PI)
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+_LOG_DBL_MIN = math.log(sys.float_info.min)
 
 BERNOULLI_MAX_INDEX = 60
 
@@ -147,8 +150,9 @@ def gamma(s: complex) -> complex:
     """Gamma(s) for complex s; reflection formula is used for Re s < 1/2.
 
     Raises PoleError at the nonpositive integers, and DomainError where
-    Gamma(s) or, for Re s < 1/2, Gamma(1-s) is beyond the double range.
-    Relative accuracy is ~1e-13 for |s| <= 100.
+    Gamma(s) is beyond the double range (for Re s < 1/2, also where |Gamma(s)|
+    is below the smallest normal double).  Relative accuracy is ~1e-13 for
+    |s| <= 100.
     """
     s = require_finite(s)
     pole = _nonpositive_integer(s)
@@ -156,7 +160,13 @@ def gamma(s: complex) -> complex:
         raise PoleError(f"gamma pole at s = {pole}", complex(pole))
     if s.real >= 0.5:
         return _gamma_right(s)
-    return math.pi / (cmath.sin(math.pi * s) * _gamma_right(1.0 - s))
+    # One exponential of the reflected logarithm: sin(pi s) and Gamma(1-s)
+    # overflow on their own where their quotient is still in range.
+    log_value = log_gamma(s)
+    if not _LOG_DBL_MIN < log_value.real < _LOG_DBL_MAX:
+        raise DomainError(f"Gamma is beyond the double range at {s}")
+    value = cmath.exp(log_value)
+    return complex(value.real) if s.imag == 0.0 else value
 
 
 def _log_sin_pi(z: complex) -> complex:
@@ -269,6 +279,13 @@ def _pole_quotient(w: np.ndarray, span: np.ndarray) -> np.ndarray:
     return out
 
 
+def _weigh(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j x[..., j] w_j, rounded alike whatever the block's shape, so that a
+    point gets the same value alone as in a block (a BLAS product's rounding
+    depends on the shape; einsum's own loop does not)."""
+    return np.einsum("...j,j->...", x, w)
+
+
 def _hurwitz_combination(
     s,
     bases: Sequence[float],
@@ -349,17 +366,18 @@ def _em_once(
     w_abs = np.abs(w_arr)
     with np.errstate(all="ignore"):
         powers = np.exp((-s)[:, None, None] * c.logs)  # (points, m+1, nbases): (n+b)^{-s}
-        direct = np.add.reduce(powers[:, :m], axis=1) @ w_arr
         round_rem = np.add.reduce(np.abs(powers[:, :m]), axis=(1, 2)) * (_EPS * np.maximum.reduce(w_abs))
         p = powers[:, m]  # (m+b)^{-s}
 
+        # Per base: the integral term, the direct block and the boundary term.
         if subtract_pole:
             # [(m+b)^{1-s} - b^{1-s}] / (s-1) = b^{1-s} expm1((1-s) span) / (s-1)
             # per base, stable at s = 1.
-            integral = (_pole_quotient(1.0 - s, c.span) * (c.bases * powers[:, 0])) @ w_arr
+            value = _pole_quotient(1.0 - s, c.span) * (c.bases * powers[:, 0])
         else:
-            integral = (p @ (w_arr * c.tails)) / (s - 1.0)
-        boundary = 0.5 * (p @ w_arr)
+            value = p * c.tails / (s - 1.0)[:, None]
+        value += np.add.reduce(powers[:, :m], axis=1)
+        value += 0.5 * p
 
         # Bernoulli corrections for every order k = 1 .. K at once:
         # term_k = B_{2k}/(2k)! * s(s+1)...(s+2k-2) * (m+b)^{-s-2k+1} per base.
@@ -369,7 +387,6 @@ def _em_once(
         steps *= steps + 1.0
         np.multiply.accumulate(poch, axis=1, out=poch)
         per_base = poch[:, :, None] * (p[:, None, :] * c.corr)
-        terms = per_base @ w_arr
         mag = np.maximum.reduce(np.abs(per_base), axis=2) * np.add.reduce(w_abs)
 
         # The stopping rule, applied once.  Order k ends the series before it
@@ -385,14 +402,14 @@ def _em_once(
         events[:, 2 * k_start - 1:2 * n_ord:2] = mag[:, k_start - 1:] <= 1e-3 * tol
         events[:, -1] = True
         first = events.argmax(axis=1)
-        sums = np.zeros((s.size, n_ord + 1), dtype=complex)
-        np.add.accumulate(terms, axis=1, out=sums[:, 1:])
+        sums = np.zeros((s.size, n_ord + 1, len(base_key)), dtype=complex)
+        np.add.accumulate(per_base, axis=1, out=sums[:, 1:])
         rows = np.arange(s.size)
-        corrections = sums[rows, (first + 1) // 2]
+        value += sums[rows, (first + 1) // 2]
         rem = mag[rows, np.minimum(first // 2, n_ord - 1)]
         # Each order used has |term| <= the first's; the first bounds their round-off.
         round_rem = np.maximum(round_rem, _EPS * mag[:, 0])
-    return direct + integral + boundary + corrections, rem, round_rem
+    return _weigh(value, w_arr), rem, round_rem
 
 
 def _tol_scale(tol: float, value: complex) -> float:
@@ -403,10 +420,11 @@ def _tol_scale(tol: float, value: complex) -> float:
 
 
 def _relative_bound(rem: float, value: complex) -> float:
-    # rem / max(1, |value|), the measure of the target; inf for a value or
+    # rem over the smallest magnitude the value can have, max(1, |value| - rem):
+    # a bound as large as its value says nothing about it.  inf for a value or
     # bound that is not finite, which certifies nothing.
     if math.isfinite(rem) and cmath.isfinite(value):
-        return rem / _tol_scale(1.0, value)
+        return rem / max(1.0, math.hypot(value.real, value.imag) - rem)
     return math.inf
 
 
@@ -425,13 +443,13 @@ def _settle(
     values: np.ndarray,
     rems: np.ndarray,
     cfg: EvalSettings,
-    reflect: Optional[Callable[[complex], Tuple[complex, float]]] = None,
+    reflect: Optional[Callable[[int], Tuple[complex, float]]] = None,
 ) -> None:
     """Per point, in place: a value whose remainder does not certify the target
-    is replaced by ``reflect(s)`` (Re s < 0 only) when that route's bound is
-    smaller relative to max(1, |value|), as the target is, and a point still
-    uncertified gets an AccuracyWarning.  A value or bound that is not finite
-    certifies nothing."""
+    is replaced by ``reflect(i)`` for point i (Re s < 0 only) when that route's
+    bound is the smaller relative to the smallest value it allows, and a point
+    still uncertified gets an AccuracyWarning.  A value or bound that is not
+    finite certifies nothing; a reflected one raises DomainError."""
     tol = cfg.target_abs_tol
     uncertified = ~(rems <= tol * np.maximum(1.0, np.abs(values)))
     if not uncertified.any():
@@ -439,13 +457,39 @@ def _settle(
     for i in np.flatnonzero(uncertified).tolist():
         s, value, rem = complex(pts[i]), complex(values[i]), float(rems[i])
         if reflect is not None and s.real < 0.0:
-            refl, refl_rem = reflect(s)
+            refl, refl_rem = reflect(i)
+            if not cmath.isfinite(refl):
+                raise DomainError(f"the value at s = {s} is beyond the double range")
             em_bound = _relative_bound(rem, value)
             if _relative_bound(refl_rem, refl) < em_bound or em_bound == math.inf:
                 value, rem = refl, refl_rem
                 values[i] = value
         if not rem <= _tol_scale(tol, value):
             _warn_accuracy(rem, tol, s)
+
+
+def _zeta_sum(s: np.ndarray, bases, weights, cfg: EvalSettings, q: int = 1, reflect=None) -> np.ndarray:
+    """q^{-s} sum_j w_j zeta(s, b_j) at a 1-D array of points, in one Euler-Maclaurin pass
+    certified on that value.  Weights that sum to zero (to rounding) make the sum entire: each
+    pole part is subtracted in the pass and added back as [b^{1-s} - 1]/(s-1).  ``reflect(s)``,
+    the unscaled sum and its bound at Re s < 0, defaults to each base's own Hurwitz reflection."""
+    w_arr = np.asarray(weights, dtype=complex)
+    entire = abs(sum(weights)) <= len(weights) * _EPS * sum(map(abs, weights))
+    values, rems = _hurwitz_combination(s, bases, w_arr, cfg, subtract_pole=entire)
+    if entire:
+        values += _weigh(_pole_quotient(1.0 - s, np.log(bases)), w_arr)
+
+    def reflected(i: int) -> Tuple[complex, float]:
+        value, rem = reflect(s[i]) if reflect else _hurwitz_reflect(s[i], bases, w_arr, cfg)
+        return value * scale[i], rem * abs(scale[i])
+
+    # values beyond the double range come out inf: _settle warns, or raises from a reflection
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.exp(-math.log(q) * s)  # q^{-s}
+        values *= scale
+        rems *= np.abs(scale)
+        _settle(s, values, rems, cfg, reflected)
+    return values
 
 
 def hurwitz_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
@@ -470,31 +514,34 @@ def hurwitz_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
         av = float(a)
         if not av > 0.0:
             raise DomainError(f"hurwitz_zeta requires a > 0, got {av!r}")
-    values, rems = _hurwitz_combination(pts, (av,), (1.0,), cfg)
-    _settle(pts, values, rems, cfg, lambda x: _hurwitz_reflect(x, av, cfg))
-    return from_points(values, shape)
+    return from_points(_zeta_sum(pts, (av,), (1.0,), cfg), shape)
 
 
-def _hurwitz_reflect(s: complex, a: float, cfg: EvalSettings) -> Tuple[complex, float]:
-    """zeta(s, a) for Re s < 0 via c- Li_w(e^{2 pi i a}) + c+ Li_w(e^{-2 pi i a})
-    with w = 1 - s and c-+ from _fe_factors (Re w > 1, so both series converge
-    absolutely)."""
-    # Reduce a to (0, 1]: zeta(s, a) = zeta(s, frac) - sum_{j} (frac+j)^{-s}.
-    shift = 0.0 + 0.0j
-    while a > 1.0:
-        a -= 1.0
-        shift += cmath.exp(-s * math.log(a))
+def _hurwitz_reflect(s: complex, bases, weights: np.ndarray, cfg: EvalSettings) -> Tuple[complex, float]:
+    """sum_j w_j zeta(s, b_j) for Re s < 0, each through c- Li_w(e^{2 pi i b}) +
+    c+ Li_w(e^{-2 pi i b}) with w = 1 - s and c-+ from _fe_factors, formed once
+    (Re w > 1, so both series converge absolutely; at b = 1 both are zeta(w))."""
     w = 1.0 - s
     c_minus, _, c_plus = _fe_factors(w)
-    if a == 1.0:
-        zw, zw_rem = _hurwitz_combination(w, (1.0,), (1.0,), cfg)
-        factor = c_minus + c_plus  # 2 Gamma(w) (2pi)^{-w} cos(pi w/2)
-        return factor * zw - shift, (zw_rem + _EPS * abs(zw)) * abs(factor)
-    la, la_err = _li_series(w, a, cfg)
-    lb, lb_err = _li_series(w, 1.0 - a, cfg)
-    value = c_minus * la + c_plus * lb
-    rem = abs(c_minus) * (la_err + _EPS * abs(la)) + abs(c_plus) * (lb_err + _EPS * abs(lb))
-    return value - shift, rem
+    value, rem = 0.0 + 0.0j, 0.0
+    series = {}  # Li_w(e^{2 pi i x}) by x to 1e-15: bases b and 1 - b share their two series
+
+    def li(x: float) -> Tuple[complex, float]:
+        key = round(x, 15)
+        if key not in series:
+            series[key] = _hurwitz_combination(w, (1.0,), (1.0,), cfg) if x == 1.0 else _li_series(w, x, cfg)
+        return series[key]
+
+    for b, weight in zip(bases, weights.tolist()):
+        # Reduce b to (0, 1]: zeta(s, b) = zeta(s, b - 1) - (b - 1)^{-s}.
+        while b > 1.0:
+            b -= 1.0
+            value -= weight * cmath.exp(-s * math.log(b))
+        la, ea = li(b)
+        lb, eb = (la, ea) if b == 1.0 else li(1.0 - b)
+        value += weight * (c_minus * la + c_plus * lb)
+        rem += abs(weight) * (abs(c_minus) * (ea + _EPS * abs(la)) + abs(c_plus) * (eb + _EPS * abs(lb)))
+    return value, rem
 
 
 def hurwitz_zeta_minus_pole(s, a: float, cfg: EvalSettings = DEFAULT_SETTINGS):
@@ -518,25 +565,20 @@ def hurwitz_pair_diff(s, a: float, cfg: EvalSettings = DEFAULT_SETTINGS):
     pts, shape = as_points(s)
     if not 0.0 < a < 1.0:
         raise DomainError("pair difference needs 0 < a < 1")
-    entire, rems = _hurwitz_combination(pts, (a, 1.0 - a), (1.0, -1.0), cfg, subtract_pole=True)
-    # pole difference [a^{1-s} - (1-a)^{1-s}] / (s-1), finite at s = 1
-    w = 1.0 - pts
-    pole_diff = np.exp(w * math.log(1.0 - a)) * _pole_quotient(w, np.array([math.log(a / (1.0 - a))]))[:, 0]
-    values = entire + pole_diff
-    _settle(pts, values, rems, cfg, lambda x: _pair_diff_reflect(x, a, cfg))
+    values = _zeta_sum(pts, (a, 1.0 - a), (1.0, -1.0), cfg, reflect=lambda x: _pair_diff_reflect(x, a, -1.0, cfg))
     return from_points(values, shape)
 
 
-def _pair_diff_reflect(s: complex, a: float, cfg: EvalSettings) -> Tuple[complex, float]:
-    """zeta(s,a) - zeta(s,1-a) for Re s < 0 through
-    (c- - c+) (Li_w(e^{2pi i a}) - Li_w(e^{-2pi i a})) with w = 1 - s and c-+
-    from _fe_factors; both series converge absolutely and nothing cancels."""
+def _pair_diff_reflect(s: complex, a: float, sign: float, cfg: EvalSettings) -> Tuple[complex, float]:
+    """zeta(s,a) + sign zeta(s,1-a), sign = +-1, for Re s < 0 through (c- + sign c+)
+    (Li_w(e^{2pi i a}) + sign Li_w(e^{-2pi i a})) with w = 1 - s and c-+ from
+    _fe_factors; both series converge absolutely and nothing cancels."""
     w = 1.0 - s
     c_minus, _, c_plus = _fe_factors(w)
     la, ea = _li_series(w, a, cfg)
     lb, eb = _li_series(w, 1.0 - a, cfg)
-    factor = c_minus - c_plus  # -2i Gamma(w) (2pi)^{-w} sin(pi w/2)
-    return factor * (la - lb), abs(factor) * (ea + eb + _EPS * (abs(la) + abs(lb)))
+    factor = c_minus + sign * c_plus  # 2 Gamma(w) (2pi)^{-w} cos(pi w/2), or -2i ... sin(pi w/2)
+    return factor * (la + sign * lb), abs(factor) * (ea + eb + _EPS * (abs(la) + abs(lb)))
 
 
 def hurwitz_pair_sum_minus_pole(s, a: float, cfg: EvalSettings = DEFAULT_SETTINGS):
@@ -618,14 +660,10 @@ def _li_series(s: complex, a: float, cfg: EvalSettings) -> Tuple[complex, float]
 
 def _li_rational(s: np.ndarray, r: int, q: int, cfg: EvalSettings) -> np.ndarray:
     """Exact finite form Li_s(e^{2 pi i r/q}) = q^{-s} sum_n e^{2 pi i rn/q} zeta(s, n/q)
-    at an array of points."""
+    at an array of points, certified as one weighted sum."""
     bases = tuple((n + 1) / q for n in range(q))
     weights = tuple(cmath.exp(2j * math.pi * ((r * (n + 1)) % q) / q) for n in range(q))
-    entire, _ = _hurwitz_combination(s, bases, weights, cfg, subtract_pole=True)
-    # Add back the subtracted pole parts b^{1-s}/(s-1); their residues cancel
-    # since sum w_j = 0, so each may be taken as [b^{1-s} - 1]/(s-1).
-    poles = _pole_quotient(1.0 - s, np.log(bases)) @ np.asarray(weights)
-    return np.exp(-s * math.log(q)) * (entire + poles)
+    return _zeta_sum(s, bases, weights, cfg, q=q)
 
 
 def _li_functional_equation(s: complex, a: float, cfg: EvalSettings) -> complex:

@@ -176,20 +176,28 @@ def scan_real_zeros(
     vals = grid.real.tolist()
 
     i = 0
-    while i < n - 1:
-        x0, x1 = xs[i], xs[i + 1]
-        v0, v1 = vals[i], vals[i + 1]
+    while i < n:
+        x0, v0 = xs[i], vals[i]
         if abs(v0) < _GRID_ZERO_TOL:
-            # grid point lands (numerically) on a zero; classify by neighbors
+            # grid point lands (numerically) on a zero; classify by neighbors,
+            # sampled a quarter step outside the grid at either end
             left = f(x0 - 0.25 * step) if i == 0 else vals[i - 1]
-            right = v1 if abs(v1) >= _GRID_ZERO_TOL else f(x1 + 0.25 * step)
+            if i == n - 1:
+                right = f(x0 + 0.25 * step)
+            else:
+                right = vals[i + 1] if abs(vals[i + 1]) >= _GRID_ZERO_TOL else f(xs[i + 1] + 0.25 * step)
             if left == 0.0 or right == 0.0 or (left < 0.0) != (right < 0.0):
                 records.append(ZeroRecord(x0, SIMPLE, (x0 - 0.5 * step, x0 + 0.5 * step), abs(v0)))
             else:
                 records.append(ZeroRecord(x0, EVEN_TOUCH, (x0 - 0.5 * step, x0 + 0.5 * step), abs(v0)))
             i += 1
             continue
-        if v0 * v1 < 0.0:
+        if i == n - 1:
+            break
+        x1, v1 = xs[i + 1], vals[i + 1]
+        if v0 * v1 < 0.0 and abs(v1) >= _GRID_ZERO_TOL:
+            # a grid value within _GRID_ZERO_TOL has no sign: the next step
+            # classifies it by its neighbours
             blo, bhi = _bisect(f, x0, x1, v0, _BRACKET_WIDTH)
             loc = 0.5 * (blo + bhi)
             records.append(ZeroRecord(loc, SIMPLE, (blo, bhi), abs(f(loc))))

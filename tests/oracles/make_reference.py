@@ -3,10 +3,13 @@
 test suite.  Not imported by any test; rerun manually if constants need to be
 regenerated:
 
-    python3 tests/oracles/make_reference.py
+    PYTHONPATH=src python3 tests/oracles/make_reference.py
 
-Requires mpmath.  All bisections run at 50 significant digits.
+Requires mpmath; the L-function map takes its character tables from the
+package.  All bisections run at 50 significant digits.
 """
+
+import math
 
 import mpmath as mp
 
@@ -37,6 +40,19 @@ def family(name, s, a):
         "hurwitz": za,
         "periodic": la,
     }[name]
+
+
+def l_value(s, q, chi):
+    """L(s, chi) = q^{-s} sum_r chi(r) zeta(s, r/q); chi(r) are the package's
+    character values snapped to exact phi(q)-th roots of unity."""
+    phi = sum(1 for r in range(1, q + 1) if math.gcd(r, q) == 1)
+    total = 0
+    for r in range(1, q + 1):
+        v = chi[r % q]
+        if abs(v) > 0.5:
+            k = round(mp.arg(mp.mpc(v.real, v.imag)) / (2 * mp.pi) * phi) % phi
+            total += mp.expjpi(mp.mpf(2 * k) / phi) * mp.zeta(s, mp.mpf(r) / q)
+    return total / mp.power(q, s)
 
 
 def bisect(f, lo, hi, steps=200):
@@ -94,11 +110,23 @@ def main():
                 v = family(name, s, mp.mpf("0.3"))
                 print(f"    ({name!r}, {sigma}, {t}): complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)}),")
 
+    print("# L_MAP in tests/test_l_functions.py: characters 1 and last, Hurwitz sums at r/q")
+    from zetazeros.dirichlet import characters_mod
+
+    for q in (3, 4, 5, 7, 9, 12):
+        chars = characters_mod(q)
+        for index in sorted({1, len(chars) - 1}):
+            for sigma in (-5, -9, -15):
+                for t in (0, 40, 300, 550):
+                    v = l_value(mp.mpc(sigma, t), q, chars[index].values)
+                    print(f"    ({q}, {index}, {sigma}, {t}): complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)}),")
+
     print("# frozen values where reflection wins on relative bound")
     print(f"zeta(-120+3j, 0.3) = {mp.nstr(mp.zeta(mp.mpc(-120, 3), mp.mpf('0.3')), 17)}")
     print(f"zeta(-200, 0.3) = {mp.nstr(mp.zeta(-200, mp.mpf('0.3')), 17)}")
     print(f"gamma(171.5) = {mp.nstr(mp.gamma(mp.mpf('171.5')), 17)}")
     print(f"gamma(-170.5) = {mp.nstr(mp.gamma(mp.mpf('-170.5')), 17)}")
+    print(f"gamma(-1+300j) = {mp.nstr(mp.gamma(mp.mpc(-1, 300)), 17)}")
 
 
 if __name__ == "__main__":

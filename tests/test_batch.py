@@ -16,9 +16,11 @@ from zetazeros import (
     Alpha,
     Family,
     PoleError,
+    characters_mod,
     count_zeros_rectangle,
     eval_family,
     hurwitz_zeta,
+    l_function,
     periodic_zeta,
 )
 from zetazeros import special
@@ -60,6 +62,14 @@ def test_kernel_array_matches_point_by_point(alpha):
     pts = np.concatenate((census_points(rng, 40), real_points(rng, 24)))
     assert_batch_matches_points(lambda s: hurwitz_zeta(s, alpha), pts)
     assert_batch_matches_points(lambda s: periodic_zeta(s, alpha), pts)
+
+
+@pytest.mark.parametrize("q, index", [(5, 1), (9, 5), (12, 3)])
+def test_l_function_array_matches_point_by_point(q, index):
+    chi = characters_mod(q)[index]
+    rng = np.random.default_rng(11)
+    pts = np.concatenate((census_points(rng, 40), real_points(rng, 24)))
+    assert_batch_matches_points(lambda s: l_function(chi, s), pts)
 
 
 def test_array_shape_is_kept():

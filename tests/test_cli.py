@@ -3,11 +3,15 @@ and byte-stability of repeated runs."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import zetazeros
 from zetazeros.cli import EXIT_OK, EXIT_USAGE, run
 
 
@@ -149,6 +153,18 @@ def test_output_byte_stable():
     _, out1, _ = run_cli(*args)
     _, out2, _ = run_cli(*args)
     assert out1 == out2
+
+
+def test_module_entry_point_prints_what_run_prints():
+    args = ["eval", "--family", "Z", "--a", "1/3", "--sigma=-2:2:1", "--t", "3"]
+    package_root = os.path.dirname(os.path.dirname(zetazeros.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetazeros.cli", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    code, out, _ = run_cli(*args)
+    assert code == EXIT_OK and out.count("\n") == 6
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def test_usage_errors_exit_one():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from zetazeros import (
+    DEFAULT_SETTINGS,
     AccuracyWarning,
     Alpha,
     DomainError,
@@ -29,6 +30,7 @@ from zetazeros import (
     log_gamma,
     periodic_zeta,
     riemann_zeta,
+    special,
 )
 
 
@@ -111,6 +113,19 @@ def test_gamma_at_the_edge_of_the_double_range():
         gamma(172.5)
 
 
+def test_gamma_left_of_one_half_in_log_space():
+    # frozen mpmath values: sin(pi s) and Gamma(1-s) overflow on their own here
+    assert gamma(complex(-1, 300)) == pytest.approx(
+        complex(2.4191972690461815e-209, 1.0361601504670503e-208), rel=1e-12
+    )
+    assert gamma(-5.5).imag == 0.0
+    # mpmath: |Gamma(-1+1000i)| = 1.1e-685 and Gamma(1e-310) = 1e310, beyond a double
+    with pytest.raises(DomainError):
+        gamma(complex(-1, 1000))
+    with pytest.raises(DomainError):
+        gamma(1e-310)
+
+
 def test_log_gamma_exponentiates_to_gamma():
     rng = np.random.default_rng(12)
     for _ in range(40):
@@ -154,6 +169,27 @@ def test_hurwitz_route_chosen_by_relative_bound():
             complex(-1.8297757942194366e104, -4.6532756876586174e103), rel=1e-12
         )
         assert hurwitz_zeta(-200.0, 0.3) == pytest.approx(5.5204111104114665e214, rel=1e-12)
+
+
+def test_settle_measures_a_bound_against_the_smallest_value_it_allows():
+    # The two routes of L(-15, chi mod 12 #1): an Euler-Maclaurin value 5.78e7
+    # with bound 5.51e7 may be as small as 2.7e6, so its bound is 21 times
+    # that, worse than the reflected 2.27 with bound 6.07 (rem / max(1, |v| -
+    # rem) = 6.07).  Against |v| alone the order flips (0.95 against 2.7).
+    # Neither certifies, so it warns.
+    pts = np.array([-15.0 + 0.0j, -15.0 + 0.0j])
+    values = np.array([5.78e7 + 0.0j, 5.78e7 + 0.0j])
+    rems = np.array([5.51e7, 1e-6])
+    calls = []
+
+    def reflect(i):
+        calls.append(i)
+        return 2.27 + 0.0j, 6.07
+
+    with pytest.warns(AccuracyWarning):
+        special._settle(pts, values, rems, DEFAULT_SETTINGS, reflect)
+    assert calls == [0]  # the certified point is left alone
+    assert values.tolist() == [2.27 + 0.0j, 5.78e7 + 0.0j]
 
 
 def test_hurwitz_negative_integer_bernoulli_identity():
@@ -330,6 +366,29 @@ def test_periodic_rational_path_matches_series():
             exact_path = periodic_zeta(s, alpha)
             float_path = periodic_zeta(s, r / q)
             assert abs(exact_path - float_path) < 1e-9
+
+
+def test_uncertified_rational_periodic_value_warns():
+    # zeta(300, 1/97) ~ 97^300 overflows before q^{-s} scales it back, so the
+    # rational route cannot certify its value and must say so.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.warns(AccuracyWarning):
+            periodic_zeta(300.0, Alpha.parse("1/97"))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the rational route forms zeta(300, n/97) before scaling by 97^-300 "
+    "and overflows to NaN",
+)
+def test_rational_periodic_value_at_large_sigma():
+    # Li_300(z) = z + z^2 2^-300 + ...: e^{2 pi i/97} to double precision
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("ignore", AccuracyWarning)
+        value = periodic_zeta(300.0, Alpha.parse("1/97"))
+    assert value == pytest.approx(cmath.exp(2j * math.pi / 97), rel=1e-14)
 
 
 def test_periodic_positive_imaginary_part_on_real_axis():

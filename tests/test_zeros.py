@@ -75,6 +75,17 @@ def test_scan_double_zero_at_oracle_shift():
     assert by_loc[-4].multiplicity_class == SIMPLE
 
 
+def test_scan_keeps_zeros_on_both_endpoints():
+    # the trivial zeros sit on the first and the last grid point; the last one
+    # is classified by a sample beyond the grid, as the first one is
+    recs = scan_real_zeros(Family.Z, 0.3, -4.0, -2.0)
+    assert [round(x) for x in locations(recs)] == [-4, -2]
+    assert [rec.multiplicity_class for rec in recs] == [SIMPLE, SIMPLE]
+    recs = scan_real_zeros(Family.Z, A1_DOUBLE_ZERO, -4.9, -2.0, 0.05)
+    assert [round(x) for x in locations(recs)] == [-4, -2]
+    assert [rec.multiplicity_class for rec in recs] == [SIMPLE, EVEN_TOUCH]
+
+
 def test_scan_splits_around_pole():
     with pytest.warns(UserWarning, match="pole"):
         recs = scan_real_zeros(Family.Z, 0.3, 0.5, 1.5, 0.05)
