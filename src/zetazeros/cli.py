@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .core import (
+    MAX_GRID_POINTS,
     AccuracyWarning,
     Alpha,
     ConvergenceError,
@@ -79,10 +80,12 @@ def _parse_grid(text: str) -> List[float]:
         if len(parts) != 3:
             raise DomainError(f"grid syntax is lo:hi:step, got {text!r}")
         lo, hi, step = (float(p) for p in parts)
-        if step <= 0 or hi < lo:
+        if not (step > 0 and lo <= hi):
             raise DomainError(f"bad grid {text!r}")
-        n = int(round((hi - lo) / step)) + 1
-        return [lo + i * step for i in range(n)]
+        span = (hi - lo) / step  # the grid has round(span) + 1 points; inf fails the check too
+        if not span <= MAX_GRID_POINTS - 1:
+            raise DomainError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        return [lo + i * step for i in range(int(round(span)) + 1)]
     return [float(text)]
 
 
@@ -115,6 +118,8 @@ def _cmd_eval(args: argparse.Namespace, out: io.TextIOBase) -> int:
         chi = chars[args.char_index]
     elif fam is not Family.RIEMANN and alpha is None:
         raise DomainError("--a is required for this family")
+    if len(sigmas) * len(ts) > MAX_GRID_POINTS:
+        raise DomainError(f"the sigma x t grid has more than {MAX_GRID_POINTS} points")
     points = [complex(sigma, t) for sigma in sigmas for t in ts]
     grid = np.array(points)  # the whole grid in one call
     if chi is not None:

@@ -125,6 +125,8 @@ class Alpha:
         text = text.strip()
         if "/" in text:
             num, _, den = text.partition("/")
+            if int(den) == 0:
+                raise DomainError(f"zero denominator in {text!r}")
             frac = Fraction(int(num), int(den))
             return Alpha(float(frac), (frac.numerator, frac.denominator))
         return Alpha(float(text))
@@ -159,34 +161,24 @@ AlphaLike = Union[Alpha, float, int, Fraction, str]
 
 @dataclass(frozen=True)
 class EvalSettings:
-    """Tuning knobs for the series/Euler-Maclaurin kernels.
+    """What the kernels must certify.
 
-    em_shift: directly summed terms before the Euler-Maclaurin correction
-        (raised automatically with |Im s|, lowered for Re s < 0 where large
-        direct terms would cancel catastrophically).
-    em_order: number of Bernoulli correction terms (even; the engine may
-        extend it internally when that certifies a smaller remainder).
-    target_abs_tol: absolute tolerance the remainder bound must certify,
-        else an AccuracyWarning is attached.
-    series_sigma_threshold: Re s above which the periodic zeta uses the
-        accelerated direct series instead of the functional equation.
+    target_abs_tol: absolute tolerance the remainder bound must certify
+        (relative once the value exceeds 1), else an AccuracyWarning is
+        attached.
     """
 
-    em_shift: int = 25
-    em_order: int = 12
     target_abs_tol: float = 1e-12
-    series_sigma_threshold: float = 0.75
 
     def __post_init__(self):
-        if self.em_shift < 1:
-            raise DomainError("em_shift must be >= 1")
-        if self.em_order < 2 or self.em_order % 2:
-            raise DomainError("em_order must be a positive even integer")
         if not self.target_abs_tol > 0:
             raise DomainError("target_abs_tol must be > 0")
 
 
 DEFAULT_SETTINGS = EvalSettings()
+
+# Grids (CLI ranges, real-axis scans) with more points are refused before they are built.
+MAX_GRID_POINTS = 10**6
 
 
 def require_finite(s: complex) -> complex:

@@ -10,9 +10,12 @@ Evaluation routes (0 < a <= 1/2 throughout):
   O(s,a) = -i (Li_s(e^{2pi i a}) - Li_s(e^{2pi i(1-a)}))  entire
   X(s,a) = Y(s,a) + O(s,a)
 
-For Re s below the series threshold, P and O are routed through their
-functional-equation partners (Z and Y at 1-s), with the Z pole part of the
-P route recombined analytically so the formula stays exact through s = 0.
+For Re s <= special.SERIES_SIGMA_THRESHOLD, P and O take the one
+functional-equation route of the periodic zeta,
+special._li_functional_equation: Li_s(e^{2pi i a}) + lam Li_s(e^{-2pi i a})
+from one Euler-Maclaurin pass over zeta(1-s, a) and zeta(1-s, 1-a) with
+point weights, lam = 1 for P and -1 for O (times -i), finite through s = 0.
+Above it they are sums of two periodic zetas.
 
 The evaluators work on arrays of points: each route gets the points that
 need it in one kernel call, and the factors of the functional equations
@@ -21,7 +24,6 @@ need it in one kernel call, and the factors of the functional equations
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
@@ -41,12 +43,13 @@ from .core import (
     require_finite,
 )
 from .special import (
+    SERIES_SIGMA_THRESHOLD,
     _fe_factors,
+    _li_functional_equation,
     _pair_diff_reflect,
     _zeta_sum,
     gamma,  # noqa: F401  (unused here; perfbench's tracer test patches families.gamma)
     hurwitz_pair_diff,
-    hurwitz_pair_sum_minus_pole,
     hurwitz_zeta,
     periodic_zeta,
     riemann_zeta,
@@ -69,31 +72,6 @@ def _check_composed_alpha(a: Alpha) -> Alpha:
     if not 0.0 < a.value <= 0.5:
         raise DomainError(f"composed families require a in (0, 1/2], got {a.value!r}")
     return a
-
-
-def _sin_half_over_s(s: complex) -> complex:
-    """sin(pi s / 2) / s, continued through s = 0."""
-    if abs(s) < 1e-5:
-        x = 0.5 * math.pi * s
-        return 0.5 * math.pi * (1.0 - x * x / 6.0 * (1.0 - x * x / 20.0))
-    return cmath.sin(0.5 * math.pi * s) / s
-
-
-def _per_point(fn: Callable, s: np.ndarray) -> np.ndarray:
-    """fn at each point, as a complex array (one row per point if fn returns a tuple)."""
-    return np.array([fn(x) for x in s.tolist()], dtype=complex)
-
-
-def _p_factors(s: complex, av: float) -> Tuple[complex, complex]:
-    """The two point factors of the reflected P route: P(s) = f0 * E(1-s) - f1,
-    with E the entire part of Z, f0 = 2 Gamma(1-s) (2pi)^{s-1} sin(pi s/2)
-    = c- + c+ at w = 1-s, and f1 = f0 [a^s + (1-a)^s] / s."""
-    c_minus, g, c_plus = _fe_factors(1.0 - s)
-    f0 = c_minus + c_plus
-    # Near s = 0, where c- + c+ cancels, f0/s is taken through sin(pi s/2)/s.
-    f0_over_s = 2.0 * g * _sin_half_over_s(s) if abs(s) < 0.25 else f0 / s
-    pole_sum = cmath.exp(s * math.log(av)) + cmath.exp(s * math.log(1.0 - av))
-    return f0, f0_over_s * pole_sum
 
 
 def _split(s: np.ndarray, mask: np.ndarray, inside, outside) -> np.ndarray:
@@ -128,33 +106,23 @@ def y_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> n
 
 
 def p_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
-    def series(x):
-        return periodic_zeta(x, a, cfg) + periodic_zeta(x, a.conjugate, cfg)
-
-    def reflected(x):
-        # P(s,a) = 2 Gamma(1-s) (2pi)^{s-1} sin(pi s/2) Z(1-s, a); split Z into
-        # its entire part plus the two pole parts [a^s + (1-a)^s] / (-s) so the
-        # sin/(-s) pair stays finite.
-        factors = _per_point(lambda z: _p_factors(z, a.value), x)
-        return factors[:, 0] * hurwitz_pair_sum_minus_pole(1.0 - x, a.value, cfg) - factors[:, 1]
-
-    return _split(s, s.real > cfg.series_sigma_threshold, series, reflected)
+    return _split(
+        s,
+        s.real > SERIES_SIGMA_THRESHOLD,
+        lambda x: periodic_zeta(x, a, cfg) + periodic_zeta(x, a.conjugate, cfg),
+        lambda x: _li_functional_equation(x, a.value, cfg, 1.0),
+    )
 
 
 def o_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
     if a.value == 0.5:
         return np.zeros(s.shape, dtype=complex)
-
-    def series(x):
-        return -1j * (periodic_zeta(x, a, cfg) - periodic_zeta(x, a.conjugate, cfg))
-
-    def reflected(x):
-        # O(s,a) = 2 Gamma(1-s) (2pi)^{s-1} cos(pi s/2) Y(1-s, a)
-        #        = i (c- - c+) Y(1-s, a) at w = 1-s; Y is entire.
-        c = _per_point(lambda z: _fe_factors(1.0 - z), x)
-        return 1j * (c[:, 0] - c[:, 2]) * hurwitz_pair_diff(1.0 - x, a.value, cfg)
-
-    return _split(s, s.real > cfg.series_sigma_threshold, series, reflected)
+    return _split(
+        s,
+        s.real > SERIES_SIGMA_THRESHOLD,
+        lambda x: -1j * (periodic_zeta(x, a, cfg) - periodic_zeta(x, a.conjugate, cfg)),
+        lambda x: -1j * _li_functional_equation(x, a.value, cfg, -1.0),
+    )
 
 
 def x_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:

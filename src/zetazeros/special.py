@@ -217,6 +217,8 @@ def _fe_factors(w: complex) -> Tuple[complex, complex, complex]:
 # Euler-Maclaurin engine for weighted combinations sum_j w_j * zeta(s, b_j),
 # run over blocks of points so that numpy's per-call cost is shared.
 
+_EM_SHIFT = 25  # directly summed terms at Re s >= 0 and |Im s| <= 25; ceil|Im s| above
+_EM_K_START = 6  # the stopping rule may end the corrections after order k = 6 (B_12) at the earliest
 _EM_MAX_HALF_ORDER = 29  # B_58 is the last correction, B_60 bounds the remainder
 _EM_BLOCK_POINTS = 32  # points per block: numpy's per-call cost is shared, temporaries stay small
 _EM_BLOCK_TERMS = 1 << 15  # and at most this many direct-sum terms, so a huge shift m cannot blow up memory
@@ -255,15 +257,13 @@ def _em_constants(key: Tuple[float, ...], m: int) -> _EMConstants:
     return out
 
 
-def _em_parameters(s: complex, cfg: EvalSettings) -> Tuple[int, int]:
+def _em_shift(s: complex) -> int:
     t = abs(s.imag)
     if s.real >= 0.0:
-        m = cfg.em_shift if t <= cfg.em_shift else math.ceil(t)
-    else:
-        # Negative real part: (n+b)^{-s} grows with n, so keep the direct block
-        # tiny and lean on higher-order corrections instead.
-        m = max(2, math.ceil(1.35 * (t + 8.0) / _TWO_PI))
-    return m, cfg.em_order // 2
+        return _EM_SHIFT if t <= _EM_SHIFT else math.ceil(t)
+    # Negative real part: (n+b)^{-s} grows with n, so keep the direct block
+    # tiny and lean on higher-order corrections instead.
+    return max(2, math.ceil(1.35 * (t + 8.0) / _TWO_PI))
 
 
 def _pole_quotient(w: np.ndarray, span: np.ndarray) -> np.ndarray:
@@ -280,10 +280,11 @@ def _pole_quotient(w: np.ndarray, span: np.ndarray) -> np.ndarray:
 
 
 def _weigh(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_j x[..., j] w_j, rounded alike whatever the block's shape, so that a
-    point gets the same value alone as in a block (a BLAS product's rounding
-    depends on the shape; einsum's own loop does not)."""
-    return np.einsum("...j,j->...", x, w)
+    """sum_j x[..., j] w[..., j] (w one row for all points, or one per point),
+    rounded alike whatever the block's shape, so that a point gets the same
+    value alone as in a block (a BLAS product's rounding depends on the shape;
+    einsum's own loop does not)."""
+    return np.einsum("...j,...j->...", x, w)
 
 
 def _hurwitz_combination(
@@ -296,7 +297,8 @@ def _hurwitz_combination(
     """Euler-Maclaurin value of sum_j w_j * zeta(s, b_j), with remainder estimate.
 
     ``s`` is a number or a 1-D array of points; the result is (value, rem)
-    of the same kind.  Points are grouped by their shift m and run in blocks
+    of the same kind.  ``weights`` is one row (nb,) for every point or one
+    row per point, (points, nb).  Points are grouped by their shift m and run in blocks
     of at most _EM_BLOCK_POINTS points and _EM_BLOCK_TERMS direct-sum terms
     (a block holds one point at least).  A point whose remainder does not certify
     the target gets up to two more passes, each with twice the shift, unless
@@ -311,12 +313,11 @@ def _hurwitz_combination(
     if not subtract_pole and (pts == 1.0).any():
         raise PoleError("zeta(s, a) has a simple pole at s = 1", 1.0 + 0.0j)
     base_key = tuple(float(b) for b in bases)
-    w_arr = np.asarray(weights, dtype=complex)
+    w_rows = np.asarray(weights, dtype=complex).reshape(-1, len(base_key))  # one row for all points, or one each
     tol = cfg.target_abs_tol
     groups: Dict[int, List[int]] = {}
     for i, x in enumerate(pts.tolist()):
-        m, k_start = _em_parameters(x, cfg)
-        groups.setdefault(m, []).append(i)
+        groups.setdefault(_em_shift(x), []).append(i)
     values = np.empty(pts.shape, dtype=complex)
     rems = np.empty(pts.shape)
 
@@ -325,8 +326,8 @@ def _hurwitz_combination(
         for attempt in range(3):
             per_block = max(1, min(_EM_BLOCK_POINTS, _EM_BLOCK_TERMS // (m * len(base_key))))
             blocks = [
-                _em_once(pts[idx[i:i + per_block]], base_key, w_arr, m, k_start, subtract_pole, tol)
-                for i in range(0, idx.size, per_block)
+                _em_once(pts[block], base_key, w_rows[block] if len(w_rows) > 1 else w_rows, m, subtract_pole, tol)
+                for block in (idx[i:i + per_block] for i in range(0, idx.size, per_block))
             ]
             value, series_rem, round_rem = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
             rem = series_rem + round_rem
@@ -354,19 +355,20 @@ def _hurwitz_combination(
 def _em_once(
     s: np.ndarray,
     base_key: Tuple[float, ...],
-    w_arr: np.ndarray,
+    w: np.ndarray,
     m: int,
-    k_start: int,
     subtract_pole: bool,
     tol: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Euler-Maclaurin pass with shift m over a block of points:
-    (value, series remainder, round-off estimate), one entry per point."""
+    """One Euler-Maclaurin pass with shift m over a block of points, with one
+    row of weights for all of them or one row each: (value, series remainder,
+    round-off estimate), one entry per point."""
     c = _em_constants(base_key, m)
-    w_abs = np.abs(w_arr)
+    w_abs = np.abs(w)
     with np.errstate(all="ignore"):
         powers = np.exp((-s)[:, None, None] * c.logs)  # (points, m+1, nbases): (n+b)^{-s}
-        round_rem = np.add.reduce(np.abs(powers[:, :m]), axis=(1, 2)) * (_EPS * np.maximum.reduce(w_abs))
+        # each base's direct block, rounded to eps per term, scaled by that base's |weight|
+        round_rem = np.add.reduce(np.abs(powers[:, :m]) @ w_abs[:, :, None], axis=(1, 2)) * _EPS
         p = powers[:, m]  # (m+b)^{-s}
 
         # Per base: the integral term, the direct block and the boundary term.
@@ -387,11 +389,11 @@ def _em_once(
         steps *= steps + 1.0
         np.multiply.accumulate(poch, axis=1, out=poch)
         per_base = poch[:, :, None] * (p[:, None, :] * c.corr)
-        mag = np.maximum.reduce(np.abs(per_base), axis=2) * np.add.reduce(w_abs)
+        mag = np.maximum.reduce(np.abs(per_base), axis=2) * np.add.reduce(w_abs, axis=1)[:, None]
 
         # The stopping rule, applied once.  Order k ends the series before it
         # when the asymptotic series starts growing (k > 1), and after it when
-        # k >= k_start and the term is negligible.  A Pochhammer product that
+        # k >= _EM_K_START and the term is negligible.  A Pochhammer product that
         # hit an exact zero (the expansion terminated) zeroes every later
         # term, so the second rule ends the series there with rem = 0.  The
         # events are interleaved as (before k, after k) so that argmax finds
@@ -399,7 +401,7 @@ def _em_once(
         n_ord = _EM_MAX_HALF_ORDER
         events = np.zeros((s.size, 2 * n_ord + 1), dtype=bool)
         events[:, 2:2 * n_ord:2] = mag[:, 1:] > mag[:, :-1]
-        events[:, 2 * k_start - 1:2 * n_ord:2] = mag[:, k_start - 1:] <= 1e-3 * tol
+        events[:, 2 * _EM_K_START - 1:2 * n_ord:2] = mag[:, _EM_K_START - 1:] <= 1e-3 * tol
         events[:, -1] = True
         first = events.argmax(axis=1)
         sums = np.zeros((s.size, n_ord + 1, len(base_key)), dtype=complex)
@@ -409,14 +411,7 @@ def _em_once(
         rem = mag[rows, np.minimum(first // 2, n_ord - 1)]
         # Each order used has |term| <= the first's; the first bounds their round-off.
         round_rem = np.maximum(round_rem, _EPS * mag[:, 0])
-    return _weigh(value, w_arr), rem, round_rem
-
-
-def _tol_scale(tol: float, value: complex) -> float:
-    # target_abs_tol is an absolute target for O(1) values; for large values it
-    # is interpreted relative to the value (double precision cannot do better).
-    # hypot, unlike abs(), gives inf rather than raising for |value| > DBL_MAX.
-    return tol * max(1.0, math.hypot(value.real, value.imag))
+    return _weigh(value, w), rem, round_rem
 
 
 def _relative_bound(rem: float, value: complex) -> float:
@@ -464,7 +459,8 @@ def _settle(
             if _relative_bound(refl_rem, refl) < em_bound or em_bound == math.inf:
                 value, rem = refl, refl_rem
                 values[i] = value
-        if not rem <= _tol_scale(tol, value):
+        # hypot, unlike abs(), gives inf rather than raising for |value| > DBL_MAX
+        if not rem <= tol * max(1.0, math.hypot(value.real, value.imag)):
             _warn_accuracy(rem, tol, s)
 
 
@@ -544,14 +540,6 @@ def _hurwitz_reflect(s: complex, bases, weights: np.ndarray, cfg: EvalSettings) 
     return value, rem
 
 
-def hurwitz_zeta_minus_pole(s, a: float, cfg: EvalSettings = DEFAULT_SETTINGS):
-    """The entire part zeta(s, a) - a^{1-s}/(s-1), valid at s = 1 as well."""
-    pts, shape = as_points(s)
-    values, rems = _hurwitz_combination(pts, (float(a),), (1.0,), cfg, subtract_pole=True)
-    _settle(pts, values, rems, cfg)
-    return from_points(values, shape)
-
-
 def hurwitz_pair_diff(s, a: float, cfg: EvalSettings = DEFAULT_SETTINGS):
     """zeta(s, a) - zeta(s, 1-a) computed through one shared Euler-Maclaurin pass.
 
@@ -581,14 +569,6 @@ def _pair_diff_reflect(s: complex, a: float, sign: float, cfg: EvalSettings) -> 
     return factor * (la + sign * lb), abs(factor) * (ea + eb + _EPS * (abs(la) + abs(lb)))
 
 
-def hurwitz_pair_sum_minus_pole(s, a: float, cfg: EvalSettings = DEFAULT_SETTINGS):
-    """zeta(s,a) + zeta(s,1-a) minus both pole parts; entire in s."""
-    pts, shape = as_points(s)
-    values, rems = _hurwitz_combination(pts, (a, 1.0 - a), (1.0, 1.0), cfg, subtract_pole=True)
-    _settle(pts, values, rems, cfg)
-    return from_points(values, shape)
-
-
 def riemann_zeta(s, cfg: EvalSettings = DEFAULT_SETTINGS):
     """Riemann zeta as the a = 1 instance of the Hurwitz zeta."""
     return hurwitz_zeta(s, 1.0, cfg)
@@ -596,6 +576,10 @@ def riemann_zeta(s, cfg: EvalSettings = DEFAULT_SETTINGS):
 
 # ---------------------------------------------------------------------------
 # Periodic zeta Li_s(e^{2 pi i a}).
+
+# Re s above which Li_s is summed as a series instead of through the functional equation.
+SERIES_SIGMA_THRESHOLD = 0.75
+
 
 def _unit_phases(indices: np.ndarray, a: float) -> np.ndarray:
     # e^{2 pi i a n} with the angle reduced mod 1 before exponentiating, so the
@@ -613,7 +597,7 @@ def _li_series(s: complex, a: float, cfg: EvalSettings) -> Tuple[complex, float]
     z = cmath.exp(2j * math.pi * a)
     one_minus_z = 1.0 - z
     gap = abs(one_minus_z)
-    n0 = max(cfg.em_shift, 32, math.ceil(6.0 * (abs(s) + 4.0) / gap))
+    n0 = max(32, math.ceil(6.0 * (abs(s) + 4.0) / gap))
     tol = cfg.target_abs_tol
     m_max = 18
 
@@ -666,62 +650,77 @@ def _li_rational(s: np.ndarray, r: int, q: int, cfg: EvalSettings) -> np.ndarray
     return _zeta_sum(s, bases, weights, cfg, q=q)
 
 
-def _li_functional_equation(s: complex, a: float, cfg: EvalSettings) -> complex:
-    """Continuation Li_s = c+ zeta(1-s, a) + c- zeta(1-s, 1-a), with
+def _exprel(z: complex) -> complex:
+    """(e^z - 1)/z, 1 at z = 0 (numpy's complex expm1 does not cancel for small |z|; cmath has none)."""
+    return complex(np.expm1(z)) / z if z else 1.0 + 0.0j
+
+
+def _li_functional_equation(s, a: float, cfg: EvalSettings, lam: float = 0.0):
+    """Li_s(e^{2 pi i a}) + lam Li_s(e^{-2 pi i a}) at a number or a 1-D array of
+    points, through Li_s(e^{2 pi i a}) = c+ zeta(1-s, a) + c- zeta(1-s, 1-a) with
     c-+ = Gamma(1-s) (2pi)^{s-1} e^{-+ i pi (1-s)/2} from _fe_factors.
 
-    Near s = 0 the two zeta factors blow up like 1/s against each other, so the
-    pole parts are recombined through expm1 before anything large is formed.
+    One Euler-Maclaurin pass over the bases (a, 1-a) at w = 1-s, with the point
+    weights W = (c+ + lam c-, c- + lam c+), gives the entire parts of the two
+    zeta(w, b), certified on the weighted sum.  Their pole parts add
+    -sum_j W_j b_j^s / s.  For |s| < 0.25, where that sum cancels against 1/s,
+    it is formed as sum_j W_j (1 - b_j^s)/s - (1 + lam)(c- + c+)/s, with
+    c- + c+ = 2 g sin(pi s/2) (g = Gamma(w) (2pi)^{-w}): every term is finite
+    at s = 0.  A point whose pole terms are beyond the double range raises
+    DomainError (deep left of 0 with small a, e.g. Re s = -200 at a = 0.001).
     """
-    w = 1.0 - s
-    c_minus, g, c_plus = _fe_factors(w)
-
-    if abs(s) < 0.25:
-        fa = hurwitz_zeta_minus_pole(w, a, cfg)
-        fb = hurwitz_zeta_minus_pole(w, 1.0 - a, cfg)
-        # combined pole parts: i [e^{s v} - e^{s u}] / s  with
-        # u = log a - i pi/2, v = log(1-a) + i pi/2
-        u = math.log(a) - 0.5j * math.pi
-        v = math.log(1.0 - a) + 0.5j * math.pi
-        if s == 0.0:
-            polepart = 1j * (v - u)
-        else:
-            polepart = 1j * cmath.exp(s * u) * complex(np.expm1(s * (v - u))) / s
-        return c_plus * fa + c_minus * fb + g * polepart
-    return c_plus * hurwitz_zeta(w, a, cfg) + c_minus * hurwitz_zeta(w, 1.0 - a, cfg)
+    scalar = not isinstance(s, np.ndarray)
+    pts = np.array([s], dtype=complex) if scalar else s
+    la, lb = math.log(a), math.log(1.0 - a)
+    weights, poles = [], []
+    for x in pts.tolist():
+        c_minus, g, c_plus = _fe_factors(1.0 - x)
+        wa, wb = c_plus + lam * c_minus, c_minus + lam * c_plus
+        try:
+            if abs(x) < 0.25:
+                # (1 - b^s)/s = -log b (e^{s log b} - 1)/(s log b) and
+                # 2 sin(pi s/2)/s = pi e^{-i pi s/2} (e^{i pi s} - 1)/(i pi s)
+                pair_over_s = math.pi * g * cmath.exp(-0.5j * math.pi * x) * _exprel(1j * math.pi * x)
+                pole = -(wa * la * _exprel(x * la) + wb * lb * _exprel(x * lb)) - (1.0 + lam) * pair_over_s
+            else:
+                pole = -(wa * cmath.exp(x * la) + wb * cmath.exp(x * lb)) / x
+        except OverflowError:
+            raise DomainError(f"the functional-equation terms at s = {x} are beyond the double range") from None
+        weights.append((wa, wb))
+        poles.append(pole)
+    values, rems = _hurwitz_combination(1.0 - pts, (a, 1.0 - a), weights, cfg, subtract_pole=True)
+    values += poles
+    _settle(pts, values, rems, cfg)
+    return complex(values[0]) if scalar else values
 
 
 def periodic_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
     """Periodic zeta Li_s(e^{2 pi i a}) for 0 < a < 1, entire in s.
 
-    ``s`` is a number or an array of points; each point takes its own route.
-    Exact value at s = 0; for Re s above the configured threshold either the
-    exact rational decomposition into Hurwitz zetas (exact a = r/q, all such
-    points in one Euler-Maclaurin call) or the accelerated direct series
-    (float a); otherwise the functional-equation route through zeta(1-s, .).
+    ``s`` is a number or an array of points; each route gets its points in one
+    call.  For Re s <= SERIES_SIGMA_THRESHOLD the functional equation through
+    zeta(1-s, a) and zeta(1-s, 1-a) (s = 0 included); above it, for exact
+    a = r/q, the exact decomposition into the Hurwitz zetas zeta(s, n/q) while
+    q^{Re s} stays in double range; otherwise the accelerated direct series.
     """
     pts, shape = as_points(s)
     alpha = Alpha.coerce(a)
     av = alpha.value
     if not 0.0 < av < 1.0:
         raise DomainError("periodic zeta needs 0 < a < 1 (a = 1 is the Riemann zeta)")
-    tol = cfg.target_abs_tol
     out = np.empty(pts.shape, dtype=complex)
-    rational = []
-    for i, x in enumerate(pts.tolist()):
-        if x == 0.0:
-            # -1/2 + (i/2) cot(pi a): the s -> 0 limit of the continuation, equal
-            # to z/(1-z) for z = e^{2 pi i a}.
-            out[i] = complex(-0.5, 0.5 / math.tan(math.pi * av))
-        elif x.real <= cfg.series_sigma_threshold:
-            out[i] = _li_functional_equation(x, av, cfg)
-        elif alpha.exact is not None and abs(x - 1.0) > 5e-3:
-            rational.append(i)
-        else:
-            value, err = _li_series(x, av, cfg)
-            if err > _tol_scale(tol, value):
-                _warn_accuracy(err, tol, x)
-            out[i] = value
-    if rational:
+    fe = pts.real <= SERIES_SIGMA_THRESHOLD
+    rational = np.zeros(pts.shape, dtype=bool)
+    if alpha.exact is not None:
+        # zeta(s, 1/q) ~ q^s must stay finite until q^{-s} scales it back
+        rational = ~fe & (np.abs(pts - 1.0) > 5e-3) & (pts.real * math.log(alpha.exact[1]) < _LOG_DBL_MAX)
+    series = ~(fe | rational)
+    if fe.any():
+        out[fe] = _li_functional_equation(pts[fe], av, cfg)
+    if rational.any():
         out[rational] = _li_rational(pts[rational], *alpha.exact, cfg)
+    if series.any():
+        values, errs = map(np.array, zip(*(_li_series(x, av, cfg) for x in pts[series].tolist())))
+        _settle(pts[series], values, errs, cfg)
+        out[series] = values
     return from_points(out, shape)

@@ -14,6 +14,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .core import (
+    MAX_GRID_POINTS,
     Alpha,
     AlphaLike,
     BoundaryError,
@@ -141,6 +142,8 @@ def scan_real_zeros(
         raise DomainError("need lo < hi")
     if not step > 0.0:
         raise DomainError("need step > 0")
+    if not (hi - lo) / step <= MAX_GRID_POINTS - 1:
+        raise DomainError(f"scan grid over [{lo}, {hi}] with step {step} has more than {MAX_GRID_POINTS} points")
     alpha = Alpha.coerce(a)
 
     has_pole = fam in (Family.Z, Family.HURWITZ, Family.RIEMANN)

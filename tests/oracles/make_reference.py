@@ -121,6 +121,15 @@ def main():
                     v = l_value(mp.mpc(sigma, t), q, chars[index].values)
                     print(f"    ({q}, {index}, {sigma}, {t}): complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)}),")
 
+    print("# NEAR_ZERO in tests/test_families.py: the functional-equation route around s = 0")
+    near_zero = (mp.mpf("1e-8"), mp.mpc("-1e-8", "1e-8"), mp.mpf("0.2499"), mp.mpf("0.2501"), mp.mpc("-0.2501", 3))
+    for name, shifts in (("P", ("0.001", "0.3")), ("O", ("0.001", "0.3")), ("periodic", ("0.001", "0.3", "0.999"))):
+        for a in shifts:
+            for s in near_zero:
+                v = family(name, s, mp.mpf(a))
+                print(f"    ({name!r}, {a}, complex({mp.nstr(s.real, 5)}, {mp.nstr(s.imag, 5)})):"
+                      f" complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)}),")
+
     print("# frozen values where reflection wins on relative bound")
     print(f"zeta(-120+3j, 0.3) = {mp.nstr(mp.zeta(mp.mpc(-120, 3), mp.mpf('0.3')), 17)}")
     print(f"zeta(-200, 0.3) = {mp.nstr(mp.zeta(-200, mp.mpf('0.3')), 17)}")

@@ -64,6 +64,15 @@ def test_kernel_array_matches_point_by_point(alpha):
     assert_batch_matches_points(lambda s: periodic_zeta(s, alpha), pts)
 
 
+@pytest.mark.parametrize("fam", (Family.P, Family.O, Family.PERIODIC), ids=lambda f: f.value)
+@pytest.mark.parametrize("alpha", SHIFTS, ids=str)
+def test_functional_equation_block_across_small_s(fam, alpha):
+    # one block on the functional-equation route, with points on both sides of
+    # |s| = 0.25 (where (c- + c+)/s changes form) and s = 0 itself
+    pts = np.array([0.0, 1e-8, -1e-8 + 1e-8j, 0.1 - 0.2j, 0.2499, 0.2501, -0.2501 + 3j, 0.7 + 0.1j, -3.3, -1.0 + 20j])
+    assert_batch_matches_points(lambda s: eval_family(fam, s, alpha), pts)
+
+
 @pytest.mark.parametrize("q, index", [(5, 1), (9, 5), (12, 3)])
 def test_l_function_array_matches_point_by_point(q, index):
     chi = characters_mod(q)[index]
@@ -93,7 +102,9 @@ def test_uncertified_point_in_a_block_still_warns(monkeypatch):
     flagged = []
     monkeypatch.setattr(special, "_warn_accuracy", lambda rem, tol, s: flagged.append(s))
     pts = np.array([2.0 + 1.0j, 0.5 + 10.0j, -12.0 + 40.0j, 3.0 + 0.0j, -0.5 + 5.0j])
-    special.hurwitz_zeta_minus_pole(pts, 0.3)
+    cfg = special.DEFAULT_SETTINGS
+    values, rems = special._hurwitz_combination(pts, (0.3,), (1.0,), cfg, subtract_pole=True)
+    special._settle(pts, values, rems, cfg)
     assert flagged == [-12.0 + 40.0j]
 
 

@@ -180,6 +180,29 @@ def test_usage_errors_exit_one():
     assert code == EXIT_USAGE
 
 
+def test_zero_denominator_is_a_usage_error():
+    package_root = os.path.dirname(os.path.dirname(zetazeros.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetazeros.cli", "eval", "--family", "Z", "--a", "1/0", "--sigma", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--family", "Y", "--a", "0.3", "--from", "0", "--to", "1e300"),
+    ("eval", "--family", "Z", "--a", "0.3", "--sigma", "0:1e12:1", "--t", "1"),
+    ("eval", "--family", "Z", "--a", "0.3", "--sigma", "0:999:1", "--t", "0:1999:1"),
+], ids=("scan", "eval-sigma", "eval-product"))
+def test_huge_grids_are_refused_before_they_are_built(argv):
+    code, out, err = run_cli(*argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "points" in err
+
+
 def test_tolerance_env_override(monkeypatch):
     monkeypatch.setenv("ZETAZEROS_TOL", "1e-9")
     code, out, _ = run_cli("eval", "--family", "Z", "--a", "0.3", "--sigma", "2", "--t", "0")

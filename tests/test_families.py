@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from zetazeros import (
+    DEFAULT_SETTINGS,
     Alpha,
     DomainError,
     Family,
@@ -19,6 +20,7 @@ from zetazeros import (
     periodic_zeta,
     special_values,
 )
+from zetazeros.special import _li_functional_equation, _li_series
 
 
 def test_z_is_symmetric_sum():
@@ -78,12 +80,66 @@ def test_p_path_switch_is_seamless():
             above = eval_family(Family.P, complex(0.7501, t), a)
             assert abs(below - above) < 1e-3 * max(1.0, abs(below))  # continuity only
             # strict agreement of the two strategies at one point
-            from zetazeros.core import EvalSettings
-            cfg_low = EvalSettings(series_sigma_threshold=0.6)
             s = complex(0.7, t)
-            assert eval_family(Family.P, s, a, cfg_low) == pytest.approx(
-                eval_family(Family.P, s, a), abs=1e-9
-            )
+            series = _li_series(s, a, DEFAULT_SETTINGS)[0] + _li_series(s, 1.0 - a, DEFAULT_SETTINGS)[0]
+            assert _li_functional_equation(s, a, DEFAULT_SETTINGS, 1.0) == pytest.approx(series, abs=1e-9)
+
+
+# Frozen mpmath values (Hurwitz's formula; tests/oracles/make_reference.py,
+# section NEAR_ZERO) around s = 0, where the functional-equation route forms
+# (c- + c+)/s as 2 g sin(pi s/2)/s for |s| < 0.25.
+NEAR_ZERO = {
+    ('P', 0.001, complex(1.0e-8, 0.0)): complex(-0.99999501837898348, 0.0),
+    ('P', 0.001, complex(-1.0e-8, 1.0e-8)): complex(-1.0000049816212414, 4.9816216910240222e-6),
+    ('P', 0.001, complex(0.2499, 0.0)): complex(40.400634026458488, 1.4539840022901544e-47),
+    ('P', 0.001, complex(0.2501, 0.0)): complex(40.398342703560071, 1.4539840022901544e-47),
+    ('P', 0.001, complex(-0.2501, 3.0)): complex(-1564.3812373674602, -2843.6487286342457),
+    ('P', 0.3, complex(1.0e-8, 0.0)): complex(-1.0000000005381884, 0.0),
+    ('P', 0.3, complex(-1.0e-8, 1.0e-8)): complex(-0.99999999946181157, -5.3818846001463585e-10),
+    ('P', 0.3, complex(0.2499, 0.0)): complex(-1.0059138269159932, 2.0045735325691467e-51),
+    ('P', 0.3, complex(0.2501, 0.0)): complex(-1.0059130721086744, 2.0045735325691467e-51),
+    ('P', 0.3, complex(-0.2501, 3.0)): complex(-1.696232763223288, 1.1926034651163541),
+    ('O', 0.001, complex(1.0e-8, 0.0)): complex(318.30882468494092, 0.0),
+    ('O', 0.001, complex(-1.0e-8, 1.0e-8)): complex(318.30885328616028, -1.4300610445849576e-5),
+    ('O', 0.001, complex(0.2499, 0.0)): complex(101.50520948420267, -5.9869929506065182e-48),
+    ('O', 0.001, complex(0.2501, 0.0)): complex(101.41116243604727, -6.0725214213294685e-48),
+    ('O', 0.001, complex(-0.2501, 3.0)): complex(-2843.7666673401022, 1565.6756483933762),
+    ('O', 0.3, complex(1.0e-8, 0.0)): complex(0.72654253449746959, 0.0),
+    ('O', 0.3, complex(-1.0e-8, 1.0e-8)): complex(0.72654252151325217, 6.4921087414433747e-9),
+    ('O', 0.3, complex(0.2499, 0.0)): complex(0.88156254106391842, -1.3363823550460978e-51),
+    ('O', 0.3, complex(0.2501, 0.0)): complex(0.88168067984720416, 0.0),
+    ('O', 0.3, complex(-0.2501, 3.0)): complex(2.5067745915083143, 2.0485670275665827),
+    ('periodic', 0.001, complex(1.0e-8, 0.0)): complex(-0.49999750918949174, 159.15441234247046),
+    ('periodic', 0.001, complex(-1.0e-8, 1.0e-8)): complex(-0.49999534050539775, 159.15442913389098),
+    ('periodic', 0.001, complex(0.2499, 0.0)): complex(20.200317013229244, 50.752604742101333),
+    ('periodic', 0.001, complex(0.2501, 0.0)): complex(20.199171351780036, 50.705581218023637),
+    ('periodic', 0.001, complex(-0.2501, 3.0)): complex(-1565.0284428804182, -2843.7076979871739),
+    ('periodic', 0.3, complex(1.0e-8, 0.0)): complex(-0.50000000026909421, 0.3632712672487348),
+    ('periodic', 0.3, complex(-1.0e-8, 1.0e-8)): complex(-0.50000000297696015, 0.36327126048753185),
+    ('periodic', 0.3, complex(0.2499, 0.0)): complex(-0.5029569134579966, 0.44078127053195921),
+    ('periodic', 0.3, complex(0.2501, 0.0)): complex(-0.50295653605433722, 0.44084033992360208),
+    ('periodic', 0.3, complex(-0.2501, 3.0)): complex(-1.8723998953949354, 1.8496890283123342),
+    ('periodic', 0.999, complex(1.0e-8, 0.0)): complex(-0.49999750918949174, -159.15441234247046),
+    ('periodic', 0.999, complex(-1.0e-8, 1.0e-8)): complex(-0.5000096411158436, -159.15442415226929),
+    ('periodic', 0.999, complex(0.2499, 0.0)): complex(20.200317013229244, -50.752604742101333),
+    ('periodic', 0.999, complex(0.2501, 0.0)): complex(20.199171351780036, -50.705581218023637),
+    ('periodic', 0.999, complex(-0.2501, 3.0)): complex(0.64720551295798425, 0.058969352928279398),
+}
+
+
+@pytest.mark.parametrize("key", sorted(NEAR_ZERO, key=str), ids=str)
+def test_functional_equation_route_near_zero(key):
+    name, a, s = key
+    fam = {"P": Family.P, "O": Family.O, "periodic": Family.PERIODIC}[name]
+    want = NEAR_ZERO[key]
+    assert abs(eval_family(fam, s, a) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_functional_equation_terms_beyond_double_range_raise():
+    # (1/a)^{-s} = e^{1381} at s = -200, a = 0.001: a typed error, not an OverflowError
+    for fam in (Family.P, Family.O, Family.PERIODIC):
+        with pytest.raises(DomainError):
+            eval_family(fam, -200.0, 0.001)
 
 
 def test_functional_equation_pairs_random_sweep():

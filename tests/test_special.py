@@ -370,25 +370,23 @@ def test_periodic_rational_path_matches_series():
 
 def test_uncertified_rational_periodic_value_warns():
     # zeta(300, 1/97) ~ 97^300 overflows before q^{-s} scales it back, so the
-    # rational route cannot certify its value and must say so.
+    # rational kernel cannot certify its value and must say so.
+    from zetazeros.special import _li_rational
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.warns(AccuracyWarning):
-            periodic_zeta(300.0, Alpha.parse("1/97"))
+            _li_rational(np.array([300.0 + 0j]), 1, 97, DEFAULT_SETTINGS)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the rational route forms zeta(300, n/97) before scaling by 97^-300 "
-    "and overflows to NaN",
-)
 def test_rational_periodic_value_at_large_sigma():
-    # Li_300(z) = z + z^2 2^-300 + ...: e^{2 pi i/97} to double precision
+    # Li_s(z) = z + z^2 2^-s + ...: e^{2 pi i/97} to double precision.  Where
+    # 97^{Re s} leaves the double range (s = 300) periodic_zeta sums the series.
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        warnings.simplefilter("ignore", AccuracyWarning)
-        value = periodic_zeta(300.0, Alpha.parse("1/97"))
-    assert value == pytest.approx(cmath.exp(2j * math.pi / 97), rel=1e-14)
+        warnings.simplefilter("error")
+        for s in (150.0, 300.0):
+            value = periodic_zeta(s, Alpha.parse("1/97"))
+            assert value == pytest.approx(cmath.exp(2j * math.pi / 97), rel=1e-14)
 
 
 def test_periodic_positive_imaginary_part_on_real_axis():
@@ -399,9 +397,5 @@ def test_periodic_positive_imaginary_part_on_real_axis():
 
 
 def test_eval_settings_validation():
-    with pytest.raises(DomainError):
-        EvalSettings(em_shift=0)
-    with pytest.raises(DomainError):
-        EvalSettings(em_order=7)
     with pytest.raises(DomainError):
         EvalSettings(target_abs_tol=0.0)

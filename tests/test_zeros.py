@@ -92,6 +92,13 @@ def test_scan_splits_around_pole():
     assert recs == []
 
 
+def test_scan_refuses_a_huge_grid_before_building_it():
+    with pytest.raises(DomainError, match="points"):
+        scan_real_zeros(Family.Y, 0.3, 0.0, 1e300)
+    with pytest.raises(DomainError, match="points"):
+        scan_real_zeros(Family.P, 0.3, -1.0, 1.0, 1e-7)
+
+
 def test_scan_keeps_sign_change_over_nearby_touch():
     # A golden-section touch record next to a bisected sign change can have the
     # smaller residual; the zero is still simple.
