@@ -2,7 +2,8 @@
 verification suites, and rectangle counting, with CSV or JSON output.
 
 Exit status: 0 = success (and, for `verify`, every check passed);
-1 = usage or domain error; 2 = verification failure or non-convergence.
+1 = usage or domain error, or an internal error (reported on one line);
+2 = verification failure or non-convergence.
 Diagnostics go to stderr only; results go to stdout.
 """
 
@@ -154,6 +155,8 @@ def _cmd_beta(args: argparse.Namespace, out: io.TextIOBase) -> int:
     if args.a is not None:
         alphas = [Alpha.parse(args.a)]
     else:
+        if args.a_points > MAX_GRID_POINTS:
+            raise DomainError(f"--a-points {args.a_points} is more than {MAX_GRID_POINTS} points")
         grid = np.linspace(args.a_from, args.a_to, args.a_points)
         alphas = [Alpha(float(x)) for x in grid]
     rows = []
@@ -371,6 +374,9 @@ def run(argv: Sequence[str], out: io.TextIOBase = sys.stdout, err: io.TextIOBase
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=err)
+        return EXIT_USAGE
+    except Exception as exc:  # a defect, reported on one line rather than as a traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=err)
         return EXIT_USAGE
 
 

@@ -10,12 +10,13 @@ Evaluation routes (0 < a <= 1/2 throughout):
   O(s,a) = -i (Li_s(e^{2pi i a}) - Li_s(e^{2pi i(1-a)}))  entire
   X(s,a) = Y(s,a) + O(s,a)
 
-For Re s <= special.SERIES_SIGMA_THRESHOLD, P and O take the one
-functional-equation route of the periodic zeta,
-special._li_functional_equation: Li_s(e^{2pi i a}) + lam Li_s(e^{-2pi i a})
-from one Euler-Maclaurin pass over zeta(1-s, a) and zeta(1-s, 1-a) with
-point weights, lam = 1 for P and -1 for O (times -i), finite through s = 0.
-Above it they are sums of two periodic zetas.
+P and O are Li_s(e^{2pi i a}) + lam Li_s(e^{-2pi i a}) with lam = 1 and -1
+(times -i), and the periodic zeta is lam = 0: all three take the routes of
+special._periodic, one call per route, each formed with lam (never as two
+periodic zetas): for Re s <= special.SERIES_SIGMA_THRESHOLD one Euler-Maclaurin
+pass over zeta(1-s, a) and zeta(1-s, 1-a) with point weights, finite through
+s = 0; above it, one weighted Hurwitz sum for exact a = r/q, or one Dirichlet
+series with phases e^{2pi i an} + lam e^{-2pi i an}.
 
 The evaluators work on arrays of points: each route gets the points that
 need it in one kernel call, and the factors of the functional equations
@@ -43,10 +44,9 @@ from .core import (
     require_finite,
 )
 from .special import (
-    SERIES_SIGMA_THRESHOLD,
     _fe_factors,
-    _li_functional_equation,
     _pair_diff_reflect,
+    _periodic,
     _zeta_sum,
     gamma,  # noqa: F401  (unused here; perfbench's tracer test patches families.gamma)
     hurwitz_pair_diff,
@@ -74,18 +74,6 @@ def _check_composed_alpha(a: Alpha) -> Alpha:
     return a
 
 
-def _split(s: np.ndarray, mask: np.ndarray, inside, outside) -> np.ndarray:
-    """inside(s[mask]) and outside(s[~mask]), put back in place."""
-    if mask.all():
-        return inside(s)
-    if not mask.any():
-        return outside(s)
-    out = np.empty(s.shape, dtype=complex)
-    out[mask] = inside(s[mask])
-    out[~mask] = outside(s[~mask])
-    return out
-
-
 # Each evaluator takes a 1-D complex array of points and returns their values.
 
 def z_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
@@ -106,23 +94,13 @@ def y_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> n
 
 
 def p_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
-    return _split(
-        s,
-        s.real > SERIES_SIGMA_THRESHOLD,
-        lambda x: periodic_zeta(x, a, cfg) + periodic_zeta(x, a.conjugate, cfg),
-        lambda x: _li_functional_equation(x, a.value, cfg, 1.0),
-    )
+    return _periodic(s, a, cfg, 1.0)
 
 
 def o_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
     if a.value == 0.5:
         return np.zeros(s.shape, dtype=complex)
-    return _split(
-        s,
-        s.real > SERIES_SIGMA_THRESHOLD,
-        lambda x: -1j * (periodic_zeta(x, a, cfg) - periodic_zeta(x, a.conjugate, cfg)),
-        lambda x: -1j * _li_functional_equation(x, a.value, cfg, -1.0),
-    )
+    return -1j * _periodic(s, a, cfg, -1.0)
 
 
 def x_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:

@@ -3,8 +3,8 @@ Riemann/Hurwitz zeta via Euler-Maclaurin, and the periodic zeta.
 
 All evaluation is pure and reentrant; the Bernoulli coefficient tables are
 built once at import time and never mutated.  The zeta kernels take a number
-or an array of points; Euler-Maclaurin work runs in blocks of points, and a
-single number is a block of one.  Powers of positive real bases
+or an array of points; Euler-Maclaurin work and the periodic series run in
+blocks of points, and a single number is a block of one.  Powers of positive real bases
 always use the principal real logarithm, so no branch cut is ever crossed.
 """
 
@@ -414,13 +414,14 @@ def _em_once(
     return _weigh(value, w), rem, round_rem
 
 
-def _relative_bound(rem: float, value: complex) -> float:
+def _relative_bounds(rems: np.ndarray, values: np.ndarray) -> np.ndarray:
     # rem over the smallest magnitude the value can have, max(1, |value| - rem):
     # a bound as large as its value says nothing about it.  inf for a value or
     # bound that is not finite, which certifies nothing.
-    if math.isfinite(rem) and cmath.isfinite(value):
-        return rem / max(1.0, math.hypot(value.real, value.imag) - rem)
-    return math.inf
+    with np.errstate(invalid="ignore"):
+        out = rems / np.maximum(1.0, np.abs(values) - rems)
+    out[~(np.isfinite(rems) & np.isfinite(values))] = math.inf
+    return out
 
 
 def _warn_accuracy(rem: float, tol: float, s: complex) -> None:
@@ -438,10 +439,11 @@ def _settle(
     values: np.ndarray,
     rems: np.ndarray,
     cfg: EvalSettings,
-    reflect: Optional[Callable[[int], Tuple[complex, float]]] = None,
+    reflect: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None,
 ) -> None:
     """Per point, in place: a value whose remainder does not certify the target
-    is replaced by ``reflect(i)`` for point i (Re s < 0 only) when that route's
+    is replaced by its reflected value (Re s < 0 only; ``reflect(idx)`` gives
+    the values and bounds at the points idx, all in one call) when that route's
     bound is the smaller relative to the smallest value it allows, and a point
     still uncertified gets an AccuracyWarning.  A value or bound that is not
     finite certifies nothing; a reflected one raises DomainError."""
@@ -449,35 +451,38 @@ def _settle(
     uncertified = ~(rems <= tol * np.maximum(1.0, np.abs(values)))
     if not uncertified.any():
         return
+    idx = np.flatnonzero(uncertified & (pts.real < 0.0)) if reflect is not None else ()
+    if len(idx):
+        refl, refl_rems = reflect(idx)
+        beyond = ~np.isfinite(refl)
+        if beyond.any():
+            raise DomainError(f"the value at s = {complex(pts[idx[beyond][0]])} is beyond the double range")
+        em_bounds = _relative_bounds(rems[idx], values[idx])
+        take = (_relative_bounds(refl_rems, refl) < em_bounds) | (em_bounds == math.inf)
+        values[idx[take]] = refl[take]
+        rems[idx[take]] = refl_rems[take]
     for i in np.flatnonzero(uncertified).tolist():
-        s, value, rem = complex(pts[i]), complex(values[i]), float(rems[i])
-        if reflect is not None and s.real < 0.0:
-            refl, refl_rem = reflect(i)
-            if not cmath.isfinite(refl):
-                raise DomainError(f"the value at s = {s} is beyond the double range")
-            em_bound = _relative_bound(rem, value)
-            if _relative_bound(refl_rem, refl) < em_bound or em_bound == math.inf:
-                value, rem = refl, refl_rem
-                values[i] = value
+        value, rem = complex(values[i]), float(rems[i])
         # hypot, unlike abs(), gives inf rather than raising for |value| > DBL_MAX
         if not rem <= tol * max(1.0, math.hypot(value.real, value.imag)):
-            _warn_accuracy(rem, tol, s)
+            _warn_accuracy(rem, tol, complex(pts[i]))
 
 
 def _zeta_sum(s: np.ndarray, bases, weights, cfg: EvalSettings, q: int = 1, reflect=None) -> np.ndarray:
     """q^{-s} sum_j w_j zeta(s, b_j) at a 1-D array of points, in one Euler-Maclaurin pass
     certified on that value.  Weights that sum to zero (to rounding) make the sum entire: each
     pole part is subtracted in the pass and added back as [b^{1-s} - 1]/(s-1).  ``reflect(s)``,
-    the unscaled sum and its bound at Re s < 0, defaults to each base's own Hurwitz reflection."""
+    the unscaled sums and their bounds at an array of points with Re s < 0, defaults to each
+    base's own Hurwitz reflection."""
     w_arr = np.asarray(weights, dtype=complex)
     entire = abs(sum(weights)) <= len(weights) * _EPS * sum(map(abs, weights))
     values, rems = _hurwitz_combination(s, bases, w_arr, cfg, subtract_pole=entire)
     if entire:
         values += _weigh(_pole_quotient(1.0 - s, np.log(bases)), w_arr)
 
-    def reflected(i: int) -> Tuple[complex, float]:
-        value, rem = reflect(s[i]) if reflect else _hurwitz_reflect(s[i], bases, w_arr, cfg)
-        return value * scale[i], rem * abs(scale[i])
+    def reflected(idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        value, rem = reflect(s[idx]) if reflect else _hurwitz_reflect(s[idx], bases, w_arr, cfg)
+        return value * scale[idx], rem * np.abs(scale[idx])
 
     # values beyond the double range come out inf: _settle warns, or raises from a reflection
     with np.errstate(over="ignore", invalid="ignore"):
@@ -513,16 +518,23 @@ def hurwitz_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
     return from_points(_zeta_sum(pts, (av,), (1.0,), cfg), shape)
 
 
-def _hurwitz_reflect(s: complex, bases, weights: np.ndarray, cfg: EvalSettings) -> Tuple[complex, float]:
-    """sum_j w_j zeta(s, b_j) for Re s < 0, each through c- Li_w(e^{2 pi i b}) +
-    c+ Li_w(e^{-2 pi i b}) with w = 1 - s and c-+ from _fe_factors, formed once
-    (Re w > 1, so both series converge absolutely; at b = 1 both are zeta(w))."""
+def _fe_factor_columns(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """c- and c+ of _fe_factors at each point of w."""
+    factors = np.array([_fe_factors(x) for x in w.tolist()]).reshape(-1, 3)
+    return factors[:, 0], factors[:, 2]
+
+
+def _hurwitz_reflect(s: np.ndarray, bases, weights: np.ndarray, cfg: EvalSettings) -> Tuple[np.ndarray, np.ndarray]:
+    """sum_j w_j zeta(s, b_j) and its bound at an array of points with Re s < 0,
+    each zeta through c- Li_w(e^{2 pi i b}) + c+ Li_w(e^{-2 pi i b}) with w = 1 - s
+    and c-+ from _fe_factors (Re w > 1, so both series converge absolutely; at
+    b = 1 both are zeta(w)).  One series call per distinct base serves every point."""
     w = 1.0 - s
-    c_minus, _, c_plus = _fe_factors(w)
-    value, rem = 0.0 + 0.0j, 0.0
+    c_minus, c_plus = _fe_factor_columns(w)
+    value, rem = np.zeros(s.shape, dtype=complex), np.zeros(s.shape)
     series = {}  # Li_w(e^{2 pi i x}) by x to 1e-15: bases b and 1 - b share their two series
 
-    def li(x: float) -> Tuple[complex, float]:
+    def li(x: float) -> Tuple[np.ndarray, np.ndarray]:
         key = round(x, 15)
         if key not in series:
             series[key] = _hurwitz_combination(w, (1.0,), (1.0,), cfg) if x == 1.0 else _li_series(w, x, cfg)
@@ -532,11 +544,11 @@ def _hurwitz_reflect(s: complex, bases, weights: np.ndarray, cfg: EvalSettings) 
         # Reduce b to (0, 1]: zeta(s, b) = zeta(s, b - 1) - (b - 1)^{-s}.
         while b > 1.0:
             b -= 1.0
-            value -= weight * cmath.exp(-s * math.log(b))
+            value -= weight * np.exp(-s * math.log(b))
         la, ea = li(b)
         lb, eb = (la, ea) if b == 1.0 else li(1.0 - b)
         value += weight * (c_minus * la + c_plus * lb)
-        rem += abs(weight) * (abs(c_minus) * (ea + _EPS * abs(la)) + abs(c_plus) * (eb + _EPS * abs(lb)))
+        rem += abs(weight) * (np.abs(c_minus) * ea + np.abs(c_plus) * eb)
     return value, rem
 
 
@@ -557,16 +569,16 @@ def hurwitz_pair_diff(s, a: float, cfg: EvalSettings = DEFAULT_SETTINGS):
     return from_points(values, shape)
 
 
-def _pair_diff_reflect(s: complex, a: float, sign: float, cfg: EvalSettings) -> Tuple[complex, float]:
-    """zeta(s,a) + sign zeta(s,1-a), sign = +-1, for Re s < 0 through (c- + sign c+)
-    (Li_w(e^{2pi i a}) + sign Li_w(e^{-2pi i a})) with w = 1 - s and c-+ from
-    _fe_factors; both series converge absolutely and nothing cancels."""
+def _pair_diff_reflect(s: np.ndarray, a: float, sign: float, cfg: EvalSettings) -> Tuple[np.ndarray, np.ndarray]:
+    """zeta(s,a) + sign zeta(s,1-a), sign = +-1, and its bound at an array of points
+    with Re s < 0, through (c- + sign c+) (Li_w(e^{2pi i a}) + sign Li_w(e^{-2pi i a}))
+    with w = 1 - s and c-+ from _fe_factors: one series call with lam = sign; both
+    series converge absolutely and nothing cancels."""
     w = 1.0 - s
-    c_minus, _, c_plus = _fe_factors(w)
-    la, ea = _li_series(w, a, cfg)
-    lb, eb = _li_series(w, 1.0 - a, cfg)
+    c_minus, c_plus = _fe_factor_columns(w)
     factor = c_minus + sign * c_plus  # 2 Gamma(w) (2pi)^{-w} cos(pi w/2), or -2i ... sin(pi w/2)
-    return factor * (la + sign * lb), abs(factor) * (ea + eb + _EPS * (abs(la) + abs(lb)))
+    li, err = _li_series(w, a, cfg, sign)
+    return factor * li, np.abs(factor) * err
 
 
 def riemann_zeta(s, cfg: EvalSettings = DEFAULT_SETTINGS):
@@ -580,73 +592,215 @@ def riemann_zeta(s, cfg: EvalSettings = DEFAULT_SETTINGS):
 # Re s above which Li_s is summed as a series instead of through the functional equation.
 SERIES_SIGMA_THRESHOLD = 0.75
 
+_LI_ORDER = 18  # the Euler-transformed tail uses forward differences of order 0 .. 18
+_LI_BLOCK_POINTS = 32  # points per block of partial sums
+_LI_BLOCK_TERMS = 1 << 15  # terms per block, and per temporary of its chunked sums
+_LI_NEGLIGIBLE = 0.05  # both routes end the series where what is left is below this times the target
+_LI_MAX_TERMS = 1 << 26  # a longer partial sum (a within ~1e-7 (|s|+4) of an integer) is refused: seconds of work
 
-def _unit_phases(indices: np.ndarray, a: float) -> np.ndarray:
-    # e^{2 pi i a n} with the angle reduced mod 1 before exponentiating, so the
-    # phase stays accurate for large n.
-    return np.exp(2j * math.pi * np.mod(a * indices, 1.0))
+_LI_OFFSETS = np.arange(_LI_ORDER + 1, dtype=float)
+# Row k: Delta^k a_N = sum_j (-1)^{k-j} C(k, j) a_{N+j}, every order in one product (complex,
+# so that einsum need not cast it).
+_FORWARD_DIFFERENCES = np.array(
+    [[(-1.0) ** (k - j) * math.comb(k, j) if j <= k else 0.0 for j in range(_LI_ORDER + 1)] for k in range(_LI_ORDER + 1)],
+    dtype=complex,
+)
+_FORWARD_DIFFERENCES.setflags(write=False)
 
 
-def _li_series(s: complex, a: float, cfg: EvalSettings) -> Tuple[complex, float]:
-    """Direct series plus Euler-transformed tail; returns (value, error estimate).
+def _angles(n: np.ndarray, a: float) -> np.ndarray:
+    """The angle of z^n, z = e^{2 pi i a}, reduced to [-pi, pi] so that the
+    phase stays accurate for large n (x - rint(x) is exact)."""
+    x = a * n
+    x -= np.rint(x)
+    x *= 2.0 * math.pi
+    return x
 
-    The tail sum_{n>=N} z^n n^{-s} is folded by repeated summation by parts:
-    each pass trades a factor ~ |s|/(N |1-z|), so N is chosen to make that
-    factor small before the difference table is evaluated.
+
+def _unit(a: float, n: int) -> complex:
+    """z^n, z = e^{2 pi i a}, for one n, its angle reduced as in _angles."""
+    x = a * n
+    return cmath.exp(2j * math.pi * (x - round(x)))
+
+
+@lru_cache(maxsize=256)
+def _li_constants(a: float) -> Tuple[float, np.ndarray, np.ndarray]:
+    """|1 - z|, z^k / (1-z)^{k+1} and |1-z|^{-(k+1)} for k = 0 .. _LI_ORDER, z = e^{2 pi i a}."""
+    one_minus_z = 1.0 - cmath.exp(2j * math.pi * a)
+    powers = -1.0 - _LI_OFFSETS
+    coef = np.exp(1j * _angles(_LI_OFFSETS, a)) * one_minus_z ** powers
+    scale = abs(one_minus_z) ** powers
+    coef.setflags(write=False)
+    scale.setflags(write=False)
+    return abs(one_minus_z), coef, scale
+
+
+def _li_series(s, a: float, cfg: EvalSettings, lam: float = 0.0):
+    """Li_s(e^{2 pi i a}) + lam Li_s(e^{-2 pi i a}) from the Dirichlet series
+    sum_n (z^n + lam conj(z)^n) n^{-s}, z = e^{2 pi i a}, at a number or a 1-D
+    array of points (Re s > 0); returns (value, error estimate) of the same kind.
+
+    Each point takes the route that needs fewer terms for target_abs_tol:
+      (a) for Re s > 1, the partial sum to N with the tail
+          sum_{n>N} n^{-sigma} <= N^{1-sigma}/(sigma-1) below 0.05 min(target, eps),
+          so that the truncation is lost in the rounding (a caller may scale the
+          value up by a functional-equation factor);
+      (c) the partial sum to N-1 plus the tail sum_{n>=N}, folded by repeated
+          summation by parts into sum_k z^{N+k} Delta^k(N^{-s}) / (1-z)^{k+1}
+          (and its conjugate for lam), each order gaining about |s|/(N |1-z|)
+          with N = max(32, 6(|s|+4)/|1-z|).  A point whose tail misses the
+          target gets up to two more attempts, each with twice N, that extend
+          its partial sum; the attempt with the smaller estimate wins.  A point
+          whose last attempt would sum more than _LI_MAX_TERMS terms raises
+          UnsupportedError.
+    Both estimates add eps times sum_n |terms| <= (1 + |lam|) (1 + int_1^L x^{-sigma} dx),
+    L the longest partial sum the point can take.  The partial sums run in blocks
+    (_li_partial_sums), the tails of all route (c) points at once.
     """
-    z = cmath.exp(2j * math.pi * a)
-    one_minus_z = 1.0 - z
-    gap = abs(one_minus_z)
-    n0 = max(32, math.ceil(6.0 * (abs(s) + 4.0) / gap))
+    scalar = not isinstance(s, np.ndarray)
+    pts = np.array([s], dtype=complex) if scalar else s
     tol = cfg.target_abs_tol
-    m_max = 18
-
-    best: Optional[Tuple[complex, float]] = None
-    n = n0
-    for attempt in range(3):
-        idx = np.arange(1, n, dtype=float)
-        direct = complex(np.sum(_unit_phases(idx, a) * np.exp(-s * np.log(idx))))
-
-        j = np.arange(0, m_max + 1, dtype=float)
-        table = np.exp(-s * np.log(n + j)).astype(complex)  # a_{N+j}, j = 0..m_max
-        zpow = _unit_phases(np.arange(n, n + m_max + 1, dtype=float), a)
-
-        # S_N = sum_k z^{N+k} (grad^k a)_{N+k} / (1-z)^{k+1}; table[0] after k
-        # np.diff passes is exactly the k-th backward difference at index N+k.
-        tail = 0.0 + 0.0j
-        err = math.inf
-        prev = math.inf
-        inv = 1.0 / one_minus_z
-        scale = inv
-        for k in range(m_max + 1):
-            term = zpow[k] * table[0] * scale
-            mag = abs(term)
-            if k > 0 and mag > prev:
-                err = mag  # differences stopped helping; first omitted term bounds the rest
+    weight = 1.0 + abs(lam)
+    gap = _li_constants(a)[0]
+    negligible = _LI_NEGLIGIBLE * min(tol, _EPS)
+    last, errs = [], []  # per point: the last n summed, the error estimate
+    euler, starts, phases = [], [], []  # route (c): the points, their N and z^N
+    for i, x in enumerate(pts.tolist()):
+        sigma = x.real
+        n_euler = max(32, math.ceil(6.0 * (abs(x) + 4.0) / gap))
+        # route (a) needs log N >= log(weight / ((sigma-1) negligible)) / (sigma-1)
+        log_n = math.log(weight / ((sigma - 1.0) * negligible)) / (sigma - 1.0) if sigma > 1.0 else math.inf
+        if log_n <= math.log(n_euler):
+            n = longest = math.ceil(math.exp(log_n))
+            err = weight * n ** (1.0 - sigma) / (sigma - 1.0)
+        else:
+            n, longest, err = n_euler - 1, 4 * n_euler - 1, 0.0
+            if longest > _LI_MAX_TERMS:
+                raise UnsupportedError(f"the periodic series at s = {x}, a = {a} needs more than {_LI_MAX_TERMS} terms")
+            euler.append(i)
+            starts.append(n_euler)
+            phases.append(_unit(a, n_euler))
+        log_longest = math.log(longest)
+        rise = (1.0 - sigma) * log_longest  # int_1^L x^{-sigma} dx = expm1(rise) / (1 - sigma)
+        last.append(n)
+        errs.append(err + _EPS * weight * (1.0 + (math.expm1(rise) / (1.0 - sigma) if rise else log_longest)))
+    values = _li_partial_sums(pts, [0] * len(last), last, a, lam)
+    errs = np.array(errs)
+    if euler:
+        idx = slice(None) if len(euler) == len(last) else np.array(euler)
+        sub, n, partial = pts[idx], np.array(starts), values[idx]
+        tail, err = _li_euler_tail(sub, n, np.array(phases), a, lam, tol)
+        value = partial + tail
+        for _ in range(2):
+            if not err.max() > tol:
                 break
-            tail += term
-            prev = mag
-            err = mag
-            if mag <= 0.05 * tol:
-                break
-            scale *= inv
-            if table.size == 1:
-                break
-            table = np.diff(table)
-        value = direct + tail
-        if best is None or err < best[1]:
-            best = (value, err)
-        if err <= tol:
-            return best
-        n *= 2
-    return best
+            retry = np.flatnonzero(err > tol)
+            longer = 2 * n[retry]
+            partial[retry] += _li_partial_sums(sub[retry], (n[retry] - 1).tolist(), (longer - 1).tolist(), a, lam)
+            n[retry] = longer
+            zn = np.array([_unit(a, m) for m in longer.tolist()])
+            tail, again = _li_euler_tail(sub[retry], longer, zn, a, lam, tol)
+            better = again < err[retry]
+            value[retry[better]] = partial[retry[better]] + tail[better]
+            err[retry[better]] = again[better]
+        values[idx] = value
+        errs[idx] += err
+    if scalar:
+        return complex(values[0]), float(errs[0])
+    return values, errs
 
 
-def _li_rational(s: np.ndarray, r: int, q: int, cfg: EvalSettings) -> np.ndarray:
-    """Exact finite form Li_s(e^{2 pi i r/q}) = q^{-s} sum_n e^{2 pi i rn/q} zeta(s, n/q)
-    at an array of points, certified as one weighted sum."""
+def _li_partial_sums(s: np.ndarray, first: List[int], last: List[int], a: float, lam: float) -> np.ndarray:
+    """sum_{first < n <= last} (z^n + lam conj(z)^n) n^{-s} per point.  Points
+    sorted by ``last`` run in blocks of at most _LI_BLOCK_POINTS points and
+    _LI_BLOCK_TERMS terms (one point at least), so that a block shares its phases."""
+    if len(last) == 1:
+        return _li_block(s, first, last, a, lam)
+    out = np.empty(s.shape, dtype=complex)
+    order = sorted(range(len(last)), key=last.__getitem__)
+    start = 0
+    while start < len(order):
+        stop, lo = start + 1, first[order[start]]
+        while stop < len(order) and stop - start < _LI_BLOCK_POINTS:
+            lo = min(lo, first[order[stop]])
+            if (stop - start + 1) * (last[order[stop]] - lo) > _LI_BLOCK_TERMS:
+                break
+            stop += 1
+        block = order[start:stop]
+        out[block] = _li_block(s[block], [first[i] for i in block], [last[i] for i in block], a, lam)
+        start = stop
+    return out
+
+
+def _li_block(s: np.ndarray, first: List[int], last: List[int], a: float, lam: float) -> np.ndarray:
+    """The partial sums of one block, in chunks of n so that no temporary holds
+    more than _LI_BLOCK_TERMS terms.  Each row is multiplied and summed on its
+    own (numpy's pairwise sum along the row), so a point gets the same value in
+    any block, up to where the chunks split its sum."""
+    whole_lo, whole_hi = max(first), min(last)  # every point sums the n in (whole_lo, whole_hi]
+    hi = max(last)
+    step = _LI_BLOCK_TERMS // len(first)
+    out, bounds, minus_s = None, None, -s
+    for start in range(min(first) + 1, hi + 1, step):
+        stop = min(start + step - 1, hi)
+        n = np.arange(start, stop + 1, dtype=float)
+        exponent = np.multiply.outer(minus_s, np.log(n))
+        angle = _angles(n, a)
+        weights = None
+        if lam:
+            weights = np.exp(1j * angle)
+            weights += lam * weights.conj()
+        else:
+            exponent.imag += angle  # z^n n^{-s} as one exponential
+        terms = np.exp(exponent)
+        if start <= whole_lo or stop > whole_hi:  # some point starts or ends inside this chunk
+            if bounds is None:
+                bounds = np.array(first)[:, None], np.array(last)[:, None]
+            weights = np.where((n > bounds[0]) & (n <= bounds[1]), 1.0 if weights is None else weights, 0.0)
+        if weights is not None:
+            terms *= weights
+        chunk = np.add.reduce(terms, axis=1)
+        out = chunk if out is None else out + chunk
+    return out
+
+
+def _li_euler_tail(
+    s: np.ndarray, n: np.ndarray, zn: np.ndarray, a: float, lam: float, tol: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """sum_{m >= N} (z^m + lam conj(z)^m) m^{-s} per point, given N and z^N,
+    from the first _LI_ORDER + 1 terms of its Euler transform, and its error
+    estimate: (1 + |lam|) times that of one of the two series (their terms
+    have the same magnitudes)."""
+    _, coef, scale = _li_constants(a)
+    table = np.exp(-s[:, None] * np.log(n[:, None] + _LI_OFFSETS))  # a_{N+j}, a_m = m^{-s}
+    diffs = np.einsum("pj,kj->pk", table, _FORWARD_DIFFERENCES)  # Delta^k a_N, row by row
+    mag = np.abs(diffs)
+    mag *= scale
+    # The stopping rule, applied once as in _em_once: order k ends the tail
+    # before it when its term outgrows the one before (k > 0), and after it
+    # when the term is below 0.05 tol, or when it is the last.  Events are
+    # interleaved as (before k, after k) so that argmax finds the first.
+    events = np.zeros((s.size, _LI_ORDER + 1, 2), dtype=bool)
+    np.greater(mag[:, 1:], mag[:, :-1], out=events[:, 1:, 0])
+    np.less_equal(mag, _LI_NEGLIGIBLE * tol, out=events[:, :, 1])
+    events[:, _LI_ORDER, 1] = True
+    first = events.reshape(s.size, -1).argmax(axis=1)
+    rows, order = np.arange(s.size), first >> 1  # the order the rule stopped at
+    used = first - order - 1  # the last order used
+    # z^{N+k} / (1-z)^{k+1} = z^N coef_k: the phase z^N comes out of the sum
+    tail = zn * np.add.accumulate(diffs * coef, axis=1)[rows, used]
+    if lam:
+        tail += lam * zn.conj() * np.add.accumulate(diffs * coef.conj(), axis=1)[rows, used]
+    return tail, (1.0 + abs(lam)) * mag[rows, order]
+
+
+def _li_rational(s: np.ndarray, r: int, q: int, cfg: EvalSettings, lam: float = 0.0) -> np.ndarray:
+    """Exact finite form Li_s(e^{2 pi i r/q}) + lam Li_s(e^{-2 pi i r/q}) =
+    q^{-s} sum_n (e^{2 pi i rn/q} + lam e^{-2 pi i rn/q}) zeta(s, n/q) at an array
+    of points, certified as one weighted sum."""
     bases = tuple((n + 1) / q for n in range(q))
-    weights = tuple(cmath.exp(2j * math.pi * ((r * (n + 1)) % q) / q) for n in range(q))
+    phases = (cmath.exp(2j * math.pi * ((r * (n + 1)) % q) / q) for n in range(q))
+    weights = tuple(z + lam * z.conjugate() for z in phases)
     return _zeta_sum(s, bases, weights, cfg, q=q)
 
 
@@ -694,20 +848,13 @@ def _li_functional_equation(s, a: float, cfg: EvalSettings, lam: float = 0.0):
     return complex(values[0]) if scalar else values
 
 
-def periodic_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
-    """Periodic zeta Li_s(e^{2 pi i a}) for 0 < a < 1, entire in s.
-
-    ``s`` is a number or an array of points; each route gets its points in one
-    call.  For Re s <= SERIES_SIGMA_THRESHOLD the functional equation through
-    zeta(1-s, a) and zeta(1-s, 1-a) (s = 0 included); above it, for exact
-    a = r/q, the exact decomposition into the Hurwitz zetas zeta(s, n/q) while
-    q^{Re s} stays in double range; otherwise the accelerated direct series.
-    """
-    pts, shape = as_points(s)
-    alpha = Alpha.coerce(a)
+def _periodic(pts: np.ndarray, alpha: Alpha, cfg: EvalSettings, lam: float = 0.0) -> np.ndarray:
+    """Li_s(e^{2 pi i a}) + lam Li_s(e^{-2 pi i a}) at a 1-D array of points, one
+    call per route, each taking lam: for Re s <= SERIES_SIGMA_THRESHOLD the
+    functional equation through zeta(1-s, a) and zeta(1-s, 1-a) (s = 0
+    included); above it, for exact a = r/q, the weighted Hurwitz sum over
+    zeta(s, n/q) while q^{Re s} stays in double range; otherwise the series."""
     av = alpha.value
-    if not 0.0 < av < 1.0:
-        raise DomainError("periodic zeta needs 0 < a < 1 (a = 1 is the Riemann zeta)")
     out = np.empty(pts.shape, dtype=complex)
     fe = pts.real <= SERIES_SIGMA_THRESHOLD
     rational = np.zeros(pts.shape, dtype=bool)
@@ -716,11 +863,26 @@ def periodic_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
         rational = ~fe & (np.abs(pts - 1.0) > 5e-3) & (pts.real * math.log(alpha.exact[1]) < _LOG_DBL_MAX)
     series = ~(fe | rational)
     if fe.any():
-        out[fe] = _li_functional_equation(pts[fe], av, cfg)
+        out[fe] = _li_functional_equation(pts[fe], av, cfg, lam)
     if rational.any():
-        out[rational] = _li_rational(pts[rational], *alpha.exact, cfg)
+        out[rational] = _li_rational(pts[rational], *alpha.exact, cfg, lam)
     if series.any():
-        values, errs = map(np.array, zip(*(_li_series(x, av, cfg) for x in pts[series].tolist())))
+        values, errs = _li_series(pts[series], av, cfg, lam)
         _settle(pts[series], values, errs, cfg)
         out[series] = values
-    return from_points(out, shape)
+    return out
+
+
+def periodic_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
+    """Periodic zeta Li_s(e^{2 pi i a}) for 0 < a < 1, entire in s.
+
+    ``s`` is a number or an array of points; each route gets its points in one
+    call (see _periodic): the functional equation for Re s <= SERIES_SIGMA_THRESHOLD,
+    the exact decomposition into Hurwitz zetas zeta(s, n/q) for exact a = r/q,
+    otherwise the Dirichlet series (_li_series).
+    """
+    pts, shape = as_points(s)
+    alpha = Alpha.coerce(a)
+    if not 0.0 < alpha.value < 1.0:
+        raise DomainError("periodic zeta needs 0 < a < 1 (a = 1 is the Riemann zeta)")
+    return from_points(_periodic(pts, alpha, cfg), shape)

@@ -35,6 +35,7 @@ UNRESOLVED = "unresolved"
 # Tolerance used by the family kernels during sweeps; zero locations are pinned
 # to 1e-10 brackets, so certifying 1e-12 per evaluation is unnecessary noise.
 _SCAN_SETTINGS = EvalSettings(target_abs_tol=1e-10)
+_MAX_PASSES = 8  # winding passes of a rectangle count, each with twice the samples of the one before
 
 _DEFAULT_STEP = 0.05
 _TOUCH_TOL = 1e-6
@@ -430,9 +431,14 @@ def count_zeros_rectangle(
 
     Samples along the boundary are doubled until the accumulated argument is
     within 1e-3 of an integer multiple of 2 pi and the integer is stable under
-    one further doubling.  Boundaries closer than 1e-6 in |f| (or rectangles
-    within 0.01 of the Z pole at s = 1) are rejected.
+    one further doubling, in at most _MAX_PASSES passes.  Boundaries closer than
+    1e-6 in |f| (or rectangles within 0.01 of the Z pole at s = 1) are rejected,
+    and so are initial samples whose last pass would exceed MAX_GRID_POINTS.
     """
+    if not int(initial_samples) << (_MAX_PASSES - 1) <= MAX_GRID_POINTS:
+        raise DomainError(
+            f"{initial_samples} initial samples would sample more than {MAX_GRID_POINTS} boundary points"
+        )
     alpha = Alpha.coerce(a)
     c0, c1 = complex(corners[0]), complex(corners[1])
     x0, x1 = min(c0.real, c1.real), max(c0.real, c1.real)
@@ -449,7 +455,7 @@ def count_zeros_rectangle(
     samples = max(int(initial_samples), 64)
     prev_count: Optional[int] = None
     total_evals = 0
-    for _ in range(8):
+    for _ in range(_MAX_PASSES):
         winding, min_abs, evals = _winding_pass(f, _rectangle_path(c0, c1, samples))
         total_evals += evals
         if min_abs < _BOUNDARY_MIN_ABS:

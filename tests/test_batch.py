@@ -6,6 +6,7 @@ the same values, the same errors and the same warnings, and hold the zero
 counts to the figures the point-by-point implementation produced.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -130,6 +131,83 @@ def test_blocks_hold_at_most_32_points(monkeypatch):
     hurwitz_zeta(pts, 0.3)
     assert max(sizes) == special._EM_BLOCK_POINTS == 32
     assert sum(sizes) >= pts.size
+
+
+# At a = 0.05: route (a), the plain partial sum, at sigma = 17.3 and 9; route
+# (c), the partial sum plus the Euler-transformed tail, without a retry
+# (3+60i), with one (2+20i, 1.1) and with two (1.2+5i, 0.8-40i).
+MIXED_SERIES = np.array([17.3, 9.0 + 5.0j, 3.0 + 60.0j, 2.0 + 20.0j, 1.2 + 5.0j, 0.8 - 40.0j, 1.1])
+
+
+@pytest.mark.parametrize("lam", (0.0, 1.0, -1.0))
+def test_li_series_array_matches_point_by_point(lam, monkeypatch):
+    tails = []
+    original = special._li_euler_tail
+
+    def recording(s, *args):
+        tails.append(s.size)
+        return original(s, *args)
+
+    monkeypatch.setattr(special, "_li_euler_tail", recording)
+    cfg = special.DEFAULT_SETTINGS
+    values, errs = special._li_series(MIXED_SERIES, 0.05, cfg, lam)
+    assert tails[0] == 5 and len(tails) == 3  # two points take route (a), some need both retries
+    for s, v, e in zip(MIXED_SERIES.tolist(), values.tolist(), errs.tolist()):
+        single, single_err = special._li_series(s, 0.05, cfg, lam)
+        assert isinstance(single, complex)
+        assert abs(v - single) <= 1e-14 * max(1.0, abs(single)), (s, v, single)
+        assert e == pytest.approx(single_err, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", (0.3, 0.05))
+@pytest.mark.parametrize("lam", (0.0, 1.0, -1.0))
+def test_plain_and_euler_routes_agree(a, lam):
+    # For Re s > 1 both routes apply: the plain partial sum to 10^5 (tail below
+    # 10^{-15} at sigma >= 4) against the partial sum to 1023 plus the tail from 1024.
+    pts = np.array([4.0, 5.0 + 10.0j, 6.5 - 30.0j, 9.0 + 2.0j, 14.0 + 50.0j])
+    zeros = [0] * pts.size
+    plain = special._li_partial_sums(pts, zeros, [10**5] * pts.size, a, lam)
+    zn = np.full(pts.size, special._unit(a, 1024))
+    tail, err = special._li_euler_tail(pts, np.full(pts.size, 1024), zn, a, lam, 1e-14)
+    euler = special._li_partial_sums(pts, zeros, [1023] * pts.size, a, lam) + tail
+    assert (err <= 1e-14).all()
+    chosen = special._li_series(pts, a, special.DEFAULT_SETTINGS, lam)[0]
+    for p, e, c in zip(plain.tolist(), euler.tolist(), chosen.tolist()):
+        assert abs(p - e) <= 1e-13 * max(1.0, abs(p))
+        assert abs(c - p) <= 1e-13 * max(1.0, abs(p))
+
+
+def test_series_blocks_hold_at_most_32_points_and_the_term_cap(monkeypatch):
+    blocks = []
+    original = special._li_block
+
+    def recording(s, first, last, *args):
+        blocks.append((s.size, max(last) - min(first)))
+        return original(s, first, last, *args)
+
+    monkeypatch.setattr(special, "_li_block", recording)
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0.76, 3.0, 300) + 1j * rng.uniform(-60.0, 60.0, 300)
+    cfg = special.DEFAULT_SETTINGS
+    special._li_series(pts, 0.3, cfg)  # short sums: blocks of 32 points
+    special._li_series(pts[:40], 0.02, cfg)  # ~10^4 terms a point: a few points a block
+    assert max(size for size, _ in blocks) == special._LI_BLOCK_POINTS == 32
+    assert all(size == 1 or size * terms <= special._LI_BLOCK_TERMS for size, terms in blocks)
+    assert any(1 < size < 32 for size, _ in blocks)
+
+
+def test_series_memory_is_bounded_by_the_term_cap():
+    # s = 1.2 + 800i at a = 0.001 takes three attempts, summing to about 7.7e5,
+    # 1.5e6 and 3.1e6 terms; in chunks of _LI_BLOCK_TERMS no temporary grows with them.
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            special._li_series(1.2 + 800.0j, 0.001, special.DEFAULT_SETTINGS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * special._LI_BLOCK_TERMS * 16  # a few complex temporaries of the cap
 
 
 # (family, a, corners, initial samples) -> (count, samples_used) as computed

@@ -196,11 +196,26 @@ def test_zero_denominator_is_a_usage_error():
     ("scan", "--family", "Y", "--a", "0.3", "--from", "0", "--to", "1e300"),
     ("eval", "--family", "Z", "--a", "0.3", "--sigma", "0:1e12:1", "--t", "1"),
     ("eval", "--family", "Z", "--a", "0.3", "--sigma", "0:999:1", "--t", "0:1999:1"),
-], ids=("scan", "eval-sigma", "eval-product"))
+    ("count", "--family", "Z", "--a", "0.3", "--re-from", "2", "--re-to", "3", "--im-from", "1", "--im-to", "10",
+     "--samples", "10000000"),
+    ("beta", "--family", "Z", "--a-points", "1000000000000"),
+], ids=("scan", "eval-sigma", "eval-product", "count-samples", "beta-a-points"))
 def test_huge_grids_are_refused_before_they_are_built(argv):
     code, out, err = run_cli(*argv)
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and "points" in err
+
+
+def test_internal_error_is_one_line_not_a_traceback(monkeypatch):
+    import zetazeros.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("something broke")
+
+    monkeypatch.setattr(cli, "eval_family", broken)
+    code, out, err = run_cli("eval", "--family", "Z", "--a", "0.3", "--sigma", "2")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: internal error: RuntimeError: something broke\n"
 
 
 def test_tolerance_env_override(monkeypatch):

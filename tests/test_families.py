@@ -2,16 +2,19 @@
 exact special values, a-derivatives, and the sign/monotonicity invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from zetazeros import (
     DEFAULT_SETTINGS,
+    AccuracyWarning,
     Alpha,
     DomainError,
     Family,
     PoleError,
+    UnsupportedError,
     eval_family,
     functional_equation_pair,
     hurwitz_zeta,
@@ -37,12 +40,15 @@ def test_p_is_periodic_sum():
 
 def test_p_and_o_series_route_is_the_plain_periodic_sum():
     # Above the series threshold P and O are the periodic sums at a and at
-    # a.conjugate, for exact and float shifts alike, to the last bit.
+    # a.conjugate, for exact and float shifts alike.  They are formed in one
+    # call with phases e^{2 pi i an} + lam e^{-2 pi i an}, so they agree with
+    # the two separate sums to rounding, not to the last bit.
     for a, partner in ((Alpha.parse("2/7"), Alpha.parse("5/7")), (Alpha(0.2), 1.0 - 0.2)):
         for s in (complex(2.0, 1.5), complex(0.9, -12.0)):
             plus, minus = periodic_zeta(s, a), periodic_zeta(s, partner)
-            assert eval_family(Family.P, s, a) == plus + minus
-            assert eval_family(Family.O, s, a) == -1j * (plus - minus)
+            p, o = eval_family(Family.P, s, a), eval_family(Family.O, s, a)
+            assert abs(p - (plus + minus)) <= 1e-14 * max(1.0, abs(p))
+            assert abs(o + 1j * (plus - minus)) <= 1e-14 * max(1.0, abs(o))
 
 
 def test_spec_point_values():
@@ -83,6 +89,64 @@ def test_p_path_switch_is_seamless():
             s = complex(0.7, t)
             series = _li_series(s, a, DEFAULT_SETTINGS)[0] + _li_series(s, 1.0 - a, DEFAULT_SETTINGS)[0]
             assert _li_functional_equation(s, a, DEFAULT_SETTINGS, 1.0) == pytest.approx(series, abs=1e-9)
+
+
+# Frozen mpmath values (Hurwitz's formula; tests/oracles/make_reference.py,
+# section SMALL_A) where the series routes meet small a: at a = 1e-4 the
+# Euler-transformed tail with its retries (sigma = 1.5, 3) and the plain
+# partial sum (sigma = 8), at a = 1e-6 the plain partial sum.
+SMALL_A = {
+    ('periodic', 1e-4, 1.5, 0): complex(2.5495435366487886, 0.061914285273546881),
+    ('P', 1e-4, 1.5, 0): complex(5.0990870732975771, 1.5443568590501468e-49),
+    ('O', 1e-4, 1.5, 0): complex(0.12382857054709376, 1.5502035318534735e-49),
+    ('periodic', 1e-4, 1.5, 40): complex(0.87896524030161907, -0.25650570088994077),
+    ('P', 1e-4, 1.5, 40): complex(1.7552194924921476, -0.51471511119879495),
+    ('O', 1e-4, 1.5, 40): complex(0.0017037094189134036, -0.0027109881110905415),
+    ('periodic', 1e-4, 3, 0): complex(1.202055151805536, 0.0010332325139140421),
+    ('P', 1e-4, 3, 0): complex(2.4041103036110719, 2.5657497168170198e-51),
+    ('O', 1e-4, 3, 0): complex(0.0020664650278280843, 5.3455294201843913e-51),
+    ('periodic', 1e-4, 3, 40): complex(0.93270322774264924, -0.063193750574419509),
+    ('P', 1e-4, 3, 40): complex(1.8652179524552899, -0.12751481794747129),
+    ('O', 1e-4, 3, 40): complex(0.0011273167986322682, -0.00018850303000858941),
+    ('periodic', 1e-4, 8, 0): complex(1.0040771553824801, 0.00063356449354676757),
+    ('P', 1e-4, 8, 0): complex(2.0081543107649603, 0.0),
+    ('O', 1e-4, 8, 0): complex(0.0012671289870935351, 0.0),
+    ('periodic', 1e-4, 8, 40): complex(0.99682771662018665, -0.0013958532165276274),
+    ('P', 1e-4, 8, 40): complex(1.9936503846771467, -0.0040405707405533054),
+    ('O', 1e-4, 8, 40): complex(0.0012488643074980505, -5.0485632265611949e-6),
+    ('periodic', 1e-6, 6, 0): complex(1.0173430619630849, 6.5152092356738387e-6),
+    ('P', 1e-6, 6, 0): complex(2.0346861239261699, 0.0),
+    ('O', 1e-6, 6, 0): complex(1.3030418471347677e-5, 0.0),
+    ('periodic', 1e-6, 6, 40): complex(0.98812782333378945, -0.0079555860919972856),
+    ('P', 1e-6, 6, 40): complex(1.9762554490954289, -0.015923459088285594),
+    ('O', 1e-6, 6, 40): complex(1.2286904291022354e-5, -1.9757214999158721e-7),
+    ('periodic', 1e-6, 12, 0): complex(1.0002460865335492, 6.2862903857145408e-6),
+    ('P', 1e-6, 12, 0): complex(2.0004921730670984, 0.0),
+    ('O', 1e-6, 12, 0): complex(1.2572580771429082e-5, -2.6727647100921956e-51),
+    ('periodic', 1e-6, 12, 40): complex(0.99979357494076926, -0.0001208853761312356),
+    ('P', 1e-6, 12, 40): complex(1.9995871466875644, -0.00025433195910362221),
+    ('O', 1e-6, 12, 40): complex(1.2561206841151014e-5, -3.193974079760426e-9),
+}
+
+
+@pytest.mark.parametrize("name, a, sigma, t", list(SMALL_A), ids=lambda v: str(v))
+def test_small_a_series_values(name, a, sigma, t):
+    want = SMALL_A[(name, a, sigma, t)]
+    s = complex(sigma, t)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", AccuracyWarning)
+        got = periodic_zeta(s, a) if name == "periodic" else eval_family(Family[name], s, a)
+    warned = any(issubclass(w.category, AccuracyWarning) for w in caught)
+    assert warned or abs(got - want) <= 1e-10 * max(1.0, abs(want)), (got, want)
+
+
+def test_series_too_close_to_an_integer_is_refused():
+    # At a = 1e-9 the tail route needs N ~ 6 (|s| + 4) / (2 pi a) = 6e9 terms;
+    # the call is refused at once instead of summing them.
+    with pytest.raises(UnsupportedError):
+        periodic_zeta(2.0, 1e-9)
+    with pytest.raises(UnsupportedError):
+        eval_family(Family.P, np.array([2.0, 3.0 + 1.0j]), 1e-9)
 
 
 # Frozen mpmath values (Hurwitz's formula; tests/oracles/make_reference.py,

@@ -182,13 +182,13 @@ def test_settle_measures_a_bound_against_the_smallest_value_it_allows():
     rems = np.array([5.51e7, 1e-6])
     calls = []
 
-    def reflect(i):
-        calls.append(i)
-        return 2.27 + 0.0j, 6.07
+    def reflect(idx):
+        calls.append(idx.tolist())
+        return np.full(idx.size, 2.27 + 0.0j), np.full(idx.size, 6.07)
 
     with pytest.warns(AccuracyWarning):
         special._settle(pts, values, rems, DEFAULT_SETTINGS, reflect)
-    assert calls == [0]  # the certified point is left alone
+    assert calls == [[0]]  # one call; the certified point is left alone
     assert values.tolist() == [2.27 + 0.0j, 5.78e7 + 0.0j]
 
 
