@@ -30,10 +30,9 @@ from .special import bernoulli_poly, bernoulli_poly_exact, gamma
 
 SIMPLE = "simple-sign-change"
 EVEN_TOUCH = "even-touch"
-UNRESOLVED = "unresolved"
 
-# Tolerance used by the family kernels during sweeps; zero locations are pinned
-# to 1e-10 brackets, so certifying 1e-12 per evaluation is unnecessary noise.
+# Absolute tolerance the family kernels certify for every evaluation of the
+# zero layer: scan grids and brackets, beta brackets and rectangle boundaries.
 _SCAN_SETTINGS = EvalSettings(target_abs_tol=1e-10)
 _MAX_PASSES = 8  # winding passes of a rectangle count, each with twice the samples of the one before
 
@@ -75,48 +74,48 @@ class RectangleCount:
     winding_error: float
 
 
-def _real_section(fam: Family, a: Alpha, cfg: EvalSettings) -> Callable[[float], float]:
-    def f(x: float) -> float:
-        return eval_family(fam, complex(x, 0.0), a, cfg).real
-
-    return f
-
-
-def _abs_section(fam: Family, a: Alpha, cfg: EvalSettings) -> Callable[[float], float]:
-    def f(x: float) -> float:
-        return abs(eval_family(fam, complex(x, 0.0), a, cfg))
-
-    return f
-
-
-def _bisect(f: Callable[[float], float], lo: float, hi: float, flo: float, width: float) -> Tuple[float, float]:
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid - 0.25 * width, mid + 0.25 * width
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return lo, hi
+def _bisect(f: Callable[[np.ndarray], np.ndarray], lo, hi, flo, width: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Sign bisection of the brackets [lo, hi] with f(lo) = flo down to width;
+    a midpoint where f is exactly 0 ends its bracket as mid -/+ width/4.  Each
+    step evaluates the midpoints of all wider brackets in one call of f.
+    """
+    # Python floats: beta bisects a single bracket, and numpy bookkeeping of
+    # the brackets made beta_zero 12-18% slower
+    lo, hi, flo = (np.array(x, dtype=float, ndmin=1).tolist() for x in (lo, hi, flo))
+    live = [k for k in range(len(lo)) if hi[k] - lo[k] > width]
+    while live:
+        mids = [0.5 * (lo[k] + hi[k]) for k in live]
+        for k, mid, fm in zip(live, mids, f(np.array(mids)).tolist()):
+            if fm == 0.0:
+                lo[k], hi[k] = mid - 0.25 * width, mid + 0.25 * width
+            elif (fm < 0.0) == (flo[k] < 0.0):
+                lo[k], flo[k] = mid, fm
+            else:
+                hi[k] = mid
+        live = [k for k in live if hi[k] - lo[k] > width]
+    return np.array(lo), np.array(hi)
 
 
-def _refine_touch(g: Callable[[float], float], lo: float, hi: float, width: float) -> float:
-    """Golden-section minimum of |f| on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    gc, gd = g(c), g(d)
-    while hi - lo > width:
-        if gc < gd:
-            hi, d, gd = d, c, gc
-            c = hi - invphi * (hi - lo)
-            gc = g(c)
-        else:
-            lo, c, gc = c, d, gd
-            d = lo + invphi * (hi - lo)
-            gd = g(d)
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _refine_touch(g: Callable[[np.ndarray], np.ndarray], lo, hi, width: float) -> np.ndarray:
+    """Golden-section minima of g = |f| on the brackets [lo, hi]; each step
+    evaluates the one new inner point of all wider brackets in one call of g."""
+    lo, hi = (np.array(x, dtype=float, ndmin=1) for x in (lo, hi))
+    c = hi - _INVPHI * (hi - lo)
+    d = lo + _INVPHI * (hi - lo)
+    gc, gd = np.split(g(np.concatenate((c, d))), 2)
+    live = np.flatnonzero(hi - lo > width)
+    while live.size:
+        left = gc[live] < gd[live]
+        lower, upper = live[left], live[~left]  # brackets that keep [lo, d], [c, hi]
+        hi[lower], d[lower], gd[lower] = d[lower], c[lower], gc[lower]
+        c[lower] = hi[lower] - _INVPHI * (hi[lower] - lo[lower])
+        lo[upper], c[upper], gc[upper] = c[upper], d[upper], gd[upper]
+        d[upper] = lo[upper] + _INVPHI * (hi[upper] - lo[upper])
+        gc[lower], gd[upper] = np.split(g(np.concatenate((c[lower], d[upper]))), [lower.size])
+        live = live[hi[live] - lo[live] > width]
     return 0.5 * (lo + hi)
 
 
@@ -161,58 +160,60 @@ def scan_real_zeros(
     if has_pole and (lo == 1.0 or hi == 1.0):
         raise PoleError("scan endpoint sits on the s = 1 pole", 1.0 + 0.0j)
 
-    n = max(2, int(round((hi - lo) / step)) + 1)
-    xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    grid = eval_family(fam, np.array(xs, dtype=complex), alpha, cfg)  # the whole grid in one call
+    def f(x: np.ndarray) -> np.ndarray:
+        # the real section; the complex periodic zeta is scanned for |f| dips only
+        if not x.size:
+            return x
+        values = eval_family(fam, x, alpha, cfg)
+        return np.abs(values) if fam is Family.PERIODIC else values.real
 
-    records: List[ZeroRecord] = []
+    n = max(2, int(round((hi - lo) / step)) + 1)
+    xs = np.array([lo + (hi - lo) * i / (n - 1) for i in range(n)])
+    vals = f(xs)  # the whole grid in one call
+    mags = np.abs(vals)
+    inner = mags[1:-1]
 
     if fam is Family.PERIODIC:
-        g = _abs_section(fam, alpha, cfg)
-        vals = np.abs(grid).tolist()
-        for i in range(1, n - 1):
-            if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1] and vals[i] < touch_tol:
-                loc = _refine_touch(g, xs[i - 1], xs[i + 1], _BRACKET_WIDTH)
-                records.append(ZeroRecord(loc, EVEN_TOUCH, (xs[i - 1], xs[i + 1]), g(loc)))
-        return records
+        dips = 1 + np.flatnonzero((inner <= mags[:-2]) & (inner <= mags[2:]) & (inner < touch_tol))
+        locs = _refine_touch(f, xs[dips - 1], xs[dips + 1], _BRACKET_WIDTH)
+        brackets = zip(xs[dips - 1].tolist(), xs[dips + 1].tolist())
+        return [ZeroRecord(loc, EVEN_TOUCH, b, r) for loc, b, r in zip(locs.tolist(), brackets, f(locs).tolist())]
 
-    f = _real_section(fam, alpha, cfg)
-    vals = grid.real.tolist()
+    small = mags < _GRID_ZERO_TOL  # a grid value this small has no sign
+    crossed = vals[:-1] * vals[1:] < 0.0
 
-    i = 0
-    while i < n:
-        x0, v0 = xs[i], vals[i]
-        if abs(v0) < _GRID_ZERO_TOL:
-            # grid point lands (numerically) on a zero; classify by neighbors,
-            # sampled a quarter step outside the grid at either end
-            left = f(x0 - 0.25 * step) if i == 0 else vals[i - 1]
-            if i == n - 1:
-                right = f(x0 + 0.25 * step)
-            else:
-                right = vals[i + 1] if abs(vals[i + 1]) >= _GRID_ZERO_TOL else f(xs[i + 1] + 0.25 * step)
-            if left == 0.0 or right == 0.0 or (left < 0.0) != (right < 0.0):
-                records.append(ZeroRecord(x0, SIMPLE, (x0 - 0.5 * step, x0 + 0.5 * step), abs(v0)))
-            else:
-                records.append(ZeroRecord(x0, EVEN_TOUCH, (x0 - 0.5 * step, x0 + 0.5 * step), abs(v0)))
-            i += 1
-            continue
-        if i == n - 1:
-            break
-        x1, v1 = xs[i + 1], vals[i + 1]
-        if v0 * v1 < 0.0 and abs(v1) >= _GRID_ZERO_TOL:
-            # a grid value within _GRID_ZERO_TOL has no sign: the next step
-            # classifies it by its neighbours
-            blo, bhi = _bisect(f, x0, x1, v0, _BRACKET_WIDTH)
-            loc = 0.5 * (blo + bhi)
-            records.append(ZeroRecord(loc, SIMPLE, (blo, bhi), abs(f(loc))))
-        elif 0 < i and abs(v0) < abs(vals[i - 1]) and abs(v0) <= abs(v1):
-            # candidate |f| dip without sign change around x0
-            g = lambda x: abs(f(x))
-            loc = _refine_touch(g, xs[i - 1], x1, 1e-8)
-            resid = g(loc)
-            if resid < touch_tol:
-                records.append(ZeroRecord(loc, EVEN_TOUCH, (xs[i - 1], x1), resid))
-        i += 1
+    # A grid point that lands (numerically) on a zero is classified by its
+    # neighbours' signs; a neighbour beyond an end of the grid, or itself on a
+    # zero, is sampled a quarter step further out.
+    at = np.flatnonzero(small)
+    nxt = np.minimum(at + 1, n - 1)
+    off_left, off_right = at == 0, (nxt == at) | small[nxt]
+    left, right = vals[at - 1], vals[nxt]
+    probes = np.concatenate((xs[at[off_left]] - 0.25 * step, xs[nxt[off_right]] + 0.25 * step))
+    left[off_left], right[off_right] = np.split(f(probes), [np.count_nonzero(off_left)])
+    simple = (left == 0.0) | (right == 0.0) | ((left < 0.0) != (right < 0.0))
+    records = [
+        ZeroRecord(x0, SIMPLE if is_simple else EVEN_TOUCH, (x0 - 0.5 * step, x0 + 0.5 * step), resid)
+        for x0, is_simple, resid in zip(xs[at].tolist(), simple.tolist(), mags[at].tolist())
+    ]
+
+    # Sign changes between signed grid values are bisected.  A local |f|
+    # minimum is refined as a candidate touch only with no sign change on
+    # either side: next to one, the bisected zero is the zero.
+    signs = np.flatnonzero(crossed & ~small[:-1] & ~small[1:])
+    dips = 1 + np.flatnonzero(~small[1:-1] & ~crossed[:-1] & ~crossed[1:] & (inner < mags[:-2]) & (inner <= mags[2:]))
+    blo, bhi = _bisect(f, xs[signs], xs[signs + 1], vals[signs], _BRACKET_WIDTH)
+    touches = _refine_touch(lambda x: np.abs(f(x)), xs[dips - 1], xs[dips + 1], 1e-8)
+    locs = np.concatenate((0.5 * (blo + bhi), touches))
+    resids = np.abs(f(locs)).tolist()
+    brackets = zip(np.concatenate((blo, xs[dips - 1])).tolist(), np.concatenate((bhi, xs[dips + 1])).tolist())
+    kinds = [SIMPLE] * signs.size + [EVEN_TOUCH] * dips.size
+    records += [
+        ZeroRecord(loc, kind, bracket, resid)
+        for kind, loc, bracket, resid in zip(kinds, locs.tolist(), brackets, resids)
+        if kind == SIMPLE or resid < touch_tol
+    ]
+
     # De-duplicate records closer than half a step (touch refinement overlap).
     # A bisected sign change is a simple zero whatever the residuals say, so
     # it wins over an even touch; between records of one kind the smaller
@@ -235,13 +236,6 @@ def _rank(rec: ZeroRecord) -> Tuple[bool, float]:
 # ---------------------------------------------------------------------------
 # The extra real zero beta_P(a) / beta_Z(a) for 0 < a < 1/4.
 
-def _p_section(a: Alpha, cfg: EvalSettings) -> Callable[[float], float]:
-    def f(sigma: float) -> float:
-        return eval_family(Family.P, complex(sigma, 0.0), a, cfg).real
-
-    return f
-
-
 def monotone_kernel(sigma: float, a: AlphaLike, cfg: EvalSettings = _SCAN_SETTINGS) -> float:
     """alpha^{-sigma} Gamma(sigma) P(sigma, a) with alpha = -log cos 2 pi a.
 
@@ -254,7 +248,7 @@ def monotone_kernel(sigma: float, a: AlphaLike, cfg: EvalSettings = _SCAN_SETTIN
     if sigma <= 0.0:
         raise DomainError("monotone kernel needs sigma > 0")
     c = -math.log(math.cos(2.0 * math.pi * alpha.value))
-    p = eval_family(Family.P, complex(sigma, 0.0), alpha, cfg).real
+    p = float(eval_family(Family.P, np.array([sigma], dtype=complex), alpha, cfg)[0].real)
     return math.exp(-sigma * math.log(c)) * gamma(complex(sigma, 0.0)).real * p
 
 
@@ -300,22 +294,23 @@ def beta_zero(fam: Family, a: AlphaLike, cfg: EvalSettings = _SCAN_SETTINGS) -> 
         beta_p = 1.0
     else:
         # sign(kernel) = sign(P) for sigma > 0 since alpha^{-sigma} Gamma > 0
-        f = _p_section(alpha, cfg)
+        def f(sigma) -> np.ndarray:
+            return eval_family(Family.P, np.atleast_1d(sigma), alpha, cfg).real
+
         if av < 1.0 / 6.0:
             lo, hi = 1e-12, 1.0
             flo = -1.0  # P -> -1 at sigma = 0+
         else:
-            lo = 1.0
-            flo = f(lo)
-            hi = 2.0
-            while f(hi) <= 0.0:
-                lo = hi
-                flo = f(lo)
+            lo, hi = 1.0, 2.0
+            (flo,), (fhi,) = f(lo), f(hi)
+            while fhi <= 0.0:
+                lo, flo = hi, fhi
                 hi *= 2.0
                 if hi > 2.0**40:
                     raise ConvergenceError("no sign change found for beta_P bracket")
+                (fhi,) = f(hi)
         blo, bhi = _bisect(f, lo, hi, flo, _BRACKET_WIDTH)
-        beta_p = 0.5 * (blo + bhi)
+        beta_p = float(0.5 * (blo[0] + bhi[0]))
 
     beta = beta_p if fam is Family.P else 1.0 - beta_p
     try:

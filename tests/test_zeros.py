@@ -21,6 +21,7 @@ from zetazeros import (
     interval_zero_criterion,
     scan_real_zeros,
 )
+from zetazeros import zeros
 from zetazeros.zeros import EVEN_TOUCH, SIMPLE
 
 # 50-digit oracle values
@@ -115,6 +116,71 @@ def test_scan_hurwitz_zero_near_origin_is_simple():
     near = [rec for rec in recs if abs(rec.location + 0.42887) < 1e-4]
     assert len(near) == 1
     assert near[0].multiplicity_class == SIMPLE
+
+
+def _scalar_bisect(f, lo, hi, flo, width):
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid - 0.25 * width, mid + 0.25 * width
+        if (fm < 0.0) == (flo < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _scalar_refine_touch(g, lo, hi, width):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    gc, gd = g(c), g(d)
+    while hi - lo > width:
+        if gc < gd:
+            hi, d, gd = d, c, gc
+            c = hi - invphi * (hi - lo)
+            gc = g(c)
+        else:
+            lo, c, gc = c, d, gd
+            d = lo + invphi * (hi - lo)
+            gd = g(d)
+    return 0.5 * (lo + hi)
+
+
+def _cubic(x):
+    return (x - 0.5) * (x - 3.0) * (x + 2.25)
+
+
+# [0, 1] has its zero 0.5 at the first midpoint; the last bracket is already
+# narrower than the width
+REFINE_BRACKETS = [(0.0, 1.0), (2.2, 4.1), (-3.0, -1.7), (-2.0, 0.9), (2.99999999999, 3.00000000001)]
+
+
+def test_array_refiners_match_the_scalar_loops_bracket_for_bracket():
+    lo, hi = (np.array(x) for x in zip(*REFINE_BRACKETS))
+    for width in (1e-10, 1e-8):
+        blo, bhi = zeros._bisect(_cubic, lo, hi, _cubic(lo), width)
+        want = [_scalar_bisect(lambda x: float(_cubic(x)), *b, float(_cubic(b[0])), width) for b in REFINE_BRACKETS]
+        assert list(zip(blo.tolist(), bhi.tolist())) == want
+        g = lambda x: np.abs(_cubic(x))
+        want = [_scalar_refine_touch(lambda x: float(g(x)), *b, width) for b in REFINE_BRACKETS]
+        assert zeros._refine_touch(g, lo, hi, width).tolist() == want
+    assert zeros._bisect(_cubic, 0.0, 1.0, -1.0, 1e-10)[0].tolist() == [0.5 - 0.25e-10]
+
+
+def test_scan_refines_all_brackets_in_array_calls(monkeypatch):
+    calls = []
+    original = zeros.eval_family
+
+    def counting(fam, s, *args):
+        calls.append(isinstance(s, np.ndarray))
+        return original(fam, s, *args)
+
+    monkeypatch.setattr(zeros, "eval_family", counting)
+    recs = scan_real_zeros(Family.Y, Alpha.parse("3/10"), -16.0907, 3.0221)
+    assert len(recs) == 8
+    assert len(calls) <= 40 and all(calls)
 
 
 def test_scan_rejects_bad_interval():
