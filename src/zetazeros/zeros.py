@@ -9,7 +9,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -354,21 +354,24 @@ _WINDING_INT_TOL = 1e-3
 _MAX_REFINE_DEPTH = 40
 
 
-def _rectangle_path(c0: complex, c1: complex, samples: int) -> List[complex]:
-    """Counterclockwise boundary samples, corner-to-corner, closed."""
+def _rectangle_edges(c0: complex, c1: complex, samples: int) -> List[Tuple[complex, complex, int]]:
+    """Counterclockwise edges (start, end, segments), corner to corner, with
+    about ``samples`` segments in all, rounded up on each edge."""
     x0, x1 = min(c0.real, c1.real), max(c0.real, c1.real)
     y0, y1 = min(c0.imag, c1.imag), max(c0.imag, c1.imag)
     width, height = x1 - x0, y1 - y0
     per_unit = max(samples, 8) / max(2.0 * (width + height), 1e-12)
-    pts: List[complex] = []
-    edges = [
-        (complex(x0, y0), complex(x1, y0)),
-        (complex(x1, y0), complex(x1, y1)),
-        (complex(x1, y1), complex(x0, y1)),
-        (complex(x0, y1), complex(x0, y0)),
+    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1), complex(x0, y0)]
+    return [
+        (start, end, max(2, int(math.ceil(abs(end - start) * per_unit))))
+        for start, end in zip(corners[:-1], corners[1:])
     ]
-    for start, end in edges:
-        n_edge = max(2, int(math.ceil(abs(end - start) * per_unit)))
+
+
+def _rectangle_path(c0: complex, c1: complex, samples: int) -> List[complex]:
+    """Counterclockwise boundary samples, corner-to-corner, closed."""
+    pts: List[complex] = []
+    for start, end, n_edge in _rectangle_edges(c0, c1, samples):
         for i in range(n_edge):
             pts.append(start + (end - start) * i / n_edge)
     pts.append(pts[0])
@@ -376,18 +379,18 @@ def _rectangle_path(c0: complex, c1: complex, samples: int) -> List[complex]:
 
 
 def _winding_pass(
-    f: Callable[[np.ndarray], np.ndarray], pts: List[complex]
-) -> Tuple[float, float, int]:
-    """(total argument / 2pi, min |f|, evaluations); halves segments until
-    every argument increment is below pi/2.
+    f: Callable[[np.ndarray], np.ndarray], path: np.ndarray, values: np.ndarray
+) -> Tuple[float, float, np.ndarray, np.ndarray]:
+    """(total argument / 2pi, min |f|, refinement points, their values) along
+    the closed ``path``, whose ``values`` the caller has evaluated; halves
+    segments until every argument increment is below pi/2.
 
-    ``f`` maps an array of points to their values.  The boundary samples are
-    evaluated in one call, and so is each refinement level: the midpoints of
-    all segments whose increment is still too large.
+    ``f`` maps an array of points to their values.  Each refinement level
+    evaluates the midpoints of all segments whose increment is still too
+    large in one call.
     """
-    za = np.asarray(pts, dtype=complex)
-    fa = f(za)
-    evals = za.size
+    za, fa = path, values
+    zr, fr = [np.empty(0, dtype=complex)], [np.empty(0, dtype=complex)]  # refinement points, values
     min_abs = float(np.abs(fa).min())
     # segments (za[i], za[i+1]) with values (fa[i], fa[i+1])
     zb, fb = za[1:], fa[1:]
@@ -407,12 +410,13 @@ def _winding_pass(
             break
         zm = 0.5 * (za + zb)
         fm = f(zm)
-        evals += zm.size
+        zr.append(zm)
+        fr.append(fm)
         min_abs = min(min_abs, float(np.abs(fm).min()))
         za, zb = np.concatenate((za, zm)), np.concatenate((zm, zb))
         fa, fb = np.concatenate((fa, fm)), np.concatenate((fm, fb))
         depth += 1
-    return total / (2.0 * math.pi), min_abs, evals
+    return total / (2.0 * math.pi), min_abs, np.concatenate(zr), np.concatenate(fr)
 
 
 def count_zeros_rectangle(
@@ -424,16 +428,17 @@ def count_zeros_rectangle(
 ) -> RectangleCount:
     """Count zeros of the family inside a rectangle by boundary winding number.
 
-    Samples along the boundary are doubled until the accumulated argument is
-    within 1e-3 of an integer multiple of 2 pi and the integer is stable under
-    one further doubling, in at most _MAX_PASSES passes.  Boundaries closer than
-    1e-6 in |f| (or rectangles within 0.01 of the Z pole at s = 1) are rejected,
-    and so are initial samples whose last pass would exceed MAX_GRID_POINTS.
+    Pass 1 walks the closed boundary path of about ``initial_samples``
+    segments; each later pass is the path before it with the midpoint of
+    every segment inserted, so it evaluates only those midpoints and reuses
+    the values of the points it shares.  Passes go on until the accumulated
+    argument is within 1e-3 of an integer multiple of 2 pi and the integer is
+    stable under one further doubling, in at most _MAX_PASSES passes.
+    Boundaries closer than 1e-6 in |f| (or rectangles within 0.01 of the Z
+    pole at s = 1) are rejected, and so, before anything is evaluated, are
+    initial samples whose last pass would exceed MAX_GRID_POINTS.
+    ``samples_used`` counts the points evaluated, each once.
     """
-    if not int(initial_samples) << (_MAX_PASSES - 1) <= MAX_GRID_POINTS:
-        raise DomainError(
-            f"{initial_samples} initial samples would sample more than {MAX_GRID_POINTS} boundary points"
-        )
     alpha = Alpha.coerce(a)
     c0, c1 = complex(corners[0]), complex(corners[1])
     x0, x1 = min(c0.real, c1.real), max(c0.real, c1.real)
@@ -444,15 +449,41 @@ def count_zeros_rectangle(
         if x0 - _POLE_CLEARANCE <= 1.0 <= x1 + _POLE_CLEARANCE and y0 - _POLE_CLEARANCE <= 0.0 <= y1 + _POLE_CLEARANCE:
             raise DomainError("rectangle must keep distance >= 0.01 from the pole at s = 1")
 
-    def f(s: np.ndarray) -> np.ndarray:
-        return eval_family(fam, s, alpha, cfg)
-
     samples = max(int(initial_samples), 64)
+    # the path has at least `samples` segments, so a larger request is refused
+    # before its edges are sized (and before a huge int meets float arithmetic)
+    segments = samples if samples > MAX_GRID_POINTS else sum(n for *_, n in _rectangle_edges(c0, c1, samples))
+    if (segments << (_MAX_PASSES - 1)) + 1 > MAX_GRID_POINTS:
+        raise DomainError(
+            f"{initial_samples} initial samples would sample more than {MAX_GRID_POINTS} boundary points"
+        )
+
+    # Values at refinement points: a later pass's path or refinement reaches
+    # each of them again, as a midpoint of the same segment.
+    refined: Dict[complex, complex] = {}
+    evaluated = 0
+
+    def f(s: np.ndarray) -> np.ndarray:
+        nonlocal evaluated
+        values = np.array([refined.get(z, math.nan) for z in s.tolist()], dtype=complex)
+        new = np.isnan(values)
+        if new.any():
+            values[new] = eval_family(fam, s[new], alpha, cfg)
+            evaluated += int(np.count_nonzero(new))
+        return values
+
+    path = np.array(_rectangle_path(c0, c1, samples), dtype=complex)
+    values = f(path[:-1])
+    values = np.append(values, values[0])  # the closing point is the first one
     prev_count: Optional[int] = None
-    total_evals = 0
-    for _ in range(_MAX_PASSES):
-        winding, min_abs, evals = _winding_pass(f, _rectangle_path(c0, c1, samples))
-        total_evals += evals
+    for k in range(_MAX_PASSES):
+        if k:
+            # the previous path at the even places, its segments' midpoints between them
+            mids = 0.5 * (path[:-1] + path[1:])
+            between = np.arange(1, path.size)
+            path, values = np.insert(path, between, mids), np.insert(values, between, f(mids))
+        winding, min_abs, zr, fr = _winding_pass(f, path, values)
+        refined.update(zip(zr.tolist(), fr.tolist()))
         if min_abs < _BOUNDARY_MIN_ABS:
             raise BoundaryError(
                 f"min |f| on the boundary is {min_abs:.3g} < {_BOUNDARY_MIN_ABS}; reposition the rectangle"
@@ -465,11 +496,10 @@ def count_zeros_rectangle(
                     corners=(complex(x0, y0), complex(x1, y1)),
                     count=int(nearest),
                     boundary_min_abs=min_abs,
-                    samples_used=total_evals,
+                    samples_used=evaluated,
                     winding_error=err,
                 )
             prev_count = int(nearest)
         else:
             prev_count = None
-        samples *= 2
     raise ConvergenceError("winding number did not stabilize under sample doubling")

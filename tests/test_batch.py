@@ -24,7 +24,7 @@ from zetazeros import (
     l_function,
     periodic_zeta,
 )
-from zetazeros import special
+from zetazeros import special, zeros
 
 FAMILIES = (Family.Z, Family.P, Family.Y, Family.O, Family.X, Family.HURWITZ, Family.PERIODIC)
 SHIFTS = (Alpha.parse("2/7"), Alpha(0.31))
@@ -210,17 +210,21 @@ def test_series_memory_is_bounded_by_the_term_cap():
     assert peak <= 8 * special._LI_BLOCK_TERMS * 16  # a few complex temporaries of the cap
 
 
-# (family, a, corners, initial samples) -> (count, samples_used) as computed
-# one point at a time, before evaluation was batched.
+# (family, a, corners, initial samples) -> (count, samples_used).  The counts
+# are those the point-by-point implementation produced.  samples_used comes
+# from nested passes: pass 1 evaluates each of its n1 path points once (the
+# closing point repeats the first), pass 2 only the n1 midpoints it inserts,
+# and no refinement point is evaluated again, so a count that settles in two
+# passes without refinement uses exactly 2 n1 points.
 RECTANGLES = [
-    (Family.Z, "1/6", (-1 + 1j, 2 + 30j), 512, 11, 1538),
-    (Family.Z, "1/6", (-1 + 1j, 2 + 30j), 1024, 11, 3074),
-    (Family.Z, "1/6", (-1 + 1j, 2 + 16j), 512, 4, 1542),
-    (Family.Z, "1/6", (-1 + 16j, 2 + 30j), 512, 7, 1542),
-    (Family.Z, "0.3", (2 + 1j, 3 + 10j), 256, 0, 774),
-    (Family.Z, "0.3", (2 + 1j, 3 + 10j), 512, 0, 1542),
-    (Family.P, "2/5", (0.55 + 1j, 0.95 + 50j), 500, 8, 1514),
-    (Family.P, "2/5", (0.55 + 1j, 0.95 + 100j), 1000, 20, 3041),
+    (Family.Z, "1/6", (-1 + 1j, 2 + 30j), 512, 11, 1024),
+    (Family.Z, "1/6", (-1 + 1j, 2 + 30j), 1024, 11, 2048),
+    (Family.Z, "1/6", (-1 + 1j, 2 + 16j), 512, 4, 1028),
+    (Family.Z, "1/6", (-1 + 16j, 2 + 30j), 512, 7, 1028),
+    (Family.Z, "0.3", (2 + 1j, 3 + 10j), 256, 0, 516),
+    (Family.Z, "0.3", (2 + 1j, 3 + 10j), 512, 0, 1028),
+    (Family.P, "2/5", (0.55 + 1j, 0.95 + 50j), 500, 8, 1006),
+    (Family.P, "2/5", (0.55 + 1j, 0.95 + 100j), 1000, 20, 2015),
 ]
 
 
@@ -228,3 +232,26 @@ RECTANGLES = [
 def test_rectangle_counts_and_samples_unchanged(fam, a, corners, samples, count, used):
     rc = count_zeros_rectangle(fam, Alpha.parse(a), corners, samples)
     assert (rc.count, rc.samples_used) == (count, used)
+
+
+@pytest.mark.parametrize("fam, a, corners, samples, count, used",
+                         [r for r in RECTANGLES if (r[0], r[1]) in ((Family.Z, "1/6"), (Family.P, "2/5"))])
+def test_rectangle_count_evaluates_each_point_once(monkeypatch, fam, a, corners, samples, count, used):
+    evaluated, paths = [], []
+    evaluate, winding_pass = zeros.eval_family, zeros._winding_pass
+
+    def record_points(fam, s, *args):
+        evaluated.extend(np.atleast_1d(s).tolist())
+        return evaluate(fam, s, *args)
+
+    def record_path(f, path, *args):
+        paths.append(np.array(path))
+        return winding_pass(f, path, *args)
+
+    monkeypatch.setattr(zeros, "eval_family", record_points)
+    monkeypatch.setattr(zeros, "_winding_pass", record_path)
+    rc = count_zeros_rectangle(fam, Alpha.parse(a), corners, samples)
+    assert len(set(evaluated)) == len(evaluated) == rc.samples_used
+    assert len(paths) >= 2
+    for path, doubled in zip(paths, paths[1:]):
+        assert np.array_equal(doubled[::2], path)

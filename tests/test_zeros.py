@@ -331,6 +331,17 @@ def test_rectangle_count_stable_under_more_samples():
     assert rc1.count == rc2.count
 
 
+def test_rectangle_grid_cap_uses_the_nested_path(monkeypatch):
+    # 7812 << 7 = 999 936 points, but per-edge rounding gives this boundary
+    # 7814 segments, so the eighth nested pass would hold 1 000 193 points
+    def refuse(*args):
+        raise AssertionError("evaluated before the grid cap was checked")
+
+    monkeypatch.setattr(zeros, "eval_family", refuse)
+    with pytest.raises(DomainError, match="points"):
+        count_zeros_rectangle(Family.Z, Alpha.parse("1/6"), (complex(-1, 1), complex(2, 30)), 7812)
+
+
 def test_rectangle_near_pole_rejected():
     with pytest.raises(DomainError):
         count_zeros_rectangle(Family.Z, 0.3, (complex(0.5, -0.5), complex(1.5, 0.5)), 128)
