@@ -29,10 +29,12 @@ from .core import (
     DomainError,
     EvalSettings,
     Family,
+    UnsupportedError,
     ZetaError,
     parse_family,
 )
 from .dirichlet import (
+    _closed_form_covers,
     characters_mod,
     closed_form_identity,
     l_function,
@@ -70,7 +72,7 @@ def _settings_from(args: argparse.Namespace) -> EvalSettings:
     tol = args.tol
     if tol is None:
         env = os.environ.get(TOL_ENV_VAR)
-        tol = float(env) if env else 1e-12
+        tol = float(env) if env else EvalSettings.target_abs_tol  # the dataclass default
     return EvalSettings(target_abs_tol=tol)
 
 
@@ -219,22 +221,20 @@ def _verify_functional_equations(alpha: Alpha, cfg: EvalSettings, rng: np.random
 
 
 def _verify_closed_forms(alpha: Alpha, fam: Optional[Family], cfg: EvalSettings, rng: np.random.Generator):
+    # a family with no closed form at alpha is skipped; its table says so before any evaluation
     tol = 1e-8
     fams = [fam] if fam else [Family.Z, Family.P, Family.Y, Family.O, Family.X]
     for f in fams:
+        if not _closed_form_covers(f, alpha):
+            continue
         worst = 0.0
         for _ in range(20):
             s = complex(rng.uniform(0.1, 6.0), rng.uniform(-20.0, 20.0))
             if abs(s - 1.0) < 0.05:
                 continue
-            try:
-                direct, closed = closed_form_identity(f, alpha, s, cfg)
-            except ZetaError:
-                worst = math.nan
-                break
+            direct, closed = closed_form_identity(f, alpha, s, cfg)
             worst = max(worst, abs(direct - closed) / max(1.0, abs(closed)))
-        if not math.isnan(worst):
-            yield f"closed-form-{f.name}-a={alpha}", worst, tol
+        yield f"closed-form-{f.name}-a={alpha}", worst, tol
 
 
 def _verify_relations(cfg: EvalSettings, rng: np.random.Generator):
@@ -297,6 +297,8 @@ def _cmd_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
                     "status": status,
                 }
             )
+    if not rows and args.suite == "closed-forms":
+        raise UnsupportedError(f"no closed form for {fam.name if fam else 'Z, P, Y, O or X'} at a = {alpha}")
     _emit("verify", rows, args.format, out)
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -310,15 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="zetazeros", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, need_family: bool = True):
+    def common(p: argparse.ArgumentParser, need_family: bool = True, tol: bool = False):
         if need_family:
             p.add_argument("--family", required=True, help="Z P Y O X hurwitz periodic riemann L")
         p.add_argument("--a", help='shift parameter; "r/q" is exact, decimals are not')
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--tol", type=float, default=None, help=f"evaluation tolerance (or ${TOL_ENV_VAR})")
+        if tol:  # the zero layer (scan, beta, count) certifies its own fixed tolerance
+            p.add_argument("--tol", type=float, default=None, help=f"evaluation tolerance (or ${TOL_ENV_VAR})")
 
     p_eval = sub.add_parser("eval", help="evaluate on a sigma/t grid")
-    common(p_eval)
+    common(p_eval, tol=True)
     p_eval.add_argument("--sigma", required=True, help="value or lo:hi:step")
     p_eval.add_argument("--t", default="0", help="value or lo:hi:step")
     p_eval.add_argument("--char-modulus", type=int, default=None)
@@ -340,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_beta.set_defaults(func=_cmd_beta)
 
     p_verify = sub.add_parser("verify", help="run identity/relation suites")
-    common(p_verify, need_family=False)
+    common(p_verify, need_family=False, tol=True)
     p_verify.add_argument("--family", default=None)
     p_verify.add_argument("--suite", default="all")
     p_verify.set_defaults(func=_cmd_verify)

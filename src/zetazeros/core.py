@@ -131,25 +131,6 @@ class Alpha:
             return Alpha(float(frac), (frac.numerator, frac.denominator))
         return Alpha(float(text))
 
-    @property
-    def fraction(self) -> Optional[Fraction]:
-        if self.exact is None:
-            return None
-        return Fraction(*self.exact)
-
-    def is_exactly(self, r: int, q: int) -> bool:
-        return self.exact is not None and Fraction(*self.exact) == Fraction(r, q)
-
-    @property
-    def conjugate(self) -> "Alpha":
-        """1 - a, exact when a is exact (a = 1 maps to itself)."""
-        if self.exact is not None:
-            r, q = self.exact
-            if r == q:
-                return self
-            return Alpha(float(Fraction(q - r, q)), (q - r, q))
-        return Alpha(1.0 - self.value)
-
     def __str__(self) -> str:
         if self.exact is not None:
             return f"{self.exact[0]}/{self.exact[1]}"

@@ -10,11 +10,12 @@ the fixed generator list, principal character first.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .core import (
     DEFAULT_SETTINGS,
@@ -159,34 +160,15 @@ def _character_data(q: int) -> Tuple[DirichletCharacter, ...]:
 
     gens = _unit_group_generators(q)
     orders = [d for _, d in gens]
+    # every exponent tuple on the generators, in lexicographic order (principal first)
+    tuples = list(itertools.product(*map(range, orders)))
 
     # discrete log table: unit n -> exponent tuple on the generators
-    dlog: Dict[int, Tuple[int, ...]] = {}
-
-    def fill(idx: int, value: int, exps: Tuple[int, ...]):
-        if idx == len(gens):
-            dlog[value] = exps
-            return
-        g, order = gens[idx]
-        acc = 1
-        for e in range(order):
-            fill(idx + 1, (value * acc) % q, exps + (e,))
-            acc = (acc * g) % q
-
-    fill(0, 1, ())
+    dlog = {math.prod(pow(g, e, q) for (g, _), e in zip(gens, exps)) % q: exps for exps in tuples}
 
     divisors = [d for d in range(1, q + 1) if q % d == 0]
     chars: List[DirichletCharacter] = []
-
-    def exponent_tuples(idx: int):
-        if idx == len(orders):
-            yield ()
-            return
-        for head in range(orders[idx]):
-            for rest in exponent_tuples(idx + 1):
-                yield (head,) + rest
-
-    for ks in sorted(exponent_tuples(0)):
+    for ks in tuples:
         values: List[complex] = []
         for n in range(q):
             if math.gcd(n, q) != 1:
@@ -218,7 +200,6 @@ def _character_data(q: int) -> Tuple[DirichletCharacter, ...]:
                 exponents=ks,
             )
         )
-    # principal first, then lexicographic exponents (sorted() above handles both)
     return tuple(chars)
 
 
@@ -406,57 +387,48 @@ def _three(s: complex) -> complex:
     return cmath.exp(s * math.log(3.0))
 
 
+# Z(s, a) = c(2^s, 3^s) zeta(s) and P(s, a) = c(2^{1-s}, 3^{1-s}) zeta(s); Y, O, X
+# have closed forms at the same four a, through L(s, chi_{-3}) and L(s, chi_{-4}).
+_ZETA_MULTIPLES = {
+    Fraction(1, 2): lambda two, three: 2.0 * (two - 1.0),
+    Fraction(1, 3): lambda two, three: three - 1.0,
+    Fraction(1, 4): lambda two, three: two * (two - 1.0),
+    Fraction(1, 6): lambda two, three: (two - 1.0) * (three - 1.0),
+}
+
+
+def _closed_form_covers(fam: Family, alpha: Alpha) -> bool:
+    """Whether closed_form_identity has a closed form for (fam, alpha), decided without evaluating."""
+    return fam.is_composed and alpha.exact is not None and Fraction(*alpha.exact) in _ZETA_MULTIPLES
+
+
 def _closed_form_value(fam: Family, frac: Fraction, s: complex, cfg: EvalSettings) -> complex:
-    two_s, three_s = _two(s), _three(s)
-    two_t, three_t = _two(1.0 - s), _three(1.0 - s)
-    rt3 = math.sqrt(3.0)
-    if fam is Family.Z:
+    if fam in (Family.Z, Family.P):
         if s == 1.0:
-            raise PoleError("closed form for Z has the zeta pole at s = 1", 1.0 + 0.0j)
-        zs = riemann_zeta(s, cfg)
-        table = {
-            Fraction(1, 2): 2.0 * (two_s - 1.0) * zs,
-            Fraction(1, 3): (three_s - 1.0) * zs,
-            Fraction(1, 4): two_s * (two_s - 1.0) * zs,
-            Fraction(1, 6): (two_s - 1.0) * (three_s - 1.0) * zs,
-        }
-        if frac in table:
-            return table[frac]
-    if fam is Family.P:
-        if s == 1.0:
-            # (2^{1-s}-1)(3^{1-s}-1) style prefactors vanish at s=1 against the
-            # zeta pole; P(1, a) is covered by special_values instead.
-            raise PoleError("closed form for P uses zeta(s), singular at s = 1", 1.0 + 0.0j)
-        zs = riemann_zeta(s, cfg)
-        table = {
-            Fraction(1, 2): 2.0 * (two_t - 1.0) * zs,
-            Fraction(1, 3): (three_t - 1.0) * zs,
-            Fraction(1, 4): two_t * (two_t - 1.0) * zs,
-            Fraction(1, 6): (two_t - 1.0) * (three_t - 1.0) * zs,
-        }
-        if frac in table:
-            return table[frac]
-    if fam in (Family.Y, Family.O, Family.X):
-        if frac == Fraction(1, 2):
-            return 0.0 + 0.0j
-        if frac == Fraction(1, 3):
-            l3 = l_function(chi_minus3(), s, cfg)
-            return {Family.Y: three_s, Family.O: rt3 + 0.0j, Family.X: three_s + rt3}[fam] * l3
-        if frac == Fraction(1, 4):
-            # the chi_{-4} decomposition: Y = 4^s L, O = 2 L, X = (4^s + 2) L
-            l4 = l_function(chi_minus4(), s, cfg)
-            four_s = cmath.exp(s * math.log(4.0))
-            return {Family.Y: four_s, Family.O: 2.0 + 0.0j, Family.X: four_s + 2.0}[fam] * l4
-        if frac == Fraction(1, 6):
-            l3 = l_function(chi_minus3(), s, cfg)
-            six_s = cmath.exp(s * math.log(6.0))
-            coeff = {
-                Family.Y: six_s + three_s,
-                Family.O: rt3 * (1.0 + two_t),
-                Family.X: six_s + three_s + rt3 * (1.0 + two_t),
-            }[fam]
-            return coeff * l3
-    raise UnsupportedError(f"no closed form for family {fam.name} at a = {frac}")
+            # P's prefactors vanish at s = 1 against the zeta pole; P(1, a) is
+            # covered by special_values instead.
+            raise PoleError(f"closed form for {fam.name} uses zeta(s), singular at s = 1", 1.0 + 0.0j)
+        e = s if fam is Family.Z else 1.0 - s
+        return _ZETA_MULTIPLES[frac](_two(e), _three(e)) * riemann_zeta(s, cfg)
+    if frac == Fraction(1, 2):
+        return 0.0 + 0.0j
+    three_s, rt3 = _three(s), math.sqrt(3.0)
+    if frac == Fraction(1, 3):
+        l3 = l_function(chi_minus3(), s, cfg)
+        return {Family.Y: three_s, Family.O: rt3 + 0.0j, Family.X: three_s + rt3}[fam] * l3
+    if frac == Fraction(1, 4):
+        # the chi_{-4} decomposition: Y = 4^s L, O = 2 L, X = (4^s + 2) L
+        l4 = l_function(chi_minus4(), s, cfg)
+        four_s = cmath.exp(s * math.log(4.0))
+        return {Family.Y: four_s, Family.O: 2.0 + 0.0j, Family.X: four_s + 2.0}[fam] * l4
+    l3 = l_function(chi_minus3(), s, cfg)
+    six_s, two_t = cmath.exp(s * math.log(6.0)), _two(1.0 - s)
+    coeff = {
+        Family.Y: six_s + three_s,
+        Family.O: rt3 * (1.0 + two_t),
+        Family.X: six_s + three_s + rt3 * (1.0 + two_t),
+    }[fam]
+    return coeff * l3
 
 
 def closed_form_identity(
@@ -471,7 +443,8 @@ def closed_form_identity(
     alpha = Alpha.coerce(a)
     if alpha.exact is None:
         raise UnsupportedError("closed forms require an exact rational a (use \"r/q\" syntax)")
-    frac = Fraction(*alpha.exact)
-    closed = _closed_form_value(fam, frac, s, cfg)
+    if not _closed_form_covers(fam, alpha):
+        raise UnsupportedError(f"no closed form for family {fam.name} at a = {alpha}")
+    closed = _closed_form_value(fam, Fraction(*alpha.exact), s, cfg)
     direct = eval_family(fam, s, alpha, cfg)
     return direct, closed

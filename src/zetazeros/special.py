@@ -2,10 +2,11 @@
 Riemann/Hurwitz zeta via Euler-Maclaurin, and the periodic zeta.
 
 All evaluation is pure and reentrant; the Bernoulli coefficient tables are
-built once at import time and never mutated.  The zeta kernels take a number
-or an array of points; Euler-Maclaurin work and the periodic series run in
-blocks of points, and a single number is a block of one.  Powers of positive real bases
-always use the principal real logarithm, so no branch cut is ever crossed.
+built once at import time and never mutated.  The public zeta functions take
+a number or an array of points; the kernels below them take 1-D arrays only.
+Euler-Maclaurin work and the periodic series run in blocks of points, and a
+single number is a block of one.  Powers of positive real bases always use the
+principal real logarithm, so no branch cut is ever crossed.
 """
 
 from __future__ import annotations
@@ -123,45 +124,17 @@ def _lanczos_series(z: complex) -> complex:
     return acc
 
 
-def _gamma_right(z: complex) -> complex:
-    # Valid for Re z >= 0.5.  t^{z+1/2} e^{-t} is one exponential: its two
-    # factors overflow and underflow on their own near the top of the range.
-    z -= 1.0
-    t = z + _LANCZOS_G + 0.5
-    try:
-        value = math.sqrt(2.0 * math.pi) * cmath.exp((z + 0.5) * cmath.log(t) - t) * _lanczos_series(z)
-    except OverflowError:
-        value = complex(math.inf)
-    if not cmath.isfinite(value):
-        raise DomainError(f"Gamma is beyond the double range at {z + 1.0}")
-    return value
-
-
-def _nonpositive_integer(s: complex, tol: float = 0.0) -> Optional[int]:
-    if s.imag != 0.0:
-        return None
-    r = round(s.real)
-    if r <= 0 and abs(s.real - r) <= tol:
-        return int(r)
-    return None
-
-
 def gamma(s: complex) -> complex:
-    """Gamma(s) for complex s; reflection formula is used for Re s < 1/2.
+    """Gamma(s) for complex s, as one exponential of log_gamma(s).
 
     Raises PoleError at the nonpositive integers, and DomainError where
-    Gamma(s) is beyond the double range (for Re s < 1/2, also where |Gamma(s)|
-    is below the smallest normal double).  Relative accuracy is ~1e-13 for
-    |s| <= 100.
+    |Gamma(s)| is beyond the double range or below the smallest normal double,
+    on either side of Re s = 1/2.  Relative accuracy is ~1e-13 for |s| <= 100.
     """
-    s = require_finite(s)
-    pole = _nonpositive_integer(s)
-    if pole is not None:
-        raise PoleError(f"gamma pole at s = {pole}", complex(pole))
-    if s.real >= 0.5:
-        return _gamma_right(s)
-    # One exponential of the reflected logarithm: sin(pi s) and Gamma(1-s)
-    # overflow on their own where their quotient is still in range.
+    # One exponential of the logarithm: t^{z+1/2} and e^{-t} on the right, and
+    # sin(pi s) and Gamma(1-s) on the left, leave the range on their own where
+    # the value is still in it.
+    s = complex(s)
     log_value = log_gamma(s)
     if not _LOG_DBL_MIN < log_value.real < _LOG_DBL_MAX:
         raise DomainError(f"Gamma is beyond the double range at {s}")
@@ -186,9 +159,8 @@ def log_gamma(s: complex) -> complex:
     exp() of balanced combinations without overflow.
     """
     s = require_finite(s)
-    pole = _nonpositive_integer(s)
-    if pole is not None:
-        raise PoleError(f"gamma pole at s = {pole}", complex(pole))
+    if s.imag == 0.0 and s.real <= 0.0 and s.real.is_integer():
+        raise PoleError(f"gamma pole at s = {int(s.real)}", complex(int(s.real)))
     if s.real >= 0.5:
         z = s - 1.0
         t = z + _LANCZOS_G + 0.5
@@ -288,17 +260,17 @@ def _weigh(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _hurwitz_combination(
-    s,
+    s: np.ndarray,
     bases: Sequence[float],
     weights: Sequence[complex],
     cfg: EvalSettings,
     subtract_pole: bool = False,
-):
+) -> Tuple[np.ndarray, np.ndarray]:
     """Euler-Maclaurin value of sum_j w_j * zeta(s, b_j), with remainder estimate.
 
-    ``s`` is a number or a 1-D array of points; the result is (value, rem)
-    of the same kind.  ``weights`` is one row (nb,) for every point or one
-    row per point, (points, nb).  Points are grouped by their shift m and run in blocks
+    ``s`` is a 1-D array of points; the result is the arrays (value, rem).
+    ``weights`` is one row (nb,) for every point or one row per point,
+    (points, nb).  Points are grouped by their shift m and run in blocks
     of at most _EM_BLOCK_POINTS points and _EM_BLOCK_TERMS direct-sum terms
     (a block holds one point at least).  A point whose remainder does not certify
     the target gets up to two more passes, each with twice the shift, unless
@@ -308,25 +280,23 @@ def _hurwitz_combination(
     entire function; the integral term is then assembled through expm1 so the
     combination stays stable arbitrarily close to s = 1.
     """
-    scalar = not isinstance(s, np.ndarray)
-    pts = np.array([s], dtype=complex) if scalar else s
-    if not subtract_pole and (pts == 1.0).any():
+    if not subtract_pole and (s == 1.0).any():
         raise PoleError("zeta(s, a) has a simple pole at s = 1", 1.0 + 0.0j)
     base_key = tuple(float(b) for b in bases)
     w_rows = np.asarray(weights, dtype=complex).reshape(-1, len(base_key))  # one row for all points, or one each
     tol = cfg.target_abs_tol
     groups: Dict[int, List[int]] = {}
-    for i, x in enumerate(pts.tolist()):
+    for i, x in enumerate(s.tolist()):
         groups.setdefault(_em_shift(x), []).append(i)
-    values = np.empty(pts.shape, dtype=complex)
-    rems = np.empty(pts.shape)
+    values = np.empty(s.shape, dtype=complex)
+    rems = np.empty(s.shape)
 
     for m, members in groups.items():
         idx = np.array(members)
         for attempt in range(3):
             per_block = max(1, min(_EM_BLOCK_POINTS, _EM_BLOCK_TERMS // (m * len(base_key))))
             blocks = [
-                _em_once(pts[block], base_key, w_rows[block] if len(w_rows) > 1 else w_rows, m, subtract_pole, tol)
+                _em_once(s[block], base_key, w_rows[block] if len(w_rows) > 1 else w_rows, m, subtract_pole, tol)
                 for block in (idx[i:i + per_block] for i in range(0, idx.size, per_block))
             ]
             value, series_rem, round_rem = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
@@ -347,8 +317,6 @@ def _hurwitz_combination(
             if not idx.size:
                 break
             m = 2 * m  # a larger shift sharpens the truncation bound
-    if scalar:
-        return complex(values[0]), float(rems[0])
     return values, rems
 
 
@@ -617,12 +585,6 @@ def _angles(n: np.ndarray, a: float) -> np.ndarray:
     return x
 
 
-def _unit(a: float, n: int) -> complex:
-    """z^n, z = e^{2 pi i a}, for one n, its angle reduced as in _angles."""
-    x = a * n
-    return cmath.exp(2j * math.pi * (x - round(x)))
-
-
 @lru_cache(maxsize=256)
 def _li_constants(a: float) -> Tuple[float, np.ndarray, np.ndarray]:
     """|1 - z|, z^k / (1-z)^{k+1} and |1-z|^{-(k+1)} for k = 0 .. _LI_ORDER, z = e^{2 pi i a}."""
@@ -635,10 +597,10 @@ def _li_constants(a: float) -> Tuple[float, np.ndarray, np.ndarray]:
     return abs(one_minus_z), coef, scale
 
 
-def _li_series(s, a: float, cfg: EvalSettings, lam: float = 0.0):
+def _li_series(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
     """Li_s(e^{2 pi i a}) + lam Li_s(e^{-2 pi i a}) from the Dirichlet series
-    sum_n (z^n + lam conj(z)^n) n^{-s}, z = e^{2 pi i a}, at a number or a 1-D
-    array of points (Re s > 0); returns (value, error estimate) of the same kind.
+    sum_n (z^n + lam conj(z)^n) n^{-s}, z = e^{2 pi i a}, at a 1-D array of
+    points (Re s > 0); returns the arrays (value, error estimate).
 
     Each point takes the route that needs fewer terms for target_abs_tol:
       (a) for Re s > 1, the partial sum to N with the tail
@@ -657,15 +619,13 @@ def _li_series(s, a: float, cfg: EvalSettings, lam: float = 0.0):
     L the longest partial sum the point can take.  The partial sums run in blocks
     (_li_partial_sums), the tails of all route (c) points at once.
     """
-    scalar = not isinstance(s, np.ndarray)
-    pts = np.array([s], dtype=complex) if scalar else s
     tol = cfg.target_abs_tol
     weight = 1.0 + abs(lam)
     gap = _li_constants(a)[0]
     negligible = _LI_NEGLIGIBLE * min(tol, _EPS)
     last, errs = [], []  # per point: the last n summed, the error estimate
-    euler, starts, phases = [], [], []  # route (c): the points, their N and z^N
-    for i, x in enumerate(pts.tolist()):
+    euler, starts = [], []  # route (c): the points and their N
+    for i, x in enumerate(s.tolist()):
         sigma = x.real
         n_euler = max(32, math.ceil(6.0 * (abs(x) + 4.0) / gap))
         # route (a) needs log N >= log(weight / ((sigma-1) negligible)) / (sigma-1)
@@ -679,17 +639,16 @@ def _li_series(s, a: float, cfg: EvalSettings, lam: float = 0.0):
                 raise UnsupportedError(f"the periodic series at s = {x}, a = {a} needs more than {_LI_MAX_TERMS} terms")
             euler.append(i)
             starts.append(n_euler)
-            phases.append(_unit(a, n_euler))
         log_longest = math.log(longest)
         rise = (1.0 - sigma) * log_longest  # int_1^L x^{-sigma} dx = expm1(rise) / (1 - sigma)
         last.append(n)
         errs.append(err + _EPS * weight * (1.0 + (math.expm1(rise) / (1.0 - sigma) if rise else log_longest)))
-    values = _li_partial_sums(pts, [0] * len(last), last, a, lam)
+    values = _li_partial_sums(s, [0] * len(last), last, a, lam)
     errs = np.array(errs)
     if euler:
         idx = slice(None) if len(euler) == len(last) else np.array(euler)
-        sub, n, partial = pts[idx], np.array(starts), values[idx]
-        tail, err = _li_euler_tail(sub, n, np.array(phases), a, lam, tol)
+        sub, n, partial = s[idx], np.array(starts), values[idx]
+        tail, err = _li_euler_tail(sub, n, a, lam, tol)
         value = partial + tail
         for _ in range(2):
             if not err.max() > tol:
@@ -698,15 +657,12 @@ def _li_series(s, a: float, cfg: EvalSettings, lam: float = 0.0):
             longer = 2 * n[retry]
             partial[retry] += _li_partial_sums(sub[retry], (n[retry] - 1).tolist(), (longer - 1).tolist(), a, lam)
             n[retry] = longer
-            zn = np.array([_unit(a, m) for m in longer.tolist()])
-            tail, again = _li_euler_tail(sub[retry], longer, zn, a, lam, tol)
+            tail, again = _li_euler_tail(sub[retry], longer, a, lam, tol)
             better = again < err[retry]
             value[retry[better]] = partial[retry[better]] + tail[better]
             err[retry[better]] = again[better]
         values[idx] = value
         errs[idx] += err
-    if scalar:
-        return complex(values[0]), float(errs[0])
     return values, errs
 
 
@@ -764,13 +720,11 @@ def _li_block(s: np.ndarray, first: List[int], last: List[int], a: float, lam: f
     return out
 
 
-def _li_euler_tail(
-    s: np.ndarray, n: np.ndarray, zn: np.ndarray, a: float, lam: float, tol: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """sum_{m >= N} (z^m + lam conj(z)^m) m^{-s} per point, given N and z^N,
-    from the first _LI_ORDER + 1 terms of its Euler transform, and its error
-    estimate: (1 + |lam|) times that of one of the two series (their terms
-    have the same magnitudes)."""
+def _li_euler_tail(s: np.ndarray, n: np.ndarray, a: float, lam: float, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """sum_{m >= N} (z^m + lam conj(z)^m) m^{-s} per point, given N, from the
+    first _LI_ORDER + 1 terms of its Euler transform, and its error estimate:
+    (1 + |lam|) times that of one of the two series (their terms have the same
+    magnitudes)."""
     _, coef, scale = _li_constants(a)
     table = np.exp(-s[:, None] * np.log(n[:, None] + _LI_OFFSETS))  # a_{N+j}, a_m = m^{-s}
     diffs = np.einsum("pj,kj->pk", table, _FORWARD_DIFFERENCES)  # Delta^k a_N, row by row
@@ -788,6 +742,7 @@ def _li_euler_tail(
     rows, order = np.arange(s.size), first >> 1  # the order the rule stopped at
     used = first - order - 1  # the last order used
     # z^{N+k} / (1-z)^{k+1} = z^N coef_k: the phase z^N comes out of the sum
+    zn = np.exp(1j * _angles(n, a))
     tail = zn * np.add.accumulate(diffs * coef, axis=1)[rows, used]
     if lam:
         tail += lam * zn.conj() * np.add.accumulate(diffs * coef.conj(), axis=1)[rows, used]
@@ -809,9 +764,9 @@ def _exprel(z: complex) -> complex:
     return complex(np.expm1(z)) / z if z else 1.0 + 0.0j
 
 
-def _li_functional_equation(s, a: float, cfg: EvalSettings, lam: float = 0.0):
-    """Li_s(e^{2 pi i a}) + lam Li_s(e^{-2 pi i a}) at a number or a 1-D array of
-    points, through Li_s(e^{2 pi i a}) = c+ zeta(1-s, a) + c- zeta(1-s, 1-a) with
+def _li_functional_equation(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> np.ndarray:
+    """Li_s(e^{2 pi i a}) + lam Li_s(e^{-2 pi i a}) at a 1-D array of points,
+    through Li_s(e^{2 pi i a}) = c+ zeta(1-s, a) + c- zeta(1-s, 1-a) with
     c-+ = Gamma(1-s) (2pi)^{s-1} e^{-+ i pi (1-s)/2} from _fe_factors.
 
     One Euler-Maclaurin pass over the bases (a, 1-a) at w = 1-s, with the point
@@ -823,11 +778,9 @@ def _li_functional_equation(s, a: float, cfg: EvalSettings, lam: float = 0.0):
     at s = 0.  A point whose pole terms are beyond the double range raises
     DomainError (deep left of 0 with small a, e.g. Re s = -200 at a = 0.001).
     """
-    scalar = not isinstance(s, np.ndarray)
-    pts = np.array([s], dtype=complex) if scalar else s
     la, lb = math.log(a), math.log(1.0 - a)
     weights, poles = [], []
-    for x in pts.tolist():
+    for x in s.tolist():
         c_minus, g, c_plus = _fe_factors(1.0 - x)
         wa, wb = c_plus + lam * c_minus, c_minus + lam * c_plus
         try:
@@ -842,10 +795,10 @@ def _li_functional_equation(s, a: float, cfg: EvalSettings, lam: float = 0.0):
             raise DomainError(f"the functional-equation terms at s = {x} are beyond the double range") from None
         weights.append((wa, wb))
         poles.append(pole)
-    values, rems = _hurwitz_combination(1.0 - pts, (a, 1.0 - a), weights, cfg, subtract_pole=True)
+    values, rems = _hurwitz_combination(1.0 - s, (a, 1.0 - a), weights, cfg, subtract_pole=True)
     values += poles
-    _settle(pts, values, rems, cfg)
-    return complex(values[0]) if scalar else values
+    _settle(s, values, rems, cfg)
+    return values
 
 
 def _periodic(pts: np.ndarray, alpha: Alpha, cfg: EvalSettings, lam: float = 0.0) -> np.ndarray:

@@ -126,12 +126,11 @@ def scan_real_zeros(
     hi: float,
     step: float = _DEFAULT_STEP,
     cfg: EvalSettings = _SCAN_SETTINGS,
-    touch_tol: float = _TOUCH_TOL,
 ) -> List[ZeroRecord]:
     """Scan [lo, hi] for real zeros of the family section.
 
     Sign changes are bisected to brackets narrower than 1e-10 and reported as
-    simple; local |f| minima that dip below touch_tol without a sign change
+    simple; local |f| minima that dip below _TOUCH_TOL without a sign change
     are reported as even-touch (this is what catches double zeros).  For the
     complex-valued periodic zeta only the |f| dip detection applies.
 
@@ -154,9 +153,8 @@ def scan_real_zeros(
             stacklevel=2,
         )
         gap = max(step / 4.0, 1e-6)
-        return scan_real_zeros(fam, alpha, lo, 1.0 - gap, step, cfg, touch_tol) + scan_real_zeros(
-            fam, alpha, 1.0 + gap, hi, step, cfg, touch_tol
-        )
+        below = scan_real_zeros(fam, alpha, lo, 1.0 - gap, step, cfg)
+        return below + scan_real_zeros(fam, alpha, 1.0 + gap, hi, step, cfg)
     if has_pole and (lo == 1.0 or hi == 1.0):
         raise PoleError("scan endpoint sits on the s = 1 pole", 1.0 + 0.0j)
 
@@ -174,7 +172,7 @@ def scan_real_zeros(
     inner = mags[1:-1]
 
     if fam is Family.PERIODIC:
-        dips = 1 + np.flatnonzero((inner <= mags[:-2]) & (inner <= mags[2:]) & (inner < touch_tol))
+        dips = 1 + np.flatnonzero((inner <= mags[:-2]) & (inner <= mags[2:]) & (inner < _TOUCH_TOL))
         locs = _refine_touch(f, xs[dips - 1], xs[dips + 1], _BRACKET_WIDTH)
         brackets = zip(xs[dips - 1].tolist(), xs[dips + 1].tolist())
         return [ZeroRecord(loc, EVEN_TOUCH, b, r) for loc, b, r in zip(locs.tolist(), brackets, f(locs).tolist())]
@@ -211,7 +209,7 @@ def scan_real_zeros(
     records += [
         ZeroRecord(loc, kind, bracket, resid)
         for kind, loc, bracket, resid in zip(kinds, locs.tolist(), brackets, resids)
-        if kind == SIMPLE or resid < touch_tol
+        if kind == SIMPLE or resid < _TOUCH_TOL
     ]
 
     # De-duplicate records closer than half a step (touch refinement overlap).
@@ -290,7 +288,7 @@ def beta_zero(fam: Family, a: AlphaLike, cfg: EvalSettings = _SCAN_SETTINGS) -> 
     if not 0.0 < av < 0.25:
         raise DomainError("beta zero defined for 0 < a < 1/4")
 
-    if alpha.is_exactly(1, 6):
+    if alpha.exact == (1, 6):
         beta_p = 1.0
     else:
         # sign(kernel) = sign(P) for sigma > 0 since alpha^{-sigma} Gamma > 0

@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 import zetazeros
+from zetazeros import DomainError
 from zetazeros.cli import EXIT_OK, EXIT_USAGE, run
 
 
@@ -76,6 +77,46 @@ def test_verify_closed_forms_pass():
     assert lines[0] == "suite,check,residual,tolerance,status"
     assert all(line.endswith("PASS") for line in lines[1:])
     assert all(float(line.split(",")[2]) < 1e-8 for line in lines[1:])
+
+
+@pytest.mark.parametrize("argv", [("--a", "0.3"), ("--a", "2/7"), ("--a", "1/6", "--family", "hurwitz")],
+                         ids=("float-a", "uncovered-a", "uncovered-family"))
+def test_verify_closed_forms_without_a_closed_form_is_an_error(argv):
+    code, out, err = run_cli("verify", "--suite", "closed-forms", *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_all_skips_closed_forms_without_a_closed_form():
+    code, out, _ = run_cli("verify", "--a", "2/7")
+    assert code == EXIT_OK
+    suites = {line.split(",")[0] for line in out.strip().splitlines()[1:]}
+    assert suites == {"functional-equations", "relations", "special-values"}
+
+
+def test_verify_closed_forms_lets_kernel_errors_through(monkeypatch):
+    import zetazeros.dirichlet as dirichlet
+
+    def failing(*args, **kwargs):
+        raise DomainError("kernel failure")
+
+    monkeypatch.setattr(dirichlet, "eval_family", failing)
+    code, out, err = run_cli("verify", "--suite", "closed-forms", "--a", "1/3", "--family", "Z")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: kernel failure\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--family", "Y", "--a", "0.3", "--from", "-2", "--to", "0"),
+    ("beta", "--family", "P", "--a", "0.1"),
+    ("count", "--family", "Z", "--a", "1/3", "--re-from", "2", "--re-to", "3", "--im-from", "1", "--im-to", "2",
+     "--samples", "16"),
+], ids=("scan", "beta", "count"))
+def test_zero_layer_commands_take_no_tol(argv, capsys):
+    # they certify their own fixed tolerance, so a --tol would be silently ignored
+    code, out, err = run_cli(*argv, "--tol", "1e-3")
+    err += capsys.readouterr().err  # argparse writes usage errors to sys.stderr
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_all_suites_json():

@@ -40,7 +40,7 @@ def test_p_is_periodic_sum():
 
 def test_p_and_o_series_route_is_the_plain_periodic_sum():
     # Above the series threshold P and O are the periodic sums at a and at
-    # a.conjugate, for exact and float shifts alike.  They are formed in one
+    # 1 - a, for exact and float shifts alike.  They are formed in one
     # call with phases e^{2 pi i an} + lam e^{-2 pi i an}, so they agree with
     # the two separate sums to rounding, not to the last bit.
     for a, partner in ((Alpha.parse("2/7"), Alpha.parse("5/7")), (Alpha(0.2), 1.0 - 0.2)):
@@ -86,9 +86,9 @@ def test_p_path_switch_is_seamless():
             above = eval_family(Family.P, complex(0.7501, t), a)
             assert abs(below - above) < 1e-3 * max(1.0, abs(below))  # continuity only
             # strict agreement of the two strategies at one point
-            s = complex(0.7, t)
+            s = np.array([complex(0.7, t)])
             series = _li_series(s, a, DEFAULT_SETTINGS)[0] + _li_series(s, 1.0 - a, DEFAULT_SETTINGS)[0]
-            assert _li_functional_equation(s, a, DEFAULT_SETTINGS, 1.0) == pytest.approx(series, abs=1e-9)
+            assert _li_functional_equation(s, a, DEFAULT_SETTINGS, 1.0)[0] == pytest.approx(series[0], abs=1e-9)
 
 
 # Frozen mpmath values (Hurwitz's formula; tests/oracles/make_reference.py,

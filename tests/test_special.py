@@ -111,6 +111,12 @@ def test_gamma_at_the_edge_of_the_double_range():
     assert gamma(-170.5) == pytest.approx(-3.3127395215386073e-308, rel=1e-12)
     with pytest.raises(DomainError):
         gamma(172.5)
+    # mpmath: |Gamma(0.5+1000i)| = 1.6e-682 and |Gamma(3+700i)| = 9.6e-471, below a double
+    # on the right of Re s = 1/2 as well: an error, not a silent 0
+    with pytest.raises(DomainError):
+        gamma(complex(0.5, 1000))
+    with pytest.raises(DomainError):
+        gamma(complex(3, 700))
 
 
 def test_gamma_left_of_one_half_in_log_space():
@@ -350,11 +356,11 @@ def test_periodic_series_vs_functional_equation():
 
     rng = np.random.default_rng(105)
     for _ in range(200):
-        s = complex(rng.uniform(0.76, 3.0), rng.uniform(-20, 20))
+        s = np.array([complex(rng.uniform(0.76, 3.0), rng.uniform(-20, 20))])
         a = float(rng.choice([0.1, 0.3, 0.45]))
         v1, _ = _li_series(s, a, DEFAULT_SETTINGS)
         v2 = _li_functional_equation(s, a, DEFAULT_SETTINGS)
-        assert abs(v1 - v2) < 1e-8
+        assert abs(v1[0] - v2[0]) < 1e-8
 
 
 def test_periodic_rational_path_matches_series():
