@@ -10,6 +10,7 @@ Diagnostics go to stderr only; results go to stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -269,11 +270,14 @@ def _cmd_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
     cfg = _settings_from(args)
     fam = parse_family(args.family) if args.family else None
     alpha = Alpha.parse(args.a) if args.a else Alpha.parse("0.3")
-    rng = np.random.default_rng(20240801)
+
+    def rng() -> np.random.Generator:  # one per suite, so its points do not depend on the suites before it
+        return np.random.default_rng(20240801)
+
     suites = {
-        "functional-equations": lambda: _verify_functional_equations(alpha, cfg, rng),
-        "closed-forms": lambda: _verify_closed_forms(alpha, fam, cfg, rng),
-        "relations": lambda: _verify_relations(cfg, rng),
+        "functional-equations": lambda: _verify_functional_equations(alpha, cfg, rng()),
+        "closed-forms": lambda: _verify_closed_forms(alpha, fam, cfg, rng()),
+        "relations": lambda: _verify_relations(cfg, rng()),
         "special-values": lambda: _verify_special_values(alpha, cfg),
     }
     if args.suite == "all":
@@ -363,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str], out: io.TextIOBase = sys.stdout, err: io.TextIOBase = sys.stderr) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        # argparse prints usage errors to sys.stderr and --help to sys.stdout
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     warnings.simplefilter("once", AccuracyWarning)

@@ -187,42 +187,48 @@ def _fe_factors(w: complex) -> Tuple[complex, complex, complex]:
 
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin engine for weighted combinations sum_j w_j * zeta(s, b_j),
-# run over blocks of points so that numpy's per-call cost is shared.
+# run over blocks of points so that numpy's per-call cost is shared.  Every
+# array of a pass is laid out (points, bases, terms), so that the long axis,
+# the direct terms or the correction orders, is the contiguous one.
 
 _EM_SHIFT = 25  # directly summed terms at Re s >= 0 and |Im s| <= 25; ceil|Im s| above
 _EM_K_START = 6  # the stopping rule may end the corrections after order k = 6 (B_12) at the earliest
 _EM_MAX_HALF_ORDER = 29  # B_58 is the last correction, B_60 bounds the remainder
-_EM_BLOCK_POINTS = 32  # points per block: numpy's per-call cost is shared, temporaries stay small
-_EM_BLOCK_TERMS = 1 << 15  # and at most this many direct-sum terms, so a huge shift m cannot blow up memory
+_EM_BLOCK_POINTS = 64  # points per block: numpy's per-call cost is shared, temporaries stay small
+_EM_BLOCK_TERMS = 1 << 15  # and points * (powers or corrections a point) within this: a huge m cannot blow up memory
 _EPS = 2.220446049250313e-16
 
-# 2k-3 for k = 2 .. K: order k extends the Pochhammer product s(s+1)...(s+2k-2)
-# of order k-1 by (s+2k-3)(s+2k-2).
-_POCH_OFFSETS = np.arange(1.0, 2.0 * _EM_MAX_HALF_ORDER - 2.0, 2.0)
+# 0, then 2k-3 for k = 2 .. K: order 1 is s, and order k extends the Pochhammer
+# product s(s+1)...(s+2k-2) of order k-1 by (s+2k-3)(s+2k-2).
+_POCH_OFFSETS = np.concatenate(([0.0], np.arange(1.0, 2.0 * _EM_MAX_HALF_ORDER - 2.0, 2.0)))
 
 
 class _EMConstants(NamedTuple):
-    """What one pass needs of the bases and the shift m, whatever the point."""
+    """What one pass needs of the bases and the shift m, whatever the point,
+    laid out (bases, terms) as a pass's arrays are (points, bases, terms)."""
 
-    logs: np.ndarray  # (m+1, nb): log(n + b) for n <= m; row m is log(m + b)
+    neg_logs: np.ndarray  # (nb, m+1): -log(n + b) for n <= m; column m is -log(m + b)
     bases: np.ndarray  # (nb,): b
     tails: np.ndarray  # (nb,): m + b
     span: np.ndarray  # (nb,): log(m + b) - log b
-    corr: np.ndarray  # (K, nb): B_2k/(2k)! (m + b)^{-(2k-1)}, k = 1 .. K
+    corr: np.ndarray  # (nb, K): B_2k/(2k)! (m + b)^{-(2k-1)}, k = 1 .. K
+    corr_abs: np.ndarray  # (nb, K): |corr|
 
 
 @lru_cache(maxsize=512)
 def _em_constants(key: Tuple[float, ...], m: int) -> _EMConstants:
     bases = np.asarray(key, dtype=float)
-    logs = np.log(np.arange(m + 1, dtype=float)[:, None] + bases[None, :])
+    logs = np.log(bases[:, None] + np.arange(m + 1, dtype=float))
     odd = 2.0 * np.arange(1, _EM_MAX_HALF_ORDER + 1) - 1.0
     b2k = np.asarray(_B2K_OVER_FACT[1:_EM_MAX_HALF_ORDER + 1])
+    corr = b2k * np.exp(-odd * logs[:, m:])
     out = _EMConstants(
-        logs=logs,
+        neg_logs=-logs,
         bases=bases,
         tails=bases + m,
-        span=logs[m] - logs[0],
-        corr=b2k[:, None] * np.exp(-odd[:, None] * logs[m][None, :]),
+        span=logs[:, m] - logs[:, 0],
+        corr=corr,
+        corr_abs=np.abs(corr),
     )
     for arr in out:
         arr.setflags(write=False)
@@ -242,7 +248,7 @@ def _pole_quotient(w: np.ndarray, span: np.ndarray) -> np.ndarray:
     """expm1(w x) / (-w) for each point w = 1 - s and each x in span, shape
     (points, len(span)), with its limit -x at s = 1: the pole part
     [e^{(1-s) x} - 1] / (s - 1), stable arbitrarily close to s = 1."""
-    out = np.expm1(np.multiply.outer(w, span))
+    out = np.expm1(w[:, None] * span)
     at_one = w == 0.0
     if at_one.any():
         out[at_one] = span
@@ -271,8 +277,9 @@ def _hurwitz_combination(
     ``s`` is a 1-D array of points; the result is the arrays (value, rem).
     ``weights`` is one row (nb,) for every point or one row per point,
     (points, nb).  Points are grouped by their shift m and run in blocks
-    of at most _EM_BLOCK_POINTS points and _EM_BLOCK_TERMS direct-sum terms
-    (a block holds one point at least).  A point whose remainder does not certify
+    of at most _EM_BLOCK_POINTS points.  A point's pass holds nb * (m+1) powers
+    (n+b)^{-s} and nb * K corrections, so a block holds at most _EM_BLOCK_TERMS
+    of the larger (one point at least).  A point whose remainder does not certify
     the target gets up to two more passes, each with twice the shift, unless
     round-off already dominates; the pass with the smallest remainder wins.
 
@@ -283,7 +290,8 @@ def _hurwitz_combination(
     if not subtract_pole and (s == 1.0).any():
         raise PoleError("zeta(s, a) has a simple pole at s = 1", 1.0 + 0.0j)
     base_key = tuple(float(b) for b in bases)
-    w_rows = np.asarray(weights, dtype=complex).reshape(-1, len(base_key))  # one row for all points, or one each
+    width = len(base_key)
+    w_rows = np.asarray(weights, dtype=complex).reshape(-1, width)  # one row for all points, or one each
     tol = cfg.target_abs_tol
     groups: Dict[int, List[int]] = {}
     for i, x in enumerate(s.tolist()):
@@ -294,7 +302,7 @@ def _hurwitz_combination(
     for m, members in groups.items():
         idx = np.array(members)
         for attempt in range(3):
-            per_block = max(1, min(_EM_BLOCK_POINTS, _EM_BLOCK_TERMS // (m * len(base_key))))
+            per_block = max(1, min(_EM_BLOCK_POINTS, _EM_BLOCK_TERMS // (width * max(m + 1, _EM_MAX_HALF_ORDER + 1))))
             blocks = [
                 _em_once(s[block], base_key, w_rows[block] if len(w_rows) > 1 else w_rows, m, subtract_pole, tol)
                 for block in (idx[i:i + per_block] for i in range(0, idx.size, per_block))
@@ -334,30 +342,33 @@ def _em_once(
     c = _em_constants(base_key, m)
     w_abs = np.abs(w)
     with np.errstate(all="ignore"):
-        powers = np.exp((-s)[:, None, None] * c.logs)  # (points, m+1, nbases): (n+b)^{-s}
-        # each base's direct block, rounded to eps per term, scaled by that base's |weight|
-        round_rem = np.add.reduce(np.abs(powers[:, :m]) @ w_abs[:, :, None], axis=(1, 2)) * _EPS
-        p = powers[:, m]  # (m+b)^{-s}
+        powers = np.exp(s[:, None, None] * c.neg_logs)  # (points, nb, m+1): (n+b)^{-s}
+        sizes = np.abs(powers)
+        # each base's direct block, rounded to eps per term (the factor eps comes
+        # last), scaled by that base's |weight|; einsum, as in _weigh
+        rounding = np.einsum("...jn,...j->...", sizes[:, :, :m], w_abs)
+        p = powers[:, :, m]  # (m+b)^{-s}
 
         # Per base: the integral term, the direct block and the boundary term.
         if subtract_pole:
             # [(m+b)^{1-s} - b^{1-s}] / (s-1) = b^{1-s} expm1((1-s) span) / (s-1)
             # per base, stable at s = 1.
-            value = _pole_quotient(1.0 - s, c.span) * (c.bases * powers[:, 0])
+            value = _pole_quotient(1.0 - s, c.span) * (c.bases * powers[:, :, 0])
         else:
             value = p * c.tails / (s - 1.0)[:, None]
-        value += np.add.reduce(powers[:, :m], axis=1)
+        value += np.add.reduce(powers[:, :, :m], axis=2)
         value += 0.5 * p
 
         # Bernoulli corrections for every order k = 1 .. K at once:
-        # term_k = B_{2k}/(2k)! * s(s+1)...(s+2k-2) * (m+b)^{-s-2k+1} per base.
-        poch = np.empty((s.size, _EM_MAX_HALF_ORDER), dtype=complex)
-        poch[:, 0] = s
-        steps = np.add(s[:, None], _POCH_OFFSETS, out=poch[:, 1:])
+        # term_kj = B_{2k}/(2k)! * s(s+1)...(s+2k-2) * (m+b_j)^{-s-2k+1}, and its
+        # size |poch_k| |p_j| |corr_kj| from real factors, largest over the bases.
+        poch = s[:, None] + _POCH_OFFSETS
+        steps = poch[:, 1:]
         steps *= steps + 1.0
         np.multiply.accumulate(poch, axis=1, out=poch)
-        per_base = poch[:, :, None] * (p[:, None, :] * c.corr)
-        mag = np.maximum.reduce(np.abs(per_base), axis=2) * np.add.reduce(w_abs, axis=1)[:, None]
+        per_base = poch[:, None, :] * (p[:, :, None] * c.corr)  # (points, nb, K)
+        mag = np.maximum.reduce(sizes[:, :, m, None] * c.corr_abs, axis=1)
+        mag *= np.abs(poch) * np.add.reduce(w_abs, axis=1)[:, None]
 
         # The stopping rule, applied once.  Order k ends the series before it
         # when the asymptotic series starts growing (k > 1), and after it when
@@ -365,20 +376,20 @@ def _em_once(
         # hit an exact zero (the expansion terminated) zeroes every later
         # term, so the second rule ends the series there with rem = 0.  The
         # events are interleaved as (before k, after k) so that argmax finds
-        # the first; the last column stands for "all K orders used".
+        # the first; "after order K" is always set, for all K orders used.
         n_ord = _EM_MAX_HALF_ORDER
-        events = np.zeros((s.size, 2 * n_ord + 1), dtype=bool)
-        events[:, 2:2 * n_ord:2] = mag[:, 1:] > mag[:, :-1]
-        events[:, 2 * _EM_K_START - 1:2 * n_ord:2] = mag[:, _EM_K_START - 1:] <= 1e-3 * tol
+        events = np.zeros((s.size, 2 * n_ord), dtype=bool)
+        events[:, 2::2] = mag[:, 1:] > mag[:, :-1]
+        events[:, 2 * _EM_K_START - 1::2] = mag[:, _EM_K_START - 1:] <= 1e-3 * tol
         events[:, -1] = True
         first = events.argmax(axis=1)
-        sums = np.zeros((s.size, n_ord + 1, len(base_key)), dtype=complex)
-        np.add.accumulate(per_base, axis=1, out=sums[:, 1:])
+        # first >= 2, so at least one order is used: sums[..., k-1] ends with order k
+        sums = np.add.accumulate(per_base, axis=2)
         rows = np.arange(s.size)
-        value += sums[rows, (first + 1) // 2]
-        rem = mag[rows, np.minimum(first // 2, n_ord - 1)]
+        value += sums[rows, :, (first - 1) // 2]
+        rem = mag[rows, first // 2]
         # Each order used has |term| <= the first's; the first bounds their round-off.
-        round_rem = np.maximum(round_rem, _EPS * mag[:, 0])
+        round_rem = np.maximum(rounding, mag[:, 0]) * _EPS
     return _weigh(value, w), rem, round_rem
 
 

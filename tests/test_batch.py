@@ -118,19 +118,78 @@ def test_value_that_is_not_finite_is_not_certified():
     assert not np.isfinite(value[0]) and np.isfinite(value[1])
 
 
-def test_blocks_hold_at_most_32_points(monkeypatch):
-    sizes = []
+# (bases, one row of weights): one base, a pair with opposite weights, and the
+# nine bases n/9 with weights e^{2 pi i n/9}
+EM_BASES = [
+    ((0.3,), (1.0,)),
+    ((0.3, 0.7), (1.0, -1.0)),
+    (tuple(n / 9 for n in range(1, 10)), tuple(np.exp(2j * np.pi * np.arange(1, 10) / 9))),
+]
+
+
+@pytest.mark.parametrize("bases, weights", EM_BASES, ids=lambda x: str(len(x)))
+@pytest.mark.parametrize("m", (2, 25, 40))
+@pytest.mark.parametrize("subtract_pole", (False, True))
+def test_em_pass_is_the_same_alone_as_in_a_block(bases, weights, m, subtract_pole):
+    # every reduction of a pass runs along one point's own row, so the block
+    # size cannot move a value, a remainder or a round-off estimate
+    rng = np.random.default_rng(12)
+    pts = np.concatenate((census_points(rng, 40), real_points(rng, 24)))
+    w = np.array([weights])
+    tol = special.DEFAULT_SETTINGS.target_abs_tol
+    with np.errstate(all="ignore"):
+        block = special._em_once(pts, bases, w, m, subtract_pole, tol)
+        for i in range(pts.size):
+            alone = special._em_once(pts[i:i + 1], bases, w, m, subtract_pole, tol)
+            for got, want in zip(block, alone):
+                assert np.array_equal(got[i:i + 1], want, equal_nan=True), (pts[i], got[i], want[0])
+
+
+def assert_em_blocks_within_the_caps(blocks):
+    # a point holds nb (m+1) powers and nb K corrections
+    terms = special._EM_MAX_HALF_ORDER + 1
+    for size, nb, m in blocks:
+        assert size == 1 or (size <= special._EM_BLOCK_POINTS
+                             and size * nb * max(m + 1, terms) <= special._EM_BLOCK_TERMS), (size, nb, m)
+
+
+def test_em_blocks_hold_at_most_the_point_and_term_caps(monkeypatch):
+    blocks = []  # (points, bases, shift m) of every pass
     original = special._em_once
 
-    def recording(s, *args):
-        sizes.append(s.size)
-        return original(s, *args)
+    def recording(s, base_key, w, m, *args):
+        blocks.append((s.size, len(base_key), m))
+        return original(s, base_key, w, m, *args)
 
     monkeypatch.setattr(special, "_em_once", recording)
-    pts = 2.0 + 1j * np.linspace(1.0, 20.0, 100)  # one shift m for all of them
-    hurwitz_zeta(pts, 0.3)
-    assert max(sizes) == special._EM_BLOCK_POINTS == 32
-    assert sum(sizes) >= pts.size
+    pts = census_points(np.random.default_rng(5), 2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        eval_family(Family.Z, pts, Alpha.parse("2/7"))
+        eval_family(Family.Y, pts, Alpha(0.31))
+    assert max(size for size, _, _ in blocks) == special._EM_BLOCK_POINTS
+    assert_em_blocks_within_the_caps(blocks)
+    del blocks[:]
+    special._li_rational(pts[:300], 2, 9, special.DEFAULT_SETTINGS)  # nine bases n/9
+    assert {nb for _, nb, _ in blocks} == {9}
+    assert_em_blocks_within_the_caps(blocks)
+
+
+def test_em_memory_is_bounded_by_the_term_cap():
+    # q = 9: nine bases a point.  Run as one block, these points' temporaries
+    # would peak at about 7.5 MB; in capped blocks they stay near 1.3 MB.
+    pts = census_points(np.random.default_rng(6), 2000)
+    cfg = special.DEFAULT_SETTINGS
+    special._li_rational(pts[:1], 2, 9, cfg)  # constants cached outside the measurement
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            special._li_rational(pts, 2, 9, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * special._EM_BLOCK_TERMS * 16  # a few complex temporaries of the cap
 
 
 # At a = 0.05: route (a), the plain partial sum, at sigma = 17.3 and 9; route

@@ -111,12 +111,31 @@ def test_verify_closed_forms_lets_kernel_errors_through(monkeypatch):
     ("count", "--family", "Z", "--a", "1/3", "--re-from", "2", "--re-to", "3", "--im-from", "1", "--im-to", "2",
      "--samples", "16"),
 ], ids=("scan", "beta", "count"))
-def test_zero_layer_commands_take_no_tol(argv, capsys):
+def test_zero_layer_commands_take_no_tol(argv):
     # they certify their own fixed tolerance, so a --tol would be silently ignored
     code, out, err = run_cli(*argv, "--tol", "1e-3")
-    err += capsys.readouterr().err  # argparse writes usage errors to sys.stderr
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_usage_errors_and_help_go_to_the_given_streams(capsys):
+    code, out, err = run_cli("eval")  # --family and --sigma missing
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, err = run_cli("count", "--help")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("usage: zetazeros count")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_verify_suite_draws_the_same_points_alone_as_after_other_suites():
+    rows = {}
+    for suite in ("all", "relations"):
+        code, out, _ = run_cli("verify", "--suite", suite, "--a", "0.3")
+        assert code == EXIT_OK
+        rows[suite] = [line for line in out.splitlines() if line.startswith("relations,")]
+    assert len(rows["relations"]) == 6
+    assert rows["all"] == rows["relations"]
 
 
 def test_verify_all_suites_json():
