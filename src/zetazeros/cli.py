@@ -364,12 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once, at import: every call of run parses with it
+
+
 def run(argv: Sequence[str], out: io.TextIOBase = sys.stdout, err: io.TextIOBase = sys.stderr) -> int:
-    parser = build_parser()
     try:
         # argparse prints usage errors to sys.stderr and --help to sys.stdout
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(list(argv))
+            args = _PARSER.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     warnings.simplefilter("once", AccuracyWarning)
@@ -378,10 +380,7 @@ def run(argv: Sequence[str], out: io.TextIOBase = sys.stdout, err: io.TextIOBase
     except ConvergenceError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_VERIFY
-    except ZetaError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ZetaError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
     except Exception as exc:  # a defect, reported on one line rather than as a traceback

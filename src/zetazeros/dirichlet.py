@@ -12,10 +12,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from .core import (
     DEFAULT_SETTINGS,
@@ -35,7 +37,7 @@ from .special import _zeta_sum, riemann_zeta
 
 MAX_MODULUS = 100
 
-_TWO_PI = 2.0 * math.pi
+_SQRT3 = math.sqrt(3.0)
 
 
 def _root_of_unity(phase: Fraction) -> complex:
@@ -50,6 +52,11 @@ def _root_of_unity(phase: Fraction) -> complex:
     if phase == Fraction(3, 4):
         return 0.0 - 1.0j
     return cmath.exp(2j * math.pi * float(phase))
+
+
+def _power(k: int, s: complex) -> complex:
+    """k^s for a positive integer k."""
+    return cmath.exp(s * math.log(k))
 
 
 @dataclass(frozen=True)
@@ -72,15 +79,7 @@ class DirichletCharacter:
         return self.values[n % self.modulus]
 
     def conj(self) -> "DirichletCharacter":
-        return DirichletCharacter(
-            modulus=self.modulus,
-            values=tuple(v.conjugate() for v in self.values),
-            parity=self.parity,
-            is_principal=self.is_principal,
-            is_primitive=self.is_primitive,
-            conductor=self.conductor,
-            exponents=self.exponents,
-        )
+        return replace(self, values=tuple(v.conjugate() for v in self.values))
 
 
 def _prime_power_factors(q: int) -> List[Tuple[int, int]]:
@@ -247,7 +246,30 @@ def chi_minus6() -> DirichletCharacter:
 
 
 # ---------------------------------------------------------------------------
-# Linear relations in both directions.
+# Linear relations in both directions, from one coefficient per family.
+
+class _Relation(NamedTuple):
+    parity: int  # chi(-1) of the characters in the sum
+    unit: Optional[complex]  # c(chi, r) = unit chi(r) G(conj chi) (P, O), or q^s conj(chi)(r) (Z, Y: None)
+    trig: Optional[Callable[[float], float]]  # the trig function of the gcd(n, q) > 1 completion (P, O)
+
+
+_RELATIONS = {
+    Family.Z: _Relation(1, None, None),
+    Family.Y: _Relation(-1, None, None),
+    Family.P: _Relation(1, 1.0, math.cos),
+    Family.O: _Relation(-1, -1j, math.sin),
+}
+
+
+def _coefficients(
+    rel: _Relation, chars: List[DirichletCharacter], r: int, q: int, s: complex
+) -> Tuple[complex, List[complex]]:
+    """c(chi, r) for each chi in chars, as the factor they share and the factor of each chi."""
+    if rel.unit is None:
+        return _power(q, s), [chi.conj()(r) for chi in chars]
+    return rel.unit, [chi(r) * gauss_sum(chi.conj()) for chi in chars]
+
 
 def _family_at_fraction(fam: Family, s: complex, r: int, q: int, cfg: EvalSettings) -> complex:
     """family(s, r/q) for any 0 < r < q, using the a <-> 1-a symmetry to reach
@@ -268,94 +290,66 @@ def linear_relation_residual(
 ) -> float:
     """Residual of the character-sum linear relations, both sides independent.
 
-    direction="family_from_l": |family(s, r/q) - character-sum side| with
+    chi runs over the characters mod q of the family's parity (even for Z and
+    P, odd for Y and O), with the coefficient c(chi, r) = q^s conj(chi)(r) for
+    Z and Y, chi(r) G(conj chi) for P and -i chi(r) G(conj chi) for O.
+    direction="family_from_l" gives |family(s, r/q) - right side| in
 
-        Z(s,r/q) = q^s/phi(q) sum_chi (1+chi(-1)) conj(chi)(r) L(s,chi)
-        Y(s,r/q) = q^s/phi(q) sum_chi (1-chi(-1)) conj(chi)(r) L(s,chi)
-        P(s,r/q) = 1/phi(q) sum_chi (1+chi(-1)) chi(r) G(conj chi) L(s,chi)
-                   + q^{-s} sum_{gcd(n,q)>1} 2 cos(2 pi r n/q) zeta(s, n/q)
-        O(s,r/q) = -i/phi(q) sum_chi (1-chi(-1)) chi(r) G(conj chi) L(s,chi)
-                   + q^{-s} sum_{gcd(n,q)>1} 2 sin(2 pi r n/q) zeta(s, n/q)
+        family(s, r/q) = 1/phi(q) sum_chi 2 c(chi, r) L(s, chi)
+                         + q^{-s} sum_{gcd(n,q)>1} 2 trig(2 pi r n/q) zeta(s, n/q),
 
-    The chi(r) factor and the non-coprime completion sums are required for the
-    P/O lines to hold for every q (the Gauss-sum expansion of e^{2 pi i rn/q}
-    only covers residues coprime to q); without them the residual at q = 5,
-    r = 1 is exactly 2 q^{-s} zeta(s).
+    the last sum for P (trig = cos) and O (trig = sin) only: the Gauss-sum
+    expansion of e^{2 pi i rn/q} covers only residues coprime to q, and
+    without it the residual at q = 5, r = 1 is exactly 2 q^{-s} zeta(s).
+    direction="l_from_family" gives the max over chi of |L(s, chi) - right side| in
 
-    direction="l_from_family": max over chi of the matching parity of
+        L(s, chi) = 1/2 sum_{gcd(r,q)=1} family(s, r/q) / c(chi, r),
 
-        L(s,chi) = 1/(2 q^s) sum_r chi(r) Z(s,r/q)          (chi even; Y, odd)
-        L(s,chi) = 1/(2 G(conj chi)) sum_r conj(chi)(r) P(s,r/q)    (even)
-        L(s,chi) = +i/(2 G(conj chi)) sum_r conj(chi)(r) O(s,r/q)   (odd)
-
-    The O inversion carries +i, not -i: unfolding with chi odd gives
-    2 G(conj chi) L = sum_r conj(chi)(r) [Li(r/q) - Li((q-r)/q)] = i sum_r
-    conj(chi)(r) O(s, r/q), consistent with O(s, 1/4) = 2 L(s, chi mod 4).
-    The Z/Y inversions hold for every character; the P/O inversions rely on
-    G(conj chi, n) = chi(n) G(conj chi) for all n, i.e. on chi primitive, and
-    are checked for primitive characters only.
+    the same relation inverted by the orthogonality of the characters; for O
+    it reads L = +i/(2 G(conj chi)) sum_r conj(chi)(r) O(s, r/q), so that
+    O(s, 1/4) = 2 L(s, chi mod 4).  For P and O it relies on G(conj chi, n) =
+    chi(n) G(conj chi) for all n, i.e. on chi primitive, and is checked for
+    primitive characters only.
     """
+    rel = _RELATIONS.get(fam)
+    if rel is None:
+        raise DomainError(f"linear relations cover Z, P, Y, O; got {fam}")
+    if direction not in ("family_from_l", "l_from_family"):
+        raise DomainError(f"unknown direction {direction!r}")
     s = require_finite(s)
     if math.gcd(r, q) != 1 or not 0 < r < q:
         raise DomainError("need 0 < r < q with gcd(r, q) = 1")
-    if fam in (Family.Y, Family.O) and not 0 < 2 * r < q:
+    if rel.parity < 0 and not 0 < 2 * r < q:
         raise DomainError("odd-family relations need 0 < 2r < q")
-    if fam not in (Family.Z, Family.P, Family.Y, Family.O):
-        raise DomainError(f"linear relations cover Z, P, Y, O; got {fam}")
-    chars = characters_mod(q)
-    phi = len(chars)
+    chars = [chi for chi in characters_mod(q) if chi.parity == rel.parity]
+    phi = euler_phi(q)
 
     if direction == "family_from_l":
         lhs = _family_at_fraction(fam, s, r, q, cfg)
+        common, parts = _coefficients(rel, chars, r, q, s)
         total = 0.0 + 0.0j
-        for chi in chars:
-            parity_factor = 1 + chi.parity if fam in (Family.Z, Family.P) else 1 - chi.parity
-            if parity_factor == 0:
-                continue
-            lval = l_function(chi, s, cfg)
-            if fam in (Family.Z, Family.Y):
-                total += parity_factor * chi.conj()(r) * lval
-            else:
-                total += parity_factor * chi(r) * gauss_sum(chi.conj()) * lval
-        if fam in (Family.Z, Family.Y):
-            rhs = cmath.exp(s * math.log(q)) / phi * total
-        else:
-            rhs = (total if fam is Family.P else -1j * total) / phi
-            shared = [n for n in range(1, q + 1) if math.gcd(n, q) > 1]
-            trig = math.cos if fam is Family.P else math.sin
-            weights = [2.0 * trig(2.0 * math.pi * ((r * n) % q) / q) for n in shared]
-            rhs += _zeta_sum(as_points(s)[0], [n / q for n in shared], weights, cfg, q=q)[0]
-        return abs(lhs - rhs)
+        for chi, part in zip(chars, parts):
+            total += 2 * part * l_function(chi, s, cfg)
+        # the shared factor scales the sum, in this order: it sets the rounding that verify prints
+        if rel.trig is None:
+            return abs(lhs - common / phi * total)
+        shared = [n for n in range(1, q + 1) if math.gcd(n, q) > 1]
+        weights = [2.0 * rel.trig(2.0 * math.pi * ((r * n) % q) / q) for n in shared]
+        completion = _zeta_sum(as_points(s)[0], [n / q for n in shared], weights, cfg, q=q)[0]
+        return abs(lhs - (common * total / phi + completion))
 
-    if direction == "l_from_family":
-        worst = 0.0
-        want_parity = 1 if fam in (Family.Z, Family.P) else -1
-        for chi in chars:
-            if chi.parity != want_parity:
-                continue
-            if chi.is_principal and s == 1.0:
-                continue
-            if fam in (Family.P, Family.O) and not chi.is_primitive:
-                continue
-            lhs = l_function(chi, s, cfg)
-            total = 0.0 + 0.0j
-            for rr in range(1, q):
-                if math.gcd(rr, q) != 1:
-                    continue
-                if fam in (Family.Z, Family.Y):
-                    total += chi(rr) * _family_at_fraction(fam, s, rr, q, cfg)
-                else:
-                    total += chi.conj()(rr) * _family_at_fraction(fam, s, rr, q, cfg)
-            if fam in (Family.Z, Family.Y):
-                rhs = total / (2.0 * cmath.exp(s * math.log(q)))
-            elif fam is Family.P:
-                rhs = total / (2.0 * gauss_sum(chi.conj()))
-            else:
-                rhs = 1j * total / (2.0 * gauss_sum(chi.conj()))
-            worst = max(worst, abs(lhs - rhs))
-        return worst
-
-    raise DomainError(f"unknown direction {direction!r}")
+    chars = [
+        chi for chi in chars
+        if not (chi.is_principal and s == 1.0) and (rel.unit is None or chi.is_primitive)
+    ]
+    if not chars:
+        return 0.0
+    units = [n for n in range(1, q) if math.gcd(n, q) == 1]
+    values = np.array([_family_at_fraction(fam, s, n, q, cfg) for n in units])
+    coeffs = np.array([np.multiply(*_coefficients(rel, chars, n, q, s)) for n in units])
+    rhs = np.add.reduce(values[:, None] / coeffs, axis=0) / 2.0
+    lhs = np.array([l_function(chi, s, cfg) for chi in chars])
+    return float(np.abs(lhs - rhs).max())
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +358,7 @@ def linear_relation_residual(
 def f_factor(s: complex) -> complex:
     """f(s) = 3^s / sqrt(3); |f| = 1 exactly on the critical line."""
     s = require_finite(s)
-    return cmath.exp(s * math.log(3.0)) / math.sqrt(3.0)
+    return _power(3, s) / _SQRT3
 
 
 def g_factor(s: complex) -> complex:
@@ -373,27 +367,26 @@ def g_factor(s: complex) -> complex:
 
     Poles sit on sigma = 0 at t = pi (2k+1) / log 2."""
     s = require_finite(s)
-    denom = 1.0 + cmath.exp(s * math.log(2.0))
+    denom = 1.0 + _power(2, s)
     if abs(denom) < 1e-9:
         raise DomainError(f"g(s) pole: 1 + 2^s = 0 at s = {s!r}")
-    return (1.0 + cmath.exp((1.0 - s) * math.log(2.0))) / denom
+    return (1.0 + _power(2, 1.0 - s)) / denom
 
 
-def _two(s: complex) -> complex:
-    return cmath.exp(s * math.log(2.0))
-
-
-def _three(s: complex) -> complex:
-    return cmath.exp(s * math.log(3.0))
-
-
-# Z(s, a) = c(2^s, 3^s) zeta(s) and P(s, a) = c(2^{1-s}, 3^{1-s}) zeta(s); Y, O, X
-# have closed forms at the same four a, through L(s, chi_{-3}) and L(s, chi_{-4}).
+# Z(s, a) = c(2^s, 3^s) zeta(s) and P(s, a) = c(2^{1-s}, 3^{1-s}) zeta(s).
 _ZETA_MULTIPLES = {
     Fraction(1, 2): lambda two, three: 2.0 * (two - 1.0),
     Fraction(1, 3): lambda two, three: three - 1.0,
     Fraction(1, 4): lambda two, three: two * (two - 1.0),
     Fraction(1, 6): lambda two, three: (two - 1.0) * (three - 1.0),
+}
+
+# Y(s, a) = y(s) L(s, chi) and O(s, a) = o(s) L(s, chi), as a -> (chi, s -> (y, o));
+# X = Y + O.  At a = 1/2, Y, O and X vanish identically.
+_L_MULTIPLES = {
+    Fraction(1, 3): (chi_minus3, lambda s: (_power(3, s), _SQRT3)),
+    Fraction(1, 4): (chi_minus4, lambda s: (_power(4, s), 2.0)),
+    Fraction(1, 6): (chi_minus3, lambda s: (_power(6, s) + _power(3, s), _SQRT3 * (1.0 + _power(2, 1.0 - s)))),
 }
 
 
@@ -409,26 +402,12 @@ def _closed_form_value(fam: Family, frac: Fraction, s: complex, cfg: EvalSetting
             # covered by special_values instead.
             raise PoleError(f"closed form for {fam.name} uses zeta(s), singular at s = 1", 1.0 + 0.0j)
         e = s if fam is Family.Z else 1.0 - s
-        return _ZETA_MULTIPLES[frac](_two(e), _three(e)) * riemann_zeta(s, cfg)
+        return _ZETA_MULTIPLES[frac](_power(2, e), _power(3, e)) * riemann_zeta(s, cfg)
     if frac == Fraction(1, 2):
         return 0.0 + 0.0j
-    three_s, rt3 = _three(s), math.sqrt(3.0)
-    if frac == Fraction(1, 3):
-        l3 = l_function(chi_minus3(), s, cfg)
-        return {Family.Y: three_s, Family.O: rt3 + 0.0j, Family.X: three_s + rt3}[fam] * l3
-    if frac == Fraction(1, 4):
-        # the chi_{-4} decomposition: Y = 4^s L, O = 2 L, X = (4^s + 2) L
-        l4 = l_function(chi_minus4(), s, cfg)
-        four_s = cmath.exp(s * math.log(4.0))
-        return {Family.Y: four_s, Family.O: 2.0 + 0.0j, Family.X: four_s + 2.0}[fam] * l4
-    l3 = l_function(chi_minus3(), s, cfg)
-    six_s, two_t = cmath.exp(s * math.log(6.0)), _two(1.0 - s)
-    coeff = {
-        Family.Y: six_s + three_s,
-        Family.O: rt3 * (1.0 + two_t),
-        Family.X: six_s + three_s + rt3 * (1.0 + two_t),
-    }[fam]
-    return coeff * l3
+    chi, multiples = _L_MULTIPLES[frac]
+    y, o = multiples(s)
+    return {Family.Y: y, Family.O: o, Family.X: y + o}[fam] * l_function(chi(), s, cfg)
 
 
 def closed_form_identity(

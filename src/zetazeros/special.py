@@ -370,27 +370,31 @@ def _em_once(
         mag = np.maximum.reduce(sizes[:, :, m, None] * c.corr_abs, axis=1)
         mag *= np.abs(poch) * np.add.reduce(w_abs, axis=1)[:, None]
 
-        # The stopping rule, applied once.  Order k ends the series before it
-        # when the asymptotic series starts growing (k > 1), and after it when
-        # k >= _EM_K_START and the term is negligible.  A Pochhammer product that
-        # hit an exact zero (the expansion terminated) zeroes every later
-        # term, so the second rule ends the series there with rem = 0.  The
-        # events are interleaved as (before k, after k) so that argmax finds
-        # the first; "after order K" is always set, for all K orders used.
-        n_ord = _EM_MAX_HALF_ORDER
-        events = np.zeros((s.size, 2 * n_ord), dtype=bool)
-        events[:, 2::2] = mag[:, 1:] > mag[:, :-1]
-        events[:, 2 * _EM_K_START - 1::2] = mag[:, _EM_K_START - 1:] <= 1e-3 * tol
-        events[:, -1] = True
-        first = events.argmax(axis=1)
-        # first >= 2, so at least one order is used: sums[..., k-1] ends with order k
+        # A term counts as negligible from order _EM_K_START on, so order 1 is
+        # always used.  A Pochhammer product that hit an exact zero (the expansion
+        # terminated) zeroes every later term: the series ends there with rem = 0.
+        used, stop = _first_stop(mag, _EM_K_START - 1, 1e-3 * tol)
         sums = np.add.accumulate(per_base, axis=2)
         rows = np.arange(s.size)
-        value += sums[rows, :, (first - 1) // 2]
-        rem = mag[rows, first // 2]
+        value += sums[rows, :, used]
+        rem = mag[rows, stop]
         # Each order used has |term| <= the first's; the first bounds their round-off.
         round_rem = np.maximum(rounding, mag[:, 0]) * _EPS
     return _weigh(value, w), rem, round_rem
+
+
+def _first_stop(mag: np.ndarray, start: int, negligible: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Where a series with term bounds mag (points, orders) stops: before
+    order k when its term outgrows the one before, after it when k >= start
+    and its term is at most negligible, or after the last order.  Per point:
+    (the last order used, the order whose bound is the remainder)."""
+    events = np.zeros(mag.shape + (2,), dtype=bool)  # (before k, after k): argmax finds the first
+    np.greater(mag[:, 1:], mag[:, :-1], out=events[:, 1:, 0])
+    np.less_equal(mag[:, start:], negligible, out=events[:, start:, 1])
+    events[:, -1, 1] = True
+    first = events.reshape(len(mag), -1).argmax(axis=1)
+    stop = first >> 1
+    return first - stop - 1, stop
 
 
 def _relative_bounds(rems: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -741,23 +745,14 @@ def _li_euler_tail(s: np.ndarray, n: np.ndarray, a: float, lam: float, tol: floa
     diffs = np.einsum("pj,kj->pk", table, _FORWARD_DIFFERENCES)  # Delta^k a_N, row by row
     mag = np.abs(diffs)
     mag *= scale
-    # The stopping rule, applied once as in _em_once: order k ends the tail
-    # before it when its term outgrows the one before (k > 0), and after it
-    # when the term is below 0.05 tol, or when it is the last.  Events are
-    # interleaved as (before k, after k) so that argmax finds the first.
-    events = np.zeros((s.size, _LI_ORDER + 1, 2), dtype=bool)
-    np.greater(mag[:, 1:], mag[:, :-1], out=events[:, 1:, 0])
-    np.less_equal(mag, _LI_NEGLIGIBLE * tol, out=events[:, :, 1])
-    events[:, _LI_ORDER, 1] = True
-    first = events.reshape(s.size, -1).argmax(axis=1)
-    rows, order = np.arange(s.size), first >> 1  # the order the rule stopped at
-    used = first - order - 1  # the last order used
+    used, stop = _first_stop(mag, 0, _LI_NEGLIGIBLE * tol)
+    rows = np.arange(s.size)
     # z^{N+k} / (1-z)^{k+1} = z^N coef_k: the phase z^N comes out of the sum
     zn = np.exp(1j * _angles(n, a))
     tail = zn * np.add.accumulate(diffs * coef, axis=1)[rows, used]
     if lam:
         tail += lam * zn.conj() * np.add.accumulate(diffs * coef.conj(), axis=1)[rows, used]
-    return tail, (1.0 + abs(lam)) * mag[rows, order]
+    return tail, (1.0 + abs(lam)) * mag[rows, stop]
 
 
 def _li_rational(s: np.ndarray, r: int, q: int, cfg: EvalSettings, lam: float = 0.0) -> np.ndarray:

@@ -40,6 +40,7 @@ _DEFAULT_STEP = 0.05
 _TOUCH_TOL = 1e-6
 _BRACKET_WIDTH = 1e-10
 _GRID_ZERO_TOL = 1e-9
+_POLE_AT_ONE = (Family.Z, Family.HURWITZ, Family.RIEMANN)  # the families with a pole at s = 1
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def scan_real_zeros(
         raise DomainError(f"scan grid over [{lo}, {hi}] with step {step} has more than {MAX_GRID_POINTS} points")
     alpha = Alpha.coerce(a)
 
-    has_pole = fam in (Family.Z, Family.HURWITZ, Family.RIEMANN)
+    has_pole = fam in _POLE_AT_ONE
     if has_pole and lo < 1.0 < hi:
         warnings.warn(
             f"scan interval [{lo}, {hi}] contains the s = 1 pole; splitting around it",
@@ -443,7 +444,7 @@ def count_zeros_rectangle(
     y0, y1 = min(c0.imag, c1.imag), max(c0.imag, c1.imag)
     if x0 == x1 or y0 == y1:
         raise DomainError("rectangle is degenerate")
-    if fam in (Family.Z, Family.HURWITZ, Family.RIEMANN):
+    if fam in _POLE_AT_ONE:
         if x0 - _POLE_CLEARANCE <= 1.0 <= x1 + _POLE_CLEARANCE and y0 - _POLE_CLEARANCE <= 0.0 <= y1 + _POLE_CLEARANCE:
             raise DomainError("rectangle must keep distance >= 0.01 from the pole at s = 1")
 

@@ -14,6 +14,7 @@ import pytest
 import zetazeros
 from zetazeros import DomainError
 from zetazeros.cli import EXIT_OK, EXIT_USAGE, run
+from zetazeros.zeros import EVEN_TOUCH, SIMPLE
 
 
 def run_cli(*argv):
@@ -202,6 +203,12 @@ def test_scan_json_schema():
     payload = json.loads(out)
     jsonschema.validate(payload, schema)
     assert payload["rows"][0]["multiplicity_class"] == "even-touch"
+
+
+def test_schema_classes_are_the_ones_scan_emits():
+    rows = load_schema()["properties"]["rows"]["items"]["oneOf"]
+    scan = next(row for row in rows if "multiplicity_class" in row["properties"])
+    assert set(scan["properties"]["multiplicity_class"]["enum"]) == {SIMPLE, EVEN_TOUCH}
 
 
 def test_output_byte_stable():

@@ -182,6 +182,13 @@ def test_linear_relation_preconditions():
         linear_relation_residual(Family.Y, 3, 4, 2.0)  # needs 2r < q
 
 
+def test_linear_relations_cover_z_p_y_o_in_two_directions():
+    with pytest.raises(DomainError):
+        linear_relation_residual(Family.X, 1, 4, 2.0)  # X = Y + O has no relation of its own
+    with pytest.raises(DomainError):
+        linear_relation_residual(Family.Z, 1, 4, 2.0, direction="both")
+
+
 def test_closed_forms_all_pairs():
     rng = np.random.default_rng(33)
     fams = (Family.Z, Family.P, Family.Y, Family.O, Family.X)
