@@ -96,7 +96,8 @@ def _parse_grid(text: str) -> List[float]:
 def _emit(command: str, rows: List[Dict[str, object]], fmt: str, out: io.TextIOBase) -> None:
     if fmt == "json":
         payload = {"command": command, "rows": rows}
-        json.dump(payload, out, sort_keys=True)
+        # dumps runs the C encoder; dump streams through the pure-Python one
+        out.write(json.dumps(payload, sort_keys=True))
         out.write("\n")
         return
     cols = _CSV_COLUMNS[command]

@@ -55,8 +55,11 @@ def _root_of_unity(phase: Fraction) -> complex:
 
 
 def _power(k: int, s: complex) -> complex:
-    """k^s for a positive integer k."""
-    return cmath.exp(s * math.log(k))
+    """k^s for a positive integer k; DomainError where it overflows a double."""
+    try:
+        return cmath.exp(s * math.log(k))
+    except OverflowError:
+        raise DomainError(f"{k}^s overflows at s = {s!r}") from None
 
 
 @dataclass(frozen=True)

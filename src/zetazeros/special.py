@@ -344,9 +344,6 @@ def _em_once(
     with np.errstate(all="ignore"):
         powers = np.exp(s[:, None, None] * c.neg_logs)  # (points, nb, m+1): (n+b)^{-s}
         sizes = np.abs(powers)
-        # each base's direct block, rounded to eps per term (the factor eps comes
-        # last), scaled by that base's |weight|; einsum, as in _weigh
-        rounding = np.einsum("...jn,...j->...", sizes[:, :, :m], w_abs)
         p = powers[:, :, m]  # (m+b)^{-s}
 
         # Per base: the integral term, the direct block and the boundary term.
@@ -356,6 +353,11 @@ def _em_once(
             value = _pole_quotient(1.0 - s, c.span) * (c.bases * powers[:, :, 0])
         else:
             value = p * c.tails / (s - 1.0)[:, None]
+        # each base's integral, direct and boundary terms, rounded to eps per term
+        # (the factor eps comes last), scaled by that base's |weight|; einsum, as
+        # in _weigh.  At Re s < 0 the integral and boundary terms are the largest.
+        rounding = np.einsum("...jn,...j->...", sizes[:, :, :m], w_abs)
+        rounding += np.einsum("...j,...j->...", np.abs(value) + 0.5 * sizes[:, :, m], w_abs)
         value += np.add.reduce(powers[:, :, :m], axis=2)
         value += 0.5 * p
 
@@ -378,8 +380,9 @@ def _em_once(
         rows = np.arange(s.size)
         value += sums[rows, :, used]
         rem = mag[rows, stop]
-        # Each order used has |term| <= the first's; the first bounds their round-off.
-        round_rem = np.maximum(rounding, mag[:, 0]) * _EPS
+        # At Re s < 0 the corrections can grow before they fall and cancel, so
+        # every order used counts toward the round-off, not only the first.
+        round_rem = (rounding + np.add.accumulate(mag, axis=1)[rows, used]) * _EPS
     return _weigh(value, w), rem, round_rem
 
 

@@ -75,49 +75,134 @@ class RectangleCount:
     winding_error: float
 
 
-def _bisect(f: Callable[[np.ndarray], np.ndarray], lo, hi, flo, width: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Sign bisection of the brackets [lo, hi] with f(lo) = flo down to width;
-    a midpoint where f is exactly 0 ends its bracket as mid -/+ width/4.  Each
-    step evaluates the midpoints of all wider brackets in one call of f.
+def _bisect(
+    f: Callable[[np.ndarray], np.ndarray], lo, hi, flo, fhi, width: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Refine the sign brackets [lo, hi], with f(lo) = flo and f(hi) = fhi,
+    until each is at most width wide; a point where f is exactly 0 ends its
+    bracket as x -/+ width/4.  Each step evaluates one new point of every
+    wider bracket in one call of f; the ends themselves are never evaluated.
+
+    The step is ITP (interpolate, truncate, project: Oliveira & Takahashi,
+    ACM TOMS 47(1), 2020) with kappa1 = 0.2/w0, kappa2 = 2 and n0 = 1: the
+    regula-falsi point, nudged toward the midpoint and projected into the
+    radius that finishes a bracket of width w0 within ceil(log2(w0/width)) + 1
+    steps, one more than bisection.  Each point is then kept width/4 inside
+    its bracket: in floating point the regula-falsi point can land on the
+    computed root step after step, and the clamp, which moves it toward the
+    midpoint, keeps the bound.  A NaN fhi (an end not evaluated) makes the
+    step the midpoint until that end has moved.
     """
-    # Python floats: beta bisects a single bracket, and numpy bookkeeping of
+    # Python floats: beta refines a single bracket, and numpy bookkeeping of
     # the brackets made beta_zero 12-18% slower
-    lo, hi, flo = (np.array(x, dtype=float, ndmin=1).tolist() for x in (lo, hi, flo))
+    lo, hi, flo, fhi = (np.array(x, dtype=float, ndmin=1).tolist() for x in (lo, hi, flo, fhi))
     live = [k for k in range(len(lo)) if hi[k] - lo[k] > width]
+    # ITP's kappa1 and its radius eps 2^(n_max - j) at step j = 0; 2 eps is the
+    # width less the rounding of a step's points, which would cost an extra step
+    kappa1 = {k: 0.2 / (hi[k] - lo[k]) for k in live}
+    radius = {
+        k: (width - 4.0 * math.ulp(max(abs(lo[k]), abs(hi[k]))))
+        * 2.0 ** math.ceil(math.log2((hi[k] - lo[k]) / width))
+        for k in live
+    }
     while live:
-        mids = [0.5 * (lo[k] + hi[k]) for k in live]
-        for k, mid, fm in zip(live, mids, f(np.array(mids)).tolist()):
-            if fm == 0.0:
-                lo[k], hi[k] = mid - 0.25 * width, mid + 0.25 * width
-            elif (fm < 0.0) == (flo[k] < 0.0):
-                lo[k], flo[k] = mid, fm
+        xs = []
+        for k in live:
+            a, b, fa, fb = lo[k], hi[k], flo[k], fhi[k]
+            x = mid = 0.5 * (a + b)
+            if not math.isnan(fb):
+                xf = (a * fb - b * fa) / (fb - fa)
+                sigma = (mid > xf) - (mid < xf)
+                delta = kappa1[k] * (b - a) ** 2
+                xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+                r = radius[k] - 0.5 * (b - a)
+                x = xt if abs(xt - mid) <= r else mid - sigma * r
+            radius[k] *= 0.5
+            xs.append(min(max(x, a + 0.25 * width), b - 0.25 * width))
+        for k, x, fx in zip(live, xs, f(np.array(xs)).tolist()):
+            if fx == 0.0:
+                lo[k], hi[k] = x - 0.25 * width, x + 0.25 * width
+            elif (fx < 0.0) == (flo[k] < 0.0):
+                lo[k], flo[k] = x, fx
             else:
-                hi[k] = mid
+                hi[k], fhi[k] = x, fx
         live = [k for k in live if hi[k] - lo[k] > width]
     return np.array(lo), np.array(hi)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = 1.0 - _INVPHI  # a golden-section step's share of the larger side
 
 
 def _refine_touch(g: Callable[[np.ndarray], np.ndarray], lo, hi, width: float) -> np.ndarray:
-    """Golden-section minima of g = |f| on the brackets [lo, hi]; each step
-    evaluates the one new inner point of all wider brackets in one call of g."""
-    lo, hi = (np.array(x, dtype=float, ndmin=1) for x in (lo, hi))
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    gc, gd = np.split(g(np.concatenate((c, d))), 2)
-    live = np.flatnonzero(hi - lo > width)
-    while live.size:
-        left = gc[live] < gd[live]
-        lower, upper = live[left], live[~left]  # brackets that keep [lo, d], [c, hi]
-        hi[lower], d[lower], gd[lower] = d[lower], c[lower], gc[lower]
-        c[lower] = hi[lower] - _INVPHI * (hi[lower] - lo[lower])
-        lo[upper], c[upper], gc[upper] = c[upper], d[upper], gd[upper]
-        d[upper] = lo[upper] + _INVPHI * (hi[upper] - lo[upper])
-        gc[lower], gd[upper] = np.split(g(np.concatenate((c[lower], d[upper]))), [lower.size])
-        live = live[hi[live] - lo[live] > width]
-    return 0.5 * (lo + hi)
+    """Minima of g = |f| on the brackets [lo, hi], refined until each is at
+    most width wide: the brackets' midpoints.  Each step evaluates one new
+    point of every wider bracket in one call of g.
+
+    Brent's local minimiser (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5).  The first call evaluates both golden-section
+    points, as golden section does.  After it, a step goes to the vertex of
+    the parabola through the three best points when the vertex lies inside
+    the bracket and moves less than half the step before last, and is a
+    golden-section step into the larger side otherwise: parabolic steps that
+    stop converging give way to golden section.  No step is shorter than
+    width/4, so a converged parabola is closed in from both sides.
+    """
+    a, b = (np.array(x, dtype=float, ndmin=1).tolist() for x in (lo, hi))
+    live = [k for k in range(len(a)) if b[k] - a[k] > width]
+    tol = 0.25 * width
+    c = [b[k] - _INVPHI * (b[k] - a[k]) for k in live]
+    d = [a[k] + _INVPHI * (b[k] - a[k]) for k in live]
+    values = g(np.array(c + d)).tolist()
+    # per bracket: the best point x, the two before it w and v, their values,
+    # and the last two steps (step, before)
+    x, w, fx, fw, step, before = {}, {}, {}, {}, {}, {}
+    for k, ck, dk, gc, gd in zip(live, c, d, values, values[len(live):]):
+        if gc < gd:
+            b[k], x[k], fx[k], w[k], fw[k] = dk, ck, gc, dk, gd
+        else:
+            a[k], x[k], fx[k], w[k], fw[k] = ck, dk, gd, ck, gc
+        step[k] = before[k] = 0.0
+    v, fv = dict(w), dict(fw)
+    live = [k for k in live if b[k] - a[k] > width]
+    while live:
+        us = []
+        for k in live:
+            xk, mid = x[k], 0.5 * (a[k] + b[k])
+            golden = True
+            if abs(before[k]) > tol:
+                r = (xk - w[k]) * (fx[k] - fv[k])
+                q = (xk - v[k]) * (fx[k] - fw[k])
+                p = (xk - v[k]) * q - (xk - w[k]) * r
+                q = 2.0 * (q - r)
+                p, q = (-p, q) if q > 0.0 else (p, -q)
+                if abs(p) < abs(0.5 * q * before[k]) and q * (a[k] - xk) < p < q * (b[k] - xk):
+                    golden = False
+                    before[k], step[k] = step[k], p / q
+                    if xk + step[k] - a[k] < 2.0 * tol or b[k] - xk - step[k] < 2.0 * tol:
+                        step[k] = math.copysign(tol, mid - xk)
+            if golden:
+                before[k] = (a[k] if xk >= mid else b[k]) - xk
+                step[k] = _GOLDEN * before[k]
+            us.append(xk + (step[k] if abs(step[k]) >= tol else math.copysign(tol, step[k])))
+        for k, u, fu in zip(live, us, g(np.array(us)).tolist()):
+            if fu <= fx[k]:
+                if u >= x[k]:
+                    a[k] = x[k]
+                else:
+                    b[k] = x[k]
+                v[k], fv[k], w[k], fw[k], x[k], fx[k] = w[k], fw[k], x[k], fx[k], u, fu
+            else:
+                if u < x[k]:
+                    a[k] = u
+                else:
+                    b[k] = u
+                if fu <= fw[k] or w[k] == x[k]:
+                    v[k], fv[k], w[k], fw[k] = w[k], fw[k], u, fu
+                elif fu <= fv[k] or v[k] == x[k] or v[k] == w[k]:
+                    v[k], fv[k] = u, fu
+        live = [k for k in live if b[k] - a[k] > width]
+    return 0.5 * (np.array(a) + np.array(b))
 
 
 def scan_real_zeros(
@@ -130,10 +215,12 @@ def scan_real_zeros(
 ) -> List[ZeroRecord]:
     """Scan [lo, hi] for real zeros of the family section.
 
-    Sign changes are bisected to brackets narrower than 1e-10 and reported as
-    simple; local |f| minima that dip below _TOUCH_TOL without a sign change
-    are reported as even-touch (this is what catches double zeros).  For the
-    complex-valued periodic zeta only the |f| dip detection applies.
+    Sign changes are refined (ITP, from the grid values at both ends) to
+    brackets narrower than 1e-10 and reported as simple; local |f| minima
+    that dip below _TOUCH_TOL without a sign change are refined by Brent's
+    minimiser and reported as even-touch (this is what catches double
+    zeros).  For the complex-valued periodic zeta only the |f| dip detection
+    applies.
 
     An interval containing the s = 1 pole (Z, Hurwitz, Riemann) is split
     around it and a warning is emitted.
@@ -196,12 +283,12 @@ def scan_real_zeros(
         for x0, is_simple, resid in zip(xs[at].tolist(), simple.tolist(), mags[at].tolist())
     ]
 
-    # Sign changes between signed grid values are bisected.  A local |f|
+    # Sign changes between signed grid values are refined.  A local |f|
     # minimum is refined as a candidate touch only with no sign change on
-    # either side: next to one, the bisected zero is the zero.
+    # either side: next to one, the refined sign change is the zero.
     signs = np.flatnonzero(crossed & ~small[:-1] & ~small[1:])
     dips = 1 + np.flatnonzero(~small[1:-1] & ~crossed[:-1] & ~crossed[1:] & (inner < mags[:-2]) & (inner <= mags[2:]))
-    blo, bhi = _bisect(f, xs[signs], xs[signs + 1], vals[signs], _BRACKET_WIDTH)
+    blo, bhi = _bisect(f, xs[signs], xs[signs + 1], vals[signs], vals[signs + 1], _BRACKET_WIDTH)
     touches = _refine_touch(lambda x: np.abs(f(x)), xs[dips - 1], xs[dips + 1], 1e-8)
     locs = np.concatenate((0.5 * (blo + bhi), touches))
     resids = np.abs(f(locs)).tolist()
@@ -214,7 +301,7 @@ def scan_real_zeros(
     ]
 
     # De-duplicate records closer than half a step (touch refinement overlap).
-    # A bisected sign change is a simple zero whatever the residuals say, so
+    # A refined sign change is a simple zero whatever the residuals say, so
     # it wins over an even touch; between records of one kind the smaller
     # residual wins.
     records.sort(key=lambda rec: rec.location)
@@ -239,7 +326,7 @@ def monotone_kernel(sigma: float, a: AlphaLike, cfg: EvalSettings = _SCAN_SETTIN
     """alpha^{-sigma} Gamma(sigma) P(sigma, a) with alpha = -log cos 2 pi a.
 
     Strictly increasing in sigma > 0 for 0 < a <= 1/4, which is what makes
-    sign bisection for beta_P rigorous rather than heuristic.
+    the sign-change search for beta_P rigorous rather than heuristic.
     """
     alpha = Alpha.coerce(a)
     if not 0.0 < alpha.value <= 0.25:
@@ -277,8 +364,13 @@ def asymptotic_prediction(fam: Family, a: AlphaLike) -> float:
 
 
 def beta_zero(fam: Family, a: AlphaLike, cfg: EvalSettings = _SCAN_SETTINGS) -> BetaCurvePoint:
-    """Locate beta_P(a) by sign bisection on the monotone kernel and return
+    """Locate beta_P(a) as the sign change of the monotone kernel and return
     the requested family's curve point (beta_Z = 1 - beta_P).
+
+    The bracket is (0, 1) for a < 1/6, and for a > 1/6 the first [2^k, 2^(k+1)]
+    from [1, 2] up whose upper end is positive.  ITP steps (``_bisect``) refine
+    it to 1e-10 from the ends' values; P at the upper end 1 of the first
+    bracket is not evaluated, so there the first step is the midpoint.
 
     a = 1/6 exactly returns the boundary values beta_P = 1, beta_Z = 0.
     """
@@ -299,6 +391,7 @@ def beta_zero(fam: Family, a: AlphaLike, cfg: EvalSettings = _SCAN_SETTINGS) -> 
         if av < 1.0 / 6.0:
             lo, hi = 1e-12, 1.0
             flo = -1.0  # P -> -1 at sigma = 0+
+            fhi = math.nan  # not evaluated: the series for P(1, a) warns at small a
         else:
             lo, hi = 1.0, 2.0
             (flo,), (fhi,) = f(lo), f(hi)
@@ -308,7 +401,7 @@ def beta_zero(fam: Family, a: AlphaLike, cfg: EvalSettings = _SCAN_SETTINGS) -> 
                 if hi > 2.0**40:
                     raise ConvergenceError("no sign change found for beta_P bracket")
                 (fhi,) = f(hi)
-        blo, bhi = _bisect(f, lo, hi, flo, _BRACKET_WIDTH)
+        blo, bhi = _bisect(f, lo, hi, flo, fhi, _BRACKET_WIDTH)
         beta_p = float(0.5 * (blo[0] + bhi[0]))
 
     beta = beta_p if fam is Family.P else 1.0 - beta_p

@@ -235,6 +235,13 @@ def test_f_g_factors():
         assert g_factor(1.0 - s) * g_factor(s) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_large_powers_raise_a_typed_error():
+    with pytest.raises(DomainError, match="overflows"):
+        f_factor(700.0)
+    with pytest.raises(DomainError, match="overflows"):
+        closed_form_identity(Family.Y, "1/6", 800 + 1j)
+
+
 def test_f_g_separation_off_critical_line():
     # |f| > 1 > |g| for sigma > 1/2 and the mirror image for sigma < 1/2, so
     # the X(s, 1/6) prefactor 3^s(1+2^s) + sqrt3 (1+2^{1-s}) cannot vanish there

@@ -177,6 +177,18 @@ def test_hurwitz_route_chosen_by_relative_bound():
         assert hurwitz_zeta(-200.0, 0.3) == pytest.approx(5.5204111104114665e214, rel=1e-12)
 
 
+def test_euler_maclaurin_round_off_counts_every_large_term():
+    # frozen mpmath values at the zero layer's target, next to real zeros: at
+    # Re s < 0 the corrections and the integral and boundary terms are large
+    # and cancel, so a model that counted only the direct block and the first
+    # correction certified Euler-Maclaurin values off by 1.1e-10 and 1.7e-10
+    cfg = EvalSettings(target_abs_tol=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        assert hurwitz_zeta(-9.143401685496533, 2 / 7, cfg).real == pytest.approx(-1.1237378002318444729e-10, abs=1e-12)
+        assert hurwitz_pair_diff(-13.0, 3 / 11, cfg).real == pytest.approx(0.0, abs=1e-12)
+
+
 def test_settle_measures_a_bound_against_the_smallest_value_it_allows():
     # The two routes of L(-15, chi mod 12 #1): an Euler-Maclaurin value 5.78e7
     # with bound 5.51e7 may be as small as 2.7e6, so its bound is 21 times

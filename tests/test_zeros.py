@@ -118,38 +118,94 @@ def test_scan_hurwitz_zero_near_origin_is_simple():
     assert near[0].multiplicity_class == SIMPLE
 
 
-def _scalar_bisect(f, lo, hi, flo, width):
+def _scalar_itp(f, lo, hi, flo, fhi, width):
+    """One bracket of zeros._bisect: ITP with kappa1 = 0.2/w0, kappa2 = 2,
+    n0 = 1, every point kept width/4 inside the bracket."""
+    if not hi - lo > width:
+        return lo, hi
+    kappa1 = 0.2 / (hi - lo)
+    radius = (width - 4.0 * math.ulp(max(abs(lo), abs(hi)))) * 2.0 ** math.ceil(math.log2((hi - lo) / width))
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid - 0.25 * width, mid + 0.25 * width
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
+        x = mid
+        if not math.isnan(fhi):
+            xf = (lo * fhi - hi * flo) / (fhi - flo)
+            sigma = (mid > xf) - (mid < xf)
+            delta = kappa1 * (hi - lo) ** 2
+            xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+            r = radius - 0.5 * (hi - lo)
+            x = xt if abs(xt - mid) <= r else mid - sigma * r
+        radius *= 0.5
+        x = min(max(x, lo + 0.25 * width), hi - 0.25 * width)
+        fx = f(x)
+        if fx == 0.0:
+            return x - 0.25 * width, x + 0.25 * width
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo = x, fx
         else:
-            hi = mid
+            hi, fhi = x, fx
     return lo, hi
 
 
-def _scalar_refine_touch(g, lo, hi, width):
+def _scalar_brent(g, lo, hi, width):
+    """One bracket of zeros._refine_touch: Brent's local minimiser after a
+    first golden-section pair, with steps of at least width/4."""
+    if not hi - lo > width:
+        return 0.5 * (lo + hi)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
+    tol = 0.25 * width
+    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
     gc, gd = g(c), g(d)
+    if gc < gd:
+        hi, x, fx, w, fw = d, c, gc, d, gd
+    else:
+        lo, x, fx, w, fw = c, d, gd, c, gc
+    v, fv = w, fw
+    step = before = 0.0
     while hi - lo > width:
-        if gc < gd:
-            hi, d, gd = d, c, gc
-            c = hi - invphi * (hi - lo)
-            gc = g(c)
+        mid = 0.5 * (lo + hi)
+        golden = True
+        if abs(before) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            if abs(p) < abs(0.5 * q * before) and q * (lo - x) < p < q * (hi - x):
+                golden = False
+                before, step = step, p / q
+                if x + step - lo < 2.0 * tol or hi - x - step < 2.0 * tol:
+                    step = math.copysign(tol, mid - x)
+        if golden:
+            before = (lo if x >= mid else hi) - x
+            step = (1.0 - invphi) * before
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        fu = g(u)
+        if fu <= fx:
+            if u >= x:
+                lo = x
+            else:
+                hi = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            lo, c, gc = c, d, gd
-            d = lo + invphi * (hi - lo)
-            gd = g(d)
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
     return 0.5 * (lo + hi)
 
 
 def _cubic(x):
     return (x - 0.5) * (x - 3.0) * (x + 2.25)
+
+
+def _steep(x):
+    # -1 at the left end of [0, 1], about 6e60 at the right: regula falsi alone crawls
+    return np.expm1(200.0 * (x - 0.3))
 
 
 # [0, 1] has its zero 0.5 at the first midpoint; the last bracket is already
@@ -160,13 +216,57 @@ REFINE_BRACKETS = [(0.0, 1.0), (2.2, 4.1), (-3.0, -1.7), (-2.0, 0.9), (2.9999999
 def test_array_refiners_match_the_scalar_loops_bracket_for_bracket():
     lo, hi = (np.array(x) for x in zip(*REFINE_BRACKETS))
     for width in (1e-10, 1e-8):
-        blo, bhi = zeros._bisect(_cubic, lo, hi, _cubic(lo), width)
-        want = [_scalar_bisect(lambda x: float(_cubic(x)), *b, float(_cubic(b[0])), width) for b in REFINE_BRACKETS]
+        blo, bhi = zeros._bisect(_cubic, lo, hi, _cubic(lo), _cubic(hi), width)
+        want = [
+            _scalar_itp(lambda x: float(_cubic(x)), *b, float(_cubic(b[0])), float(_cubic(b[1])), width)
+            for b in REFINE_BRACKETS
+        ]
         assert list(zip(blo.tolist(), bhi.tolist())) == want
         g = lambda x: np.abs(_cubic(x))
-        want = [_scalar_refine_touch(lambda x: float(g(x)), *b, width) for b in REFINE_BRACKETS]
+        want = [_scalar_brent(lambda x: float(g(x)), *b, width) for b in REFINE_BRACKETS]
         assert zeros._refine_touch(g, lo, hi, width).tolist() == want
-    assert zeros._bisect(_cubic, 0.0, 1.0, -1.0, 1e-10)[0].tolist() == [0.5 - 0.25e-10]
+    # an end value left unknown (NaN) makes the first step the midpoint, here the zero
+    assert zeros._bisect(_cubic, 0.0, 1.0, -1.0, math.nan, 1e-10)[0].tolist() == [0.5 - 0.25e-10]
+
+
+@pytest.mark.parametrize("f, bracket", [(_cubic, b) for b in REFINE_BRACKETS[:4]] + [(_steep, (0.0, 1.0))])
+@pytest.mark.parametrize("width", [1e-10, 1e-8])
+def test_sign_refiner_keeps_bisection_guarantees(f, bracket, width):
+    lo, hi = bracket
+    seen = []
+
+    def recording(x):
+        seen.extend(x.tolist())
+        return f(x)
+
+    (blo,), (bhi,) = zeros._bisect(recording, lo, hi, f(lo), f(hi), width)
+    assert bhi - blo <= width
+    assert f(blo) * f(bhi) <= 0.0
+    # one point a step, none at an end: at most bisection's steps plus one
+    assert len(seen) <= math.ceil(math.log2((hi - lo) / width)) + 1
+    assert all(lo < x < hi for x in seen)
+
+
+def test_touch_refiner_is_no_slower_than_golden_section():
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    width = 1e-8
+    minima = [
+        (lambda x: np.abs(_cubic(x)), (2.2, 4.1), 3.0),
+        (lambda x: (x - 0.3141) ** 2 + 1e-7, (0.0, 1.0), 0.3141),
+        (lambda x: (x - 0.3141) ** 4, (-3.0, 0.35), 0.3141),
+        (lambda x: np.sqrt(np.abs(x - 0.3141)), (0.0, 1.0), 0.3141),
+    ]
+    for g, (lo, hi), at in minima:
+        calls = []
+
+        def counting(x):
+            calls.append(x.size)
+            return g(x)
+
+        (loc,) = zeros._refine_touch(counting, lo, hi, width).tolist()
+        assert abs(loc - at) <= width
+        # golden section: one call for its first pair, then one per shrink by 1/phi
+        assert len(calls) <= 1 + math.ceil(math.log((hi - lo) / width) / math.log(1.0 / invphi))
 
 
 def test_scan_refines_all_brackets_in_array_calls(monkeypatch):
@@ -180,7 +280,21 @@ def test_scan_refines_all_brackets_in_array_calls(monkeypatch):
     monkeypatch.setattr(zeros, "eval_family", counting)
     recs = scan_real_zeros(Family.Y, Alpha.parse("3/10"), -16.0907, 3.0221)
     assert len(recs) == 8
-    assert len(calls) <= 40 and all(calls)
+    assert len(calls) <= 16 and all(calls)
+
+
+@pytest.mark.parametrize("a", [0.01, 0.08, 0.15, 0.2, 0.24])
+def test_beta_refines_in_few_kernel_calls(monkeypatch, a):
+    calls = []
+    original = zeros.eval_family
+
+    def counting(fam, s, *args):
+        calls.append(np.size(s))
+        return original(fam, s, *args)
+
+    monkeypatch.setattr(zeros, "eval_family", counting)
+    beta_zero(Family.P, a)
+    assert len(calls) <= 12
 
 
 def test_scan_rejects_bad_interval():
