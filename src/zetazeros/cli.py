@@ -208,51 +208,47 @@ def _cmd_count(args: argparse.Namespace, out: io.TextIOBase) -> int:
 # ---------------------------------------------------------------------------
 # verify suites
 
-def _verify_functional_equations(alpha: Alpha, cfg: EvalSettings, rng: np.random.Generator):
+_COMPOSED = (Family.Z, Family.P, Family.Y, Family.O, Family.X)
+
+
+def _draw_points(rng: np.random.Generator, sigma, t) -> np.ndarray:
+    """20 points drawn uniformly from the sigma x t box, less those within 0.05 of s = 1."""
+    points = [complex(rng.uniform(*sigma), rng.uniform(*t)) for _ in range(20)]
+    return np.array([s for s in points if abs(s - 1.0) >= 0.05], dtype=complex)
+
+
+def _verify_functional_equations(alpha: Alpha, fam: Optional[Family], cfg: EvalSettings, rng: np.random.Generator):
+    # a family with no functional equation pair (hurwitz, periodic, riemann, L) is skipped, as in closed-forms
     tol = 1e-8
-    for fam in (Family.Z, Family.P, Family.Y, Family.O, Family.X):
-        worst = 0.0
-        for _ in range(20):
-            s = complex(rng.uniform(0.05, 10.0), rng.uniform(-30.0, 30.0))
-            if abs(s - 1.0) < 0.05:
-                continue
-            lhs, rhs = functional_equation_pair(fam, s, alpha, cfg)
-            scale = max(abs(lhs), abs(rhs), 1.0)
-            worst = max(worst, abs(lhs - rhs) / scale)
-        yield f"fe-{fam.name}-a={alpha}", worst, tol
+    for f in [fam] if fam else _COMPOSED:
+        if not f.is_composed:
+            continue
+        lhs, rhs = functional_equation_pair(f, _draw_points(rng, (0.05, 10.0), (-30.0, 30.0)), alpha, cfg)
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+        yield f"fe-{f.name}-a={alpha}", float(np.max(np.abs(lhs - rhs) / scale)), tol
 
 
 def _verify_closed_forms(alpha: Alpha, fam: Optional[Family], cfg: EvalSettings, rng: np.random.Generator):
     # a family with no closed form at alpha is skipped; its table says so before any evaluation
     tol = 1e-8
-    fams = [fam] if fam else [Family.Z, Family.P, Family.Y, Family.O, Family.X]
-    for f in fams:
+    for f in [fam] if fam else _COMPOSED:
         if not _closed_form_covers(f, alpha):
             continue
-        worst = 0.0
-        for _ in range(20):
-            s = complex(rng.uniform(0.1, 6.0), rng.uniform(-20.0, 20.0))
-            if abs(s - 1.0) < 0.05:
-                continue
-            direct, closed = closed_form_identity(f, alpha, s, cfg)
-            worst = max(worst, abs(direct - closed) / max(1.0, abs(closed)))
-        yield f"closed-form-{f.name}-a={alpha}", worst, tol
+        direct, closed = closed_form_identity(f, alpha, _draw_points(rng, (0.1, 6.0), (-20.0, 20.0)), cfg)
+        worst = np.max(np.abs(direct - closed) / np.maximum(1.0, np.abs(closed)))
+        yield f"closed-form-{f.name}-a={alpha}", float(worst), tol
 
 
 def _verify_relations(cfg: EvalSettings, rng: np.random.Generator):
     tol = 1e-8
     for q in (3, 4, 5, 6, 8, 12):
+        points = np.array([complex(rng.uniform(1.1, 4.0), rng.uniform(-10.0, 10.0)) for _ in range(4)])
         worst = 0.0
-        for _ in range(4):
-            s = complex(rng.uniform(1.1, 4.0), rng.uniform(-10.0, 10.0))
-            for r in range(1, q):
-                if math.gcd(r, q) != 1:
-                    continue
-                worst = max(worst, linear_relation_residual(Family.Z, r, q, s, cfg))
-                worst = max(worst, linear_relation_residual(Family.P, r, q, s, cfg))
-                if 2 * r < q:
-                    worst = max(worst, linear_relation_residual(Family.Y, r, q, s, cfg))
-                    worst = max(worst, linear_relation_residual(Family.O, r, q, s, cfg))
+        for r in range(1, q):
+            if math.gcd(r, q) != 1:
+                continue
+            for f in (Family.Z, Family.P, Family.Y, Family.O) if 2 * r < q else (Family.Z, Family.P):
+                worst = max(worst, float(linear_relation_residual(f, r, q, points, cfg).max()))
         yield f"relations-q={q}", worst, tol
 
 
@@ -276,7 +272,7 @@ def _cmd_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
         return np.random.default_rng(20240801)
 
     suites = {
-        "functional-equations": lambda: _verify_functional_equations(alpha, cfg, rng()),
+        "functional-equations": lambda: _verify_functional_equations(alpha, fam, cfg, rng()),
         "closed-forms": lambda: _verify_closed_forms(alpha, fam, cfg, rng()),
         "relations": lambda: _verify_relations(cfg, rng()),
         "special-values": lambda: _verify_special_values(alpha, cfg),
@@ -302,8 +298,9 @@ def _cmd_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
                     "status": status,
                 }
             )
-    if not rows and args.suite == "closed-forms":
-        raise UnsupportedError(f"no closed form for {fam.name if fam else 'Z, P, Y, O or X'} at a = {alpha}")
+    if not rows and args.suite in ("closed-forms", "functional-equations"):
+        what = "closed form" if args.suite == "closed-forms" else "functional equation pair"
+        raise UnsupportedError(f"no {what} for {fam.name if fam else 'Z, P, Y, O or X'} at a = {alpha}")
     _emit("verify", rows, args.format, out)
     return EXIT_OK if ok else EXIT_VERIFY
 

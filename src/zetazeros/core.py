@@ -121,15 +121,17 @@ class Alpha:
 
     @staticmethod
     def parse(text: str) -> "Alpha":
-        """Parse "r/q" as an exact rational, anything else as a float."""
+        """Parse "r/q" as an exact rational, anything else as a float; malformed
+        text raises DomainError."""
         text = text.strip()
-        if "/" in text:
-            num, _, den = text.partition("/")
-            if int(den) == 0:
-                raise DomainError(f"zero denominator in {text!r}")
-            frac = Fraction(int(num), int(den))
-            return Alpha(float(frac), (frac.numerator, frac.denominator))
-        return Alpha(float(text))
+        num, slash, den = text.partition("/")
+        try:
+            value = Fraction(int(num), int(den)) if slash else float(text)
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in {text!r}") from None
+        except ValueError:
+            raise DomainError(f"alpha must be a number or \"r/q\", got {text!r}") from None
+        return Alpha.coerce(value)
 
     def __str__(self) -> str:
         if self.exact is not None:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -266,31 +266,37 @@ _RELATIONS = {
 
 
 def _coefficients(
-    rel: _Relation, chars: List[DirichletCharacter], r: int, q: int, s: complex
-) -> Tuple[complex, List[complex]]:
-    """c(chi, r) for each chi in chars, as the factor they share and the factor of each chi."""
+    rel: _Relation, chars: List[DirichletCharacter], r: int, q: int, pts: np.ndarray
+) -> Tuple[Union[complex, np.ndarray], List[complex]]:
+    """c(chi, r) for each chi in chars, as the factor they share (q^s at each point, or a
+    constant) and the factor of each chi."""
     if rel.unit is None:
-        return _power(q, s), [chi.conj()(r) for chi in chars]
+        return np.array([_power(q, x) for x in pts.tolist()], dtype=complex), [chi.conj()(r) for chi in chars]
     return rel.unit, [chi(r) * gauss_sum(chi.conj()) for chi in chars]
 
 
-def _family_at_fraction(fam: Family, s: complex, r: int, q: int, cfg: EvalSettings) -> complex:
-    """family(s, r/q) for any 0 < r < q, using the a <-> 1-a symmetry to reach
-    the (0, 1/2] domain of the composed families."""
+def _family_at_fraction(fam: Family, pts: np.ndarray, r: int, q: int, cfg: EvalSettings) -> np.ndarray:
+    """family(s, r/q) at an array of points for any 0 < r < q, using the a <-> 1-a
+    symmetry to reach the (0, 1/2] domain of the composed families."""
     if 2 * r <= q:
-        return eval_family(fam, s, Alpha.coerce(Fraction(r, q)), cfg)
-    value = eval_family(fam, s, Alpha.coerce(Fraction(q - r, q)), cfg)
+        return eval_family(fam, pts, Alpha.coerce(Fraction(r, q)), cfg)
+    value = eval_family(fam, pts, Alpha.coerce(Fraction(q - r, q)), cfg)
     return -value if fam.odd_symmetric else value
+
+
+def _residuals(res: np.ndarray, shape: Tuple[int, ...]):
+    """Residuals at flat points handed back as a float (shape ()) or an array of that shape."""
+    return float(res[0]) if shape == () else res.reshape(shape)
 
 
 def linear_relation_residual(
     fam: Family,
     r: int,
     q: int,
-    s: complex,
+    s,
     cfg: EvalSettings = DEFAULT_SETTINGS,
     direction: str = "family_from_l",
-) -> float:
+):
     """Residual of the character-sum linear relations, both sides independent.
 
     chi runs over the characters mod q of the family's parity (even for Z and
@@ -312,14 +318,20 @@ def linear_relation_residual(
     it reads L = +i/(2 G(conj chi)) sum_r conj(chi)(r) O(s, r/q), so that
     O(s, 1/4) = 2 L(s, chi mod 4).  For P and O it relies on G(conj chi, n) =
     chi(n) G(conj chi) for all n, i.e. on chi primitive, and is checked for
-    primitive characters only.
+    primitive characters only; L(s, chi) of the principal character leaves the
+    max at s = 1, its pole.
+
+    ``s`` is a number (the residual is a float) or an array of points (an
+    array of residuals of its shape).  Each family value and each L(s, chi)
+    is one kernel call over all the points; only the coefficients are formed
+    point by point.
     """
     rel = _RELATIONS.get(fam)
     if rel is None:
         raise DomainError(f"linear relations cover Z, P, Y, O; got {fam}")
     if direction not in ("family_from_l", "l_from_family"):
         raise DomainError(f"unknown direction {direction!r}")
-    s = require_finite(s)
+    pts, shape = as_points(s)
     if math.gcd(r, q) != 1 or not 0 < r < q:
         raise DomainError("need 0 < r < q with gcd(r, q) = 1")
     if rel.parity < 0 and not 0 < 2 * r < q:
@@ -328,31 +340,35 @@ def linear_relation_residual(
     phi = euler_phi(q)
 
     if direction == "family_from_l":
-        lhs = _family_at_fraction(fam, s, r, q, cfg)
-        common, parts = _coefficients(rel, chars, r, q, s)
-        total = 0.0 + 0.0j
+        lhs = _family_at_fraction(fam, pts, r, q, cfg)
+        common, parts = _coefficients(rel, chars, r, q, pts)
+        total = np.zeros(pts.shape, dtype=complex)
         for chi, part in zip(chars, parts):
-            total += 2 * part * l_function(chi, s, cfg)
+            total += 2 * part * l_function(chi, pts, cfg)
         # the shared factor scales the sum, in this order: it sets the rounding that verify prints
         if rel.trig is None:
-            return abs(lhs - common / phi * total)
+            return _residuals(np.abs(lhs - common / phi * total), shape)
         shared = [n for n in range(1, q + 1) if math.gcd(n, q) > 1]
         weights = [2.0 * rel.trig(2.0 * math.pi * ((r * n) % q) / q) for n in shared]
-        completion = _zeta_sum(as_points(s)[0], [n / q for n in shared], weights, cfg, q=q)[0]
-        return abs(lhs - (common * total / phi + completion))
+        completion = _zeta_sum(pts, [n / q for n in shared], weights, cfg, q=q)
+        return _residuals(np.abs(lhs - (common * total / phi + completion)), shape)
 
-    chars = [
-        chi for chi in chars
-        if not (chi.is_principal and s == 1.0) and (rel.unit is None or chi.is_primitive)
-    ]
-    if not chars:
-        return 0.0
+    chars = [chi for chi in chars if rel.unit is None or chi.is_primitive]
+    # L(s, chi) of the principal character has its pole at s = 1 and leaves the max there: alone
+    # (q = 2) it leaves residual 0 at those points, and beside other characters Z(1, n/q) raises
+    live = pts != 1.0 if all(chi.is_principal for chi in chars) else np.ones(pts.shape, dtype=bool)
+    res = np.zeros(pts.shape)
+    if not chars or not live.any():
+        return _residuals(res, shape)
+    sub = pts[live]
     units = [n for n in range(1, q) if math.gcd(n, q) == 1]
-    values = np.array([_family_at_fraction(fam, s, n, q, cfg) for n in units])
-    coeffs = np.array([np.multiply(*_coefficients(rel, chars, n, q, s)) for n in units])
-    rhs = np.add.reduce(values[:, None] / coeffs, axis=0) / 2.0
-    lhs = np.array([l_function(chi, s, cfg) for chi in chars])
-    return float(np.abs(lhs - rhs).max())
+    rhs = 0.0
+    for n in units:  # (chars, points): the sum of family(s, n/q) / c(chi, n)
+        common, parts = _coefficients(rel, chars, n, q, sub)
+        rhs = rhs + _family_at_fraction(fam, sub, n, q, cfg) / (np.array(parts)[:, None] * common)
+    lhs = np.array([l_function(chi, sub, cfg) for chi in chars])
+    res[live] = np.abs(lhs - rhs / 2.0).max(axis=0)
+    return _residuals(res, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -398,35 +414,38 @@ def _closed_form_covers(fam: Family, alpha: Alpha) -> bool:
     return fam.is_composed and alpha.exact is not None and Fraction(*alpha.exact) in _ZETA_MULTIPLES
 
 
-def _closed_form_value(fam: Family, frac: Fraction, s: complex, cfg: EvalSettings) -> complex:
+def _closed_form_value(fam: Family, frac: Fraction, pts: np.ndarray, cfg: EvalSettings) -> np.ndarray:
     if fam in (Family.Z, Family.P):
-        if s == 1.0:
+        if (pts == 1.0).any():
             # P's prefactors vanish at s = 1 against the zeta pole; P(1, a) is
             # covered by special_values instead.
             raise PoleError(f"closed form for {fam.name} uses zeta(s), singular at s = 1", 1.0 + 0.0j)
-        e = s if fam is Family.Z else 1.0 - s
-        return _ZETA_MULTIPLES[frac](_power(2, e), _power(3, e)) * riemann_zeta(s, cfg)
+        multiple = _ZETA_MULTIPLES[frac]
+        exponents = pts if fam is Family.Z else 1.0 - pts
+        coeffs = [multiple(_power(2, e), _power(3, e)) for e in exponents.tolist()]
+        return np.array(coeffs, dtype=complex) * riemann_zeta(pts, cfg)
     if frac == Fraction(1, 2):
-        return 0.0 + 0.0j
+        return np.zeros(pts.shape, dtype=complex)
     chi, multiples = _L_MULTIPLES[frac]
-    y, o = multiples(s)
-    return {Family.Y: y, Family.O: o, Family.X: y + o}[fam] * l_function(chi(), s, cfg)
+    y, o = np.array([multiples(x) for x in pts.tolist()], dtype=complex).reshape(-1, 2).T
+    return {Family.Y: y, Family.O: o, Family.X: y + o}[fam] * l_function(chi(), pts, cfg)
 
 
-def closed_form_identity(
-    fam: Family, a: AlphaLike, s: complex, cfg: EvalSettings = DEFAULT_SETTINGS
-) -> Tuple[complex, complex]:
+def closed_form_identity(fam: Family, a: AlphaLike, s, cfg: EvalSettings = DEFAULT_SETTINGS):
     """(direct kernel evaluation, closed-form evaluation) for comparison.
 
     Covered: Z and P at a in {1/2, 1/3, 1/4, 1/6}; Y, O, X at {1/2, 1/3,
-    1/4, 1/6} through L(s, chi_{-3}) / L(s, chi_{-4}).
+    1/4, 1/6} through L(s, chi_{-3}) / L(s, chi_{-4}).  ``s`` is a number
+    (two complexes) or an array of points (two arrays of its shape): each
+    side is one kernel call over all the points, and only the powers k^s of
+    the closed form are taken point by point.
     """
-    s = require_finite(s)
+    pts, shape = as_points(s)
     alpha = Alpha.coerce(a)
     if alpha.exact is None:
         raise UnsupportedError("closed forms require an exact rational a (use \"r/q\" syntax)")
     if not _closed_form_covers(fam, alpha):
         raise UnsupportedError(f"no closed form for family {fam.name} at a = {alpha}")
-    closed = _closed_form_value(fam, Fraction(*alpha.exact), s, cfg)
-    direct = eval_family(fam, s, alpha, cfg)
-    return direct, closed
+    closed = _closed_form_value(fam, Fraction(*alpha.exact), pts, cfg)
+    direct = eval_family(fam, pts, alpha, cfg)
+    return from_points(direct, shape), from_points(closed, shape)

@@ -44,7 +44,7 @@ from .core import (
     require_finite,
 )
 from .special import (
-    _fe_factors,
+    _fe_factor_columns,
     _pair_diff_reflect,
     _periodic,
     _zeta_sum,
@@ -150,25 +150,28 @@ FUNCTIONAL_EQUATION_TABLE: Dict[Family, Tuple[Family, str]] = {
 }
 
 
-def functional_equation_pair(
-    fam: Family, s: complex, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS
-) -> Tuple[complex, complex]:
+def functional_equation_pair(fam: Family, s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
     """Both sides of family(1-s,a) = 2 Gamma(s) (2pi)^{-s} trig(pi s/2) partner(s,a).
 
     The two sides are evaluated through independent kernel routes; callers
-    assert their closeness.  Requires Re s > 0 and s != 1.
+    assert their closeness.  ``s`` is a number (the sides are two complexes)
+    or an array of points (two arrays of its shape): each side is one
+    ``eval_family`` call over all the points, and only the factor is formed
+    point by point.  Every point needs Re s > 0 and s != 1.
     """
-    s = require_finite(s)
-    if not s.real > 0.0:
+    pts, shape = as_points(s)
+    if not (pts.real > 0.0).all():
         raise DomainError("functional equation pair needs Re s > 0")
-    if s == 1.0:
+    if (pts == 1.0).any():
         raise DomainError("functional equation pair is not defined at s = 1")
+    if fam not in FUNCTIONAL_EQUATION_TABLE:
+        raise DomainError(f"functional equation pairs cover Z, P, Y, O, X; got {fam}")
     alpha = _check_composed_alpha(Alpha.coerce(a))
     partner, trig = FUNCTIONAL_EQUATION_TABLE[fam]
-    lhs = eval_family(fam, 1.0 - s, alpha, cfg)
-    c_minus, _, c_plus = _fe_factors(s)
+    lhs = eval_family(fam, 1.0 - pts, alpha, cfg)
+    c_minus, c_plus = _fe_factor_columns(pts)
     factor = c_minus + c_plus if trig == "cos" else 1j * (c_minus - c_plus)
-    return lhs, factor * eval_family(partner, s, alpha, cfg)
+    return from_points(lhs, shape), from_points(factor * eval_family(partner, pts, alpha, cfg), shape)
 
 
 def special_values(a: AlphaLike) -> SpecialValues:

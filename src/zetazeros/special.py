@@ -484,8 +484,9 @@ def hurwitz_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
 
     ``s`` is a number (the result is a complex) or an array of points (the
     result is an array of the same shape).  ``a`` is normally in (0, 1] but
-    any a > 0 is accepted (the shifted values are what the recurrence
-    zeta(s,a) = a^{-s} + zeta(s,a+1) produces).
+    any number a > 0 is accepted (the shifted values are what the recurrence
+    zeta(s,a) = a^{-s} + zeta(s,a+1) produces); text such as "2/7" is parsed
+    by ``Alpha.coerce``, like the families' a, so it must lie in (0, 1].
 
     Euler-Maclaurin is the workhorse.  Deep in the left half-plane with t != 0
     its direct block cancels catastrophically in doubles, so when the internal
@@ -495,8 +496,8 @@ def hurwitz_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
     attached.
     """
     pts, shape = as_points(s)
-    if isinstance(a, Alpha):
-        av = a.value
+    if isinstance(a, (Alpha, str)):
+        av = Alpha.coerce(a).value
     else:
         av = float(a)
         if not av > 0.0:

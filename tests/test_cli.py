@@ -3,12 +3,15 @@ and byte-stability of repeated runs."""
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 import zetazeros
@@ -137,6 +140,101 @@ def test_verify_suite_draws_the_same_points_alone_as_after_other_suites():
         rows[suite] = [line for line in out.splitlines() if line.startswith("relations,")]
     assert len(rows["relations"]) == 6
     assert rows["all"] == rows["relations"]
+
+
+def test_verify_functional_equations_honours_family():
+    code, out, _ = run_cli("verify", "--suite", "functional-equations", "--family", "Z", "--a", "0.3")
+    assert code == EXIT_OK
+    assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["fe-Z-a=0.3"]
+    code, out, _ = run_cli("verify", "--family", "Y", "--a", "1/3")
+    assert code == EXIT_OK
+    checks = [line.split(",")[1] for line in out.splitlines()[1:]]
+    assert [c for c in checks if c.startswith(("fe-", "closed-form-"))] == ["fe-Y-a=1/3", "closed-form-Y-a=1/3"]
+    # a family with no functional equation pair: an error alone, skipped under --suite all
+    code, out, err = run_cli("verify", "--suite", "functional-equations", "--family", "hurwitz", "--a", "0.3")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run_cli("verify", "--family", "hurwitz", "--a", "0.3")
+    assert code == EXIT_OK
+    assert {line.split(",")[0] for line in out.splitlines()[1:]} == {"relations", "special-values"}
+
+
+COMPOSED = ("Z", "P", "Y", "O", "X")
+
+
+def _record(monkeypatch, module, name, calls, key):
+    """Replace module.name by a wrapper that appends key(*args) to calls."""
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(key(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+
+
+def _drawn(rng, sigma, t):
+    # the draw and skip rule of one family's 20 points in the fe and closed-forms suites
+    points = []
+    for _ in range(20):
+        s = complex(rng.uniform(*sigma), rng.uniform(*t))
+        if abs(s - 1.0) >= 0.05:
+            points.append(s)
+    return points
+
+
+def test_verify_suites_ask_for_the_points_of_the_per_point_loop(monkeypatch):
+    import zetazeros.cli as cli
+
+    def points(s):
+        return np.ravel(s).tolist()
+
+    calls = []
+    _record(monkeypatch, cli, "functional_equation_pair", calls, lambda fam, s, a, cfg: (fam.name, points(s)))
+    _record(monkeypatch, cli, "closed_form_identity", calls, lambda fam, a, s, cfg: (fam.name, points(s)))
+    _record(monkeypatch, cli, "linear_relation_residual", calls,
+            lambda fam, r, q, s, cfg: [(fam.name, r, q, x) for x in points(s)])
+    for suite, a in (("functional-equations", "0.3"), ("closed-forms", "1/3"), ("relations", "0.3")):
+        assert run_cli("verify", "--suite", suite, "--a", a)[0] == EXIT_OK
+
+    rng = np.random.default_rng(20240801)
+    assert calls[:5] == [(f, _drawn(rng, (0.05, 10.0), (-30.0, 30.0))) for f in COMPOSED]
+    rng = np.random.default_rng(20240801)
+    assert calls[5:10] == [(f, _drawn(rng, (0.1, 6.0), (-20.0, 20.0))) for f in COMPOSED]
+    rng = np.random.default_rng(20240801)
+    want = []
+    for q in (3, 4, 5, 6, 8, 12):
+        for _ in range(4):
+            s = complex(rng.uniform(1.1, 4.0), rng.uniform(-10.0, 10.0))
+            for r in range(1, q):
+                if math.gcd(r, q) == 1:
+                    want += [(f, r, q, s) for f in ("Z", "P", "Y", "O")[:4 if 2 * r < q else 2]]
+    assert Counter(x for call in calls[10:] for x in call) == Counter(want)  # the order of the calls may differ
+
+
+def test_verify_suites_make_one_kernel_call_per_family_and_side(monkeypatch):
+    import zetazeros.dirichlet as dirichlet
+    import zetazeros.families as families
+    import zetazeros.special as special
+
+    evals = []
+    _record(monkeypatch, families, "eval_family", evals, lambda fam, *args: fam)
+    assert run_cli("verify", "--suite", "functional-equations", "--a", "0.3")[0] == EXIT_OK
+    assert len(evals) <= 10  # 5 families x 2 sides
+
+    for fam in COMPOSED:
+        kernels = []
+        for name in ("eval_family", "riemann_zeta", "l_function"):
+            _record(monkeypatch, dirichlet, name, kernels, lambda *args, name=name: name)
+        assert run_cli("verify", "--suite", "closed-forms", "--a", "1/3", "--family", fam)[0] == EXIT_OK
+        assert 1 <= len(kernels) <= 2, (fam, kernels)
+        monkeypatch.undo()
+
+    sums = []
+    for module in (special, families, dirichlet):
+        _record(monkeypatch, module, "_zeta_sum", sums, lambda *args, **kwargs: None)
+    assert run_cli("verify", "--suite", "relations")[0] == EXIT_OK
+    assert len(sums) <= 684 // 3  # the per-point loop made 684
 
 
 def test_verify_all_suites_json():

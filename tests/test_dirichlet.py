@@ -140,25 +140,24 @@ def test_y_at_third_is_scaled_l():
 
 
 def test_linear_relations_both_directions():
+    # one array call per (q, family, r) over the q's points; the scalar path is tested elsewhere
     rng = np.random.default_rng(32)
     for q in (3, 4, 5, 6, 8, 12):
-        for _ in range(10):
-            s = complex(rng.uniform(0.3, 4.0), rng.uniform(-8.0, 8.0))
-            if abs(s - 1.0) < 0.1:
+        drawn = [complex(rng.uniform(0.3, 4.0), rng.uniform(-8.0, 8.0)) for _ in range(10)]
+        s = np.array([x for x in drawn if abs(x - 1.0) >= 0.1])
+        for r in range(1, q):
+            if math.gcd(r, q) != 1:
                 continue
-            for r in range(1, q):
-                if math.gcd(r, q) != 1:
-                    continue
-                assert linear_relation_residual(Family.Z, r, q, s) < 1e-9
-                assert linear_relation_residual(Family.P, r, q, s) < 1e-9
-                if 2 * r < q:
-                    assert linear_relation_residual(Family.Y, r, q, s) < 1e-9
-                    assert linear_relation_residual(Family.O, r, q, s) < 1e-9
-            assert linear_relation_residual(Family.Z, 1, q, s, direction="l_from_family") < 1e-9
-            assert linear_relation_residual(Family.P, 1, q, s, direction="l_from_family") < 1e-9
-            if q > 2:
-                assert linear_relation_residual(Family.Y, 1, q, s, direction="l_from_family") < 1e-9
-                assert linear_relation_residual(Family.O, 1, q, s, direction="l_from_family") < 1e-9
+            assert linear_relation_residual(Family.Z, r, q, s).max() < 1e-9
+            assert linear_relation_residual(Family.P, r, q, s).max() < 1e-9
+            if 2 * r < q:
+                assert linear_relation_residual(Family.Y, r, q, s).max() < 1e-9
+                assert linear_relation_residual(Family.O, r, q, s).max() < 1e-9
+        assert linear_relation_residual(Family.Z, 1, q, s, direction="l_from_family").max() < 1e-9
+        assert linear_relation_residual(Family.P, 1, q, s, direction="l_from_family").max() < 1e-9
+        if q > 2:
+            assert linear_relation_residual(Family.Y, 1, q, s, direction="l_from_family").max() < 1e-9
+            assert linear_relation_residual(Family.O, 1, q, s, direction="l_from_family").max() < 1e-9
 
 
 def test_linear_relation_spec_examples():
@@ -222,6 +221,58 @@ def test_closed_form_requires_exact_rational():
         closed_form_identity(Family.Z, 0.25, 2.0)
     with pytest.raises(UnsupportedError):
         closed_form_identity(Family.Z, "1/5", 2.0)
+
+
+def _array_points(seed, sigma, t, n=6):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(*sigma, n) + 1j * rng.uniform(*t, n)
+    return pts[np.abs(pts - 1.0) >= 0.05]
+
+
+@pytest.mark.parametrize("a_txt", ["1/2", "1/3", "1/4", "1/6"])
+def test_closed_form_identity_array_matches_point_by_point(a_txt):
+    pts = _array_points(36, (0.1, 6.0), (-20.0, 20.0))
+    for fam in (Family.Z, Family.P, Family.Y, Family.O, Family.X):
+        direct, closed = closed_form_identity(fam, a_txt, pts)
+        assert direct.shape == closed.shape == pts.shape
+        for s, got in zip(pts.tolist(), zip(direct.tolist(), closed.tolist())):
+            want = closed_form_identity(fam, a_txt, s)
+            assert all(isinstance(v, complex) for v in want)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (fam, a_txt, s)
+
+
+@pytest.mark.parametrize("q", [5, 8, 12])
+@pytest.mark.parametrize("direction", ["family_from_l", "l_from_family"])
+def test_linear_relation_residual_array_matches_point_by_point(q, direction):
+    pts = _array_points(37, (0.3, 4.0), (-8.0, 8.0)).reshape(2, -1)
+    for fam in (Family.Z, Family.P, Family.Y, Family.O):
+        for r in range(1, q):
+            if math.gcd(r, q) != 1 or (fam.odd_symmetric and 2 * r > q):
+                continue
+            got = linear_relation_residual(fam, r, q, pts, direction=direction)
+            assert got.shape == pts.shape
+            # the residual is rounding noise of the relation's sides, so it is measured against their size
+            sides = np.abs(eval_family(fam, pts, Alpha.parse(f"{min(r, q - r)}/{q}")))
+            for s, g, v in zip(pts.ravel().tolist(), got.ravel().tolist(), sides.ravel().tolist()):
+                want = linear_relation_residual(fam, r, q, s, direction=direction)
+                assert isinstance(want, float)
+                assert abs(g - want) <= 1e-14 * max(1.0, v), (fam, r, q, s)
+
+
+def test_identity_arrays_with_a_pole_raise_like_the_point():
+    for fam in (Family.Z, Family.P):
+        with pytest.raises(PoleError) as scalar:
+            closed_form_identity(fam, "1/3", 1.0)
+        with pytest.raises(PoleError) as array:
+            closed_form_identity(fam, "1/3", np.array([2.0 + 1.0j, 1.0, 3.0]))
+        assert str(array.value) == str(scalar.value)
+    # L(s, principal) leaves the max at its pole, point by point; Z(1, r/q) itself is a pole
+    assert linear_relation_residual(Family.Z, 1, 2, 1.0, direction="l_from_family") == 0.0
+    pair = linear_relation_residual(Family.Z, 1, 2, np.array([1.0, 2.5]), direction="l_from_family")
+    assert pair.tolist() == [0.0, linear_relation_residual(Family.Z, 1, 2, 2.5, direction="l_from_family")]
+    with pytest.raises(PoleError):
+        linear_relation_residual(Family.Z, 1, 5, np.array([2.5, 1.0]), direction="l_from_family")
 
 
 def test_f_g_factors():

@@ -230,6 +230,47 @@ def test_functional_equation_domain():
         functional_equation_pair(Family.Z, complex(-0.5, 3.0), 0.3)
     with pytest.raises(DomainError):
         functional_equation_pair(Family.Z, 1.0, 0.3)
+    with pytest.raises(DomainError):
+        functional_equation_pair(Family.HURWITZ, 2.0, 0.3)  # no partner: a typed error, not a KeyError
+
+
+@pytest.mark.parametrize("a", [0.1, 0.3, "1/3", 0.49])
+def test_functional_equation_pair_array_matches_point_by_point(a):
+    rng = np.random.default_rng(23)
+    pts = rng.uniform(0.05, 10.0, 12) + 1j * rng.uniform(-30.0, 30.0, 12)
+    pts = pts[np.abs(pts - 1.0) >= 0.05].reshape(-1, 1)  # an (n, 1) array keeps its shape
+    for fam in (Family.Z, Family.P, Family.Y, Family.O, Family.X):
+        lhs, rhs = functional_equation_pair(fam, pts, a)
+        assert lhs.shape == rhs.shape == pts.shape
+        for s, got in zip(pts.ravel().tolist(), zip(lhs.ravel().tolist(), rhs.ravel().tolist())):
+            want = functional_equation_pair(fam, s, a)
+            assert all(isinstance(v, complex) for v in want)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (fam, a, s)
+
+
+@pytest.mark.parametrize("bad", [complex(-0.5, 3.0), 0.0, 1.0])
+def test_functional_equation_pair_array_with_a_bad_point_raises_like_the_point(bad):
+    with pytest.raises(DomainError) as scalar:
+        functional_equation_pair(Family.Z, bad, 0.3)
+    with pytest.raises(DomainError) as array:
+        functional_equation_pair(Family.Z, np.array([2.0 + 1.0j, bad, 3.0]), 0.3)
+    assert str(array.value) == str(scalar.value)
+
+
+def test_hurwitz_zeta_parses_text_a_like_the_families():
+    assert hurwitz_zeta(-9.14, "2/7") == hurwitz_zeta(-9.14, Alpha.parse("2/7"))
+    assert hurwitz_zeta(2.5, "0.3") == hurwitz_zeta(2.5, 0.3)
+    # a number above 1 is still the shifted value: zeta(2, 3/2) = zeta(2, 1/2) - 4
+    assert abs(hurwitz_zeta(2.0, 1.5) - (hurwitz_zeta(2.0, 0.5) - 4.0)) < 1e-13
+    with pytest.raises(DomainError):
+        hurwitz_zeta(2.0, "1/x")
+
+
+@pytest.mark.parametrize("text", ["abc", "1/x", "0.3.1", "", "1/", "/3"])
+def test_malformed_alpha_text_is_a_domain_error(text):
+    with pytest.raises(DomainError):
+        Alpha.parse(text)
 
 
 def test_special_values_exact_forms():
