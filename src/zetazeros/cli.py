@@ -356,7 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--re-to", dest="re_hi", type=float, required=True)
     p_count.add_argument("--im-from", dest="im_lo", type=float, required=True)
     p_count.add_argument("--im-to", dest="im_hi", type=float, required=True)
-    p_count.add_argument("--samples", type=int, default=512)
+    p_count.add_argument(
+        "--samples", type=int, default=64,
+        help="boundary segments of the first pass (default 64, at least 64); each later pass "
+        "doubles them, and the count is returned once two passes in a row agree",
+    )
     p_count.set_defaults(func=_cmd_count)
 
     return parser

@@ -191,7 +191,7 @@ def _fe_factors(w: complex) -> Tuple[complex, complex, complex]:
 # array of a pass is laid out (points, bases, terms), so that the long axis,
 # the direct terms or the correction orders, is the contiguous one.
 
-_EM_SHIFT = 25  # directly summed terms at Re s >= 0 and |Im s| <= 25; ceil|Im s| above
+_EM_SHIFT = 25  # directly summed terms at Re s >= 0 and |Im s| <= 25; |Im s| rounded up to 8k above
 _EM_K_START = 6  # the stopping rule may end the corrections after order k = 6 (B_12) at the earliest
 _EM_MAX_HALF_ORDER = 29  # B_58 is the last correction, B_60 bounds the remainder
 _EM_BLOCK_POINTS = 64  # points per block: numpy's per-call cost is shared, temporaries stay small
@@ -238,7 +238,10 @@ def _em_constants(key: Tuple[float, ...], m: int) -> _EMConstants:
 def _em_shift(s: complex) -> int:
     t = abs(s.imag)
     if s.real >= 0.0:
-        return _EM_SHIFT if t <= _EM_SHIFT else math.ceil(t)
+        # At least |t|, so that the corrections fall fast; a multiple of 8, so
+        # that the points of a count's edge share a few passes, not one per
+        # unit of t.  A function of the point alone, as a block needs.
+        return _EM_SHIFT if t <= _EM_SHIFT else 8 * math.ceil(t / 8)
     # Negative real part: (n+b)^{-s} grows with n, so keep the direct block
     # tiny and lean on higher-order corrections instead.
     return max(2, math.ceil(1.35 * (t + 8.0) / _TWO_PI))
@@ -473,8 +476,10 @@ def _zeta_sum(s: np.ndarray, bases, weights, cfg: EvalSettings, q: int = 1, refl
     # values beyond the double range come out inf: _settle warns, or raises from a reflection
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.exp(-math.log(q) * s)  # q^{-s}
-        values *= scale
-        rems *= np.abs(scale)
+        # out of place: numpy's in-place complex multiply rounds a one-point
+        # array differently from a longer one
+        values = values * scale
+        rems = rems * np.abs(scale)
         _settle(s, values, rems, cfg, reflected)
     return values
 

@@ -442,7 +442,6 @@ def interval_zero_criterion(a: AlphaLike, n: int) -> bool:
 
 _BOUNDARY_MIN_ABS = 1e-6
 _POLE_CLEARANCE = 1e-2
-_WINDING_INT_TOL = 1e-3
 _MAX_REFINE_DEPTH = 40
 
 
@@ -515,21 +514,25 @@ def count_zeros_rectangle(
     fam: Family,
     a: AlphaLike,
     corners: Tuple[complex, complex],
-    initial_samples: int = 512,
+    initial_samples: int = 64,
     cfg: EvalSettings = _SCAN_SETTINGS,
 ) -> RectangleCount:
     """Count zeros of the family inside a rectangle by boundary winding number.
 
     Pass 1 walks the closed boundary path of about ``initial_samples``
-    segments; each later pass is the path before it with the midpoint of
-    every segment inserted, so it evaluates only those midpoints and reuses
-    the values of the points it shares.  Passes go on until the accumulated
-    argument is within 1e-3 of an integer multiple of 2 pi and the integer is
-    stable under one further doubling, in at most _MAX_PASSES passes.
-    Boundaries closer than 1e-6 in |f| (or rectangles within 0.01 of the Z
-    pole at s = 1) are rejected, and so, before anything is evaluated, are
-    initial samples whose last pass would exceed MAX_GRID_POINTS.
-    ``samples_used`` counts the points evaluated, each once.
+    segments (64 by default, and at least 64); each later pass is the path
+    before it with the midpoint of every segment inserted, so it evaluates
+    only those midpoints and reuses the values of the points it shares.
+    Within a pass, any segment whose argument increment exceeds pi/2 is
+    halved until none does.  The count is returned once two consecutive passes
+    give the same integer, in at most _MAX_PASSES passes.  The principal
+    increments around a closed path sum to a multiple of 2 pi, so
+    ``winding_error``, the distance of the winding number from that
+    integer, reports rounding only.  Boundaries closer than 1e-6 in |f| (or
+    rectangles within 0.01 of the Z pole at s = 1) are rejected, and so,
+    before anything is evaluated, are initial samples whose last pass would
+    exceed MAX_GRID_POINTS.  ``samples_used`` counts the points evaluated,
+    each once.
     """
     alpha = Alpha.coerce(a)
     c0, c1 = complex(corners[0]), complex(corners[1])
@@ -581,17 +584,13 @@ def count_zeros_rectangle(
                 f"min |f| on the boundary is {min_abs:.3g} < {_BOUNDARY_MIN_ABS}; reposition the rectangle"
             )
         nearest = round(winding)
-        err = abs(winding - nearest)
-        if err < _WINDING_INT_TOL:
-            if prev_count is not None and prev_count == nearest:
-                return RectangleCount(
-                    corners=(complex(x0, y0), complex(x1, y1)),
-                    count=int(nearest),
-                    boundary_min_abs=min_abs,
-                    samples_used=evaluated,
-                    winding_error=err,
-                )
-            prev_count = int(nearest)
-        else:
-            prev_count = None
+        if nearest == prev_count:
+            return RectangleCount(
+                corners=(complex(x0, y0), complex(x1, y1)),
+                count=nearest,
+                boundary_min_abs=min_abs,
+                samples_used=evaluated,
+                winding_error=abs(winding - nearest),
+            )
+        prev_count = nearest
     raise ConvergenceError("winding number did not stabilize under sample doubling")

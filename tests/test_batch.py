@@ -82,6 +82,31 @@ def test_l_function_array_matches_point_by_point(q, index):
     assert_batch_matches_points(lambda s: l_function(chi, s), pts)
 
 
+def assert_same_bits_alone_and_in_a_block(fn, pts):
+    block = fn(pts)
+    assert np.array_equal(fn(pts[::-1])[::-1], block)
+    assert np.array_equal(np.array([fn(s) for s in pts.tolist()]), block)
+
+
+@pytest.mark.parametrize("q", (5, 8, 12))
+def test_l_function_is_the_same_alone_as_in_a_block(q):
+    # the q^{-s} scale of a weighted sum is applied out of place; numpy's
+    # in-place complex multiply rounds a one-point array differently
+    rng = np.random.default_rng(q)
+    pts = rng.uniform(0.6, 3.0, 40) + 1j * rng.uniform(-30.0, 30.0, 40)
+    for chi in characters_mod(q):
+        assert_same_bits_alone_and_in_a_block(lambda s: l_function(chi, s), pts)
+
+
+def test_exact_rational_route_is_the_same_alone_as_in_a_block():
+    rng = np.random.default_rng(27)
+    pts = rng.uniform(0.6, 3.0, 40) + 1j * rng.uniform(-30.0, 30.0, 40)
+    alpha = Alpha.parse("2/7")
+    assert_same_bits_alone_and_in_a_block(lambda s: periodic_zeta(s, alpha), pts)
+    for fam in FAMILIES[:5]:
+        assert_same_bits_alone_and_in_a_block(lambda s: eval_family(fam, s, alpha), pts)
+
+
 def test_array_shape_is_kept():
     grid = np.array([[2.0 + 1.0j, 0.5 + 3.0j], [-1.5 + 0.0j, 3.0 + 20.0j]])
     values = eval_family(Family.X, grid, Alpha.parse("1/5"))
@@ -312,3 +337,49 @@ def test_rectangle_count_evaluates_each_point_once(monkeypatch, fam, a, corners,
     assert len(paths) >= 2
     for path, doubled in zip(paths, paths[1:]):
         assert np.array_equal(doubled[::2], path)
+
+
+# Census-like tiles (sigma in [-1, 2] or [0.05, 0.95], about 5 high, t <= 60),
+# exact and float shifts.
+CENSUS_TILES = [
+    (Family.Z, "1/3", (-1 + 3.2j, 2 + 8.1j)),
+    (Family.P, "0.2731", (0.05 + 11.7j, 0.95 + 16.5j)),
+    (Family.Y, "2/9", (-1 + 19.4j, 2 + 24.2j)),
+    (Family.O, "0.4117", (-1 + 27.9j, 2 + 32.6j)),
+    (Family.X, "3/7", (0.05 + 33.1j, 0.95 + 38.3j)),
+    (Family.Z, "0.1432", (0.05 + 39.8j, 0.95 + 44.7j)),
+    (Family.P, "2/5", (-1 + 44.2j, 2 + 49.0j)),
+    (Family.Y, "0.3618", (0.05 + 48.6j, 0.95 + 53.9j)),
+    (Family.O, "1/4", (0.05 + 52.3j, 0.95 + 57.1j)),
+    (Family.X, "0.0871", (-1 + 54.6j, 2 + 59.9j)),
+]
+
+
+@pytest.mark.parametrize("fam, a, corners", CENSUS_TILES, ids=[f"{f.value}-{a}" for f, a, _ in CENSUS_TILES])
+def test_default_start_counts_as_512_samples_do(fam, a, corners):
+    rc = count_zeros_rectangle(fam, Alpha.parse(a), corners)
+    assert rc.count == count_zeros_rectangle(fam, Alpha.parse(a), corners, 512).count
+    assert rc.samples_used < 512
+
+
+def test_count_takes_one_em_pass_per_shift_on_an_edge(monkeypatch):
+    # every point of [0.5, 1.5] x [30, 35] has the shift 32 or 40, so each
+    # evaluation a count makes is at most two passes, not one per unit of t
+    em_calls, per_evaluation = [], []
+    em_once, evaluate = special._em_once, zeros.eval_family
+
+    def record_pass(*args):
+        em_calls.append(args[0].size)
+        return em_once(*args)
+
+    def record_evaluation(*args):
+        before = len(em_calls)
+        values = evaluate(*args)
+        per_evaluation.append(len(em_calls) - before)
+        return values
+
+    monkeypatch.setattr(special, "_em_once", record_pass)
+    monkeypatch.setattr(zeros, "eval_family", record_evaluation)
+    count_zeros_rectangle(Family.Z, Alpha(0.31), (0.5 + 30j, 1.5 + 35j))
+    assert len(per_evaluation) >= 2
+    assert max(per_evaluation) <= 2, per_evaluation
