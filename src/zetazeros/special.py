@@ -5,8 +5,10 @@ All evaluation is pure and reentrant; the Bernoulli coefficient tables are
 built once at import time and never mutated.  The public zeta functions take
 a number or an array of points; the kernels below them take 1-D arrays only.
 Euler-Maclaurin work and the periodic series run in blocks of points, and a
-single number is a block of one.  Powers of positive real bases always use the
-principal real logarithm, so no branch cut is ever crossed.
+single number is a block of one; every sum runs along one point's own row, so
+a point gets the same bits alone as in any block.  Powers of positive real
+bases always use the principal real logarithm, so no branch cut is ever
+crossed.
 """
 
 from __future__ import annotations
@@ -585,10 +587,10 @@ def riemann_zeta(s, cfg: EvalSettings = DEFAULT_SETTINGS):
 SERIES_SIGMA_THRESHOLD = 0.75
 
 _LI_ORDER = 18  # the Euler-transformed tail uses forward differences of order 0 .. 18
-_LI_BLOCK_POINTS = 32  # points per block of partial sums
-_LI_BLOCK_TERMS = 1 << 15  # terms per block, and per temporary of its chunked sums
+_LI_GRID = 32  # partial sums run over whole multiples of 32 terms, so that rows line up alike in any block
+_LI_BLOCK_TERMS = 1 << 15  # terms per block of partial sums, and per chunk of a longer row
 _LI_NEGLIGIBLE = 0.05  # both routes end the series where what is left is below this times the target
-_LI_MAX_TERMS = 1 << 26  # a longer partial sum (a within ~1e-7 (|s|+4) of an integer) is refused: seconds of work
+_LI_MAX_TERMS = 1 << 26  # a longer partial sum on either route (a near an integer) is refused: seconds of work
 
 _LI_OFFSETS = np.arange(_LI_ORDER + 1, dtype=float)
 # Row k: Delta^k a_N = sum_j (-1)^{k-j} C(k, j) a_{N+j}, every order in one product (complex,
@@ -610,15 +612,15 @@ def _angles(n: np.ndarray, a: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _li_constants(a: float) -> Tuple[float, np.ndarray, np.ndarray]:
-    """|1 - z|, z^k / (1-z)^{k+1} and |1-z|^{-(k+1)} for k = 0 .. _LI_ORDER, z = e^{2 pi i a}."""
+def _li_constants(a: float) -> Tuple[np.ndarray, np.ndarray]:
+    """z^k / (1-z)^{k+1} and |1-z|^{-(k+1)} for k = 0 .. _LI_ORDER, z = e^{2 pi i a}."""
     one_minus_z = 1.0 - cmath.exp(2j * math.pi * a)
     powers = -1.0 - _LI_OFFSETS
     coef = np.exp(1j * _angles(_LI_OFFSETS, a)) * one_minus_z ** powers
     scale = abs(one_minus_z) ** powers
     coef.setflags(write=False)
     scale.setflags(write=False)
-    return abs(one_minus_z), coef, scale
+    return coef, scale
 
 
 def _li_series(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
@@ -636,22 +638,23 @@ def _li_series(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> 
           (and its conjugate for lam), each order gaining about |s|/(N |1-z|)
           with N = max(32, 6(|s|+4)/|1-z|).  A point whose tail misses the
           target gets up to two more attempts, each with twice N, that extend
-          its partial sum; the attempt with the smaller estimate wins.  A point
-          whose last attempt would sum more than _LI_MAX_TERMS terms raises
-          UnsupportedError.
+          its partial sum; the attempt with the smaller estimate wins.
+    A point whose longest partial sum on its route would exceed _LI_MAX_TERMS
+    terms raises UnsupportedError before anything is summed.
     Both estimates add eps times sum_n |terms| <= (1 + |lam|) (1 + int_1^L x^{-sigma} dx),
-    L the longest partial sum the point can take.  The partial sums run in blocks
-    (_li_partial_sums), the tails of all route (c) points at once.
+    L the longest partial sum the point can take.  The partial sums of all
+    points run through _li_partial_sums, the tails of all route (c) points at once.
     """
     tol = cfg.target_abs_tol
     weight = 1.0 + abs(lam)
-    gap = _li_constants(a)[0]
+    gap = abs(1.0 - cmath.exp(2j * math.pi * a))  # |1 - z|
     negligible = _LI_NEGLIGIBLE * min(tol, _EPS)
     last, errs = [], []  # per point: the last n summed, the error estimate
     euler, starts = [], []  # route (c): the points and their N
     for i, x in enumerate(s.tolist()):
         sigma = x.real
-        n_euler = max(32, math.ceil(6.0 * (abs(x) + 4.0) / gap))
+        # clipped so that the float stays an int; either route past the clip is refused below
+        n_euler = max(32, math.ceil(min(6.0 * (abs(x) + 4.0) / gap, _LI_MAX_TERMS)))
         # route (a) needs log N >= log(weight / ((sigma-1) negligible)) / (sigma-1)
         log_n = math.log(weight / ((sigma - 1.0) * negligible)) / (sigma - 1.0) if sigma > 1.0 else math.inf
         if log_n <= math.log(n_euler):
@@ -659,10 +662,10 @@ def _li_series(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> 
             err = weight * n ** (1.0 - sigma) / (sigma - 1.0)
         else:
             n, longest, err = n_euler - 1, 4 * n_euler - 1, 0.0
-            if longest > _LI_MAX_TERMS:
-                raise UnsupportedError(f"the periodic series at s = {x}, a = {a} needs more than {_LI_MAX_TERMS} terms")
             euler.append(i)
             starts.append(n_euler)
+        if longest > _LI_MAX_TERMS:
+            raise UnsupportedError(f"the periodic series at s = {x}, a = {a} needs more than {_LI_MAX_TERMS} terms")
         log_longest = math.log(longest)
         rise = (1.0 - sigma) * log_longest  # int_1^L x^{-sigma} dx = expm1(rise) / (1 - sigma)
         last.append(n)
@@ -691,56 +694,39 @@ def _li_series(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> 
 
 
 def _li_partial_sums(s: np.ndarray, first: List[int], last: List[int], a: float, lam: float) -> np.ndarray:
-    """sum_{first < n <= last} (z^n + lam conj(z)^n) n^{-s} per point.  Points
-    sorted by ``last`` run in blocks of at most _LI_BLOCK_POINTS points and
-    _LI_BLOCK_TERMS terms (one point at least), so that a block shares its phases."""
-    if len(last) == 1:
-        return _li_block(s, first, last, a, lam)
+    """sum_{first < n <= last} (z^n + lam conj(z)^n) n^{-s} per point.
+
+    Each range (first, last] is rounded out to multiples of _LI_GRID.  Points
+    whose rounded spans are equal are the rows of one array, in row blocks of
+    at most _LI_BLOCK_TERMS terms (one row at least).  Each row is summed over
+    its whole rounded span, in chunks of _LI_BLOCK_TERMS terms from the span's
+    start, with the terms outside its own range masked to zero, and each row
+    is multiplied and reduced on its own (numpy's pairwise sum along the row).
+    So a point's bits depend on that point alone, never on its block.
+    """
+    spans: Dict[Tuple[int, int], List[int]] = {}
+    for i, (lo, hi) in enumerate(zip(first, last)):
+        spans.setdefault((lo // _LI_GRID * _LI_GRID, -(-hi // _LI_GRID) * _LI_GRID), []).append(i)
     out = np.empty(s.shape, dtype=complex)
-    order = sorted(range(len(last)), key=last.__getitem__)
-    start = 0
-    while start < len(order):
-        stop, lo = start + 1, first[order[start]]
-        while stop < len(order) and stop - start < _LI_BLOCK_POINTS:
-            lo = min(lo, first[order[stop]])
-            if (stop - start + 1) * (last[order[stop]] - lo) > _LI_BLOCK_TERMS:
-                break
-            stop += 1
-        block = order[start:stop]
-        out[block] = _li_block(s[block], [first[i] for i in block], [last[i] for i in block], a, lam)
-        start = stop
-    return out
-
-
-def _li_block(s: np.ndarray, first: List[int], last: List[int], a: float, lam: float) -> np.ndarray:
-    """The partial sums of one block, in chunks of n so that no temporary holds
-    more than _LI_BLOCK_TERMS terms.  Each row is multiplied and summed on its
-    own (numpy's pairwise sum along the row), so a point gets the same value in
-    any block, up to where the chunks split its sum."""
-    whole_lo, whole_hi = max(first), min(last)  # every point sums the n in (whole_lo, whole_hi]
-    hi = max(last)
-    step = _LI_BLOCK_TERMS // len(first)
-    out, bounds, minus_s = None, None, -s
-    for start in range(min(first) + 1, hi + 1, step):
-        stop = min(start + step - 1, hi)
-        n = np.arange(start, stop + 1, dtype=float)
-        exponent = np.multiply.outer(minus_s, np.log(n))
-        angle = _angles(n, a)
-        weights = None
-        if lam:
-            weights = np.exp(1j * angle)
-            weights += lam * weights.conj()
-        else:
-            exponent.imag += angle  # z^n n^{-s} as one exponential
-        terms = np.exp(exponent)
-        if start <= whole_lo or stop > whole_hi:  # some point starts or ends inside this chunk
-            if bounds is None:
-                bounds = np.array(first)[:, None], np.array(last)[:, None]
-            weights = np.where((n > bounds[0]) & (n <= bounds[1]), 1.0 if weights is None else weights, 0.0)
-        if weights is not None:
-            terms *= weights
-        chunk = np.add.reduce(terms, axis=1)
-        out = chunk if out is None else out + chunk
+    for (lo, hi), rows in spans.items():
+        per_block = max(1, _LI_BLOCK_TERMS // min(hi - lo, _LI_BLOCK_TERMS))
+        for block in (rows[k:k + per_block] for k in range(0, len(rows), per_block)):
+            bounds = np.array([first[i] for i in block])[:, None], np.array([last[i] for i in block])[:, None]
+            minus_s, total = -s[block], 0.0
+            for start in range(lo, hi, _LI_BLOCK_TERMS):
+                n = np.arange(start + 1, min(start + _LI_BLOCK_TERMS, hi) + 1, dtype=float)
+                exponent = np.multiply.outer(minus_s, np.log(n))
+                angle = _angles(n, a)
+                if not lam:
+                    exponent.imag += angle  # z^n n^{-s} as one exponential
+                terms = np.exp(exponent, out=exponent)
+                np.copyto(terms, 0.0, where=(n <= bounds[0]) | (n > bounds[1]))
+                if lam:
+                    weights = np.exp(1j * angle)
+                    weights += lam * weights.conj()
+                    terms *= weights
+                total = total + np.add.reduce(terms, axis=1)
+            out[block] = total
     return out
 
 
@@ -749,7 +735,7 @@ def _li_euler_tail(s: np.ndarray, n: np.ndarray, a: float, lam: float, tol: floa
     first _LI_ORDER + 1 terms of its Euler transform, and its error estimate:
     (1 + |lam|) times that of one of the two series (their terms have the same
     magnitudes)."""
-    _, coef, scale = _li_constants(a)
+    coef, scale = _li_constants(a)
     table = np.exp(-s[:, None] * np.log(n[:, None] + _LI_OFFSETS))  # a_{N+j}, a_m = m^{-s}
     diffs = np.einsum("pj,kj->pk", table, _FORWARD_DIFFERENCES)  # Delta^k a_N, row by row
     mag = np.abs(diffs)

@@ -24,6 +24,7 @@ from .core import (
     Family,
     PoleError,
     UnsupportedError,
+    require_finite,
 )
 from .families import eval_family
 from .special import bernoulli_poly, bernoulli_poly_exact, gamma
@@ -535,7 +536,7 @@ def count_zeros_rectangle(
     each once.
     """
     alpha = Alpha.coerce(a)
-    c0, c1 = complex(corners[0]), complex(corners[1])
+    c0, c1 = require_finite(corners[0]), require_finite(corners[1])
     x0, x1 = min(c0.real, c1.real), max(c0.real, c1.real)
     y0, y1 = min(c0.imag, c1.imag), max(c0.imag, c1.imag)
     if x0 == x1 or y0 == y1:

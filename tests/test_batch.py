@@ -40,13 +40,15 @@ def real_points(rng, n):
     return rng.uniform(-16.0, 3.0, n) + 0j
 
 
-def assert_batch_matches_points(fn, pts):
-    batch = fn(pts)
-    assert isinstance(batch, np.ndarray) and batch.shape == pts.shape
-    for s, v in zip(pts.tolist(), batch.tolist()):
-        single = fn(s)
-        assert isinstance(single, complex)
-        assert abs(v - single) <= 1e-14 * max(1.0, abs(single)), (s, v, single)
+def assert_same_bits_alone_and_in_a_block(fn, pts):
+    # a number in, a Python complex out; an array in, an array of its shape out;
+    # and the same bits for a point alone, in the block and in the reversed block
+    block = fn(pts)
+    assert isinstance(block, np.ndarray) and block.shape == pts.shape
+    assert np.array_equal(fn(pts[::-1])[::-1], block)
+    alone = [fn(s) for s in pts.tolist()]
+    assert all(isinstance(v, complex) for v in alone)
+    assert np.array_equal(np.array(alone), block)
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.value)
@@ -54,15 +56,26 @@ def assert_batch_matches_points(fn, pts):
 def test_family_array_matches_point_by_point(fam, alpha):
     rng = np.random.default_rng(20261018)
     pts = np.concatenate((census_points(rng, 40), real_points(rng, 24)))
-    assert_batch_matches_points(lambda s: eval_family(fam, s, alpha), pts)
+    assert_same_bits_alone_and_in_a_block(lambda s: eval_family(fam, s, alpha), pts)
+
+
+@pytest.mark.parametrize("fam", FAMILIES + (Family.RIEMANN,), ids=lambda f: f.value)
+def test_far_field_family_is_the_same_alone_as_in_a_block(fam):
+    # |Re s| <= 15 and |t| <= 700 at a small float a: long periodic series on
+    # both sides, directly and behind the reflections
+    rng = np.random.default_rng(20261019)
+    pts = rng.uniform(-15.0, 15.0, 40) + 1j * rng.uniform(-700.0, 700.0, 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        assert_same_bits_alone_and_in_a_block(lambda s: eval_family(fam, s, Alpha(0.0123)), pts)
 
 
 @pytest.mark.parametrize("alpha", SHIFTS, ids=str)
 def test_kernel_array_matches_point_by_point(alpha):
     rng = np.random.default_rng(7)
     pts = np.concatenate((census_points(rng, 40), real_points(rng, 24)))
-    assert_batch_matches_points(lambda s: hurwitz_zeta(s, alpha), pts)
-    assert_batch_matches_points(lambda s: periodic_zeta(s, alpha), pts)
+    assert_same_bits_alone_and_in_a_block(lambda s: hurwitz_zeta(s, alpha), pts)
+    assert_same_bits_alone_and_in_a_block(lambda s: periodic_zeta(s, alpha), pts)
 
 
 @pytest.mark.parametrize("fam", (Family.P, Family.O, Family.PERIODIC), ids=lambda f: f.value)
@@ -71,7 +84,7 @@ def test_functional_equation_block_across_small_s(fam, alpha):
     # one block on the functional-equation route, with points on both sides of
     # |s| = 0.25 (where (c- + c+)/s changes form) and s = 0 itself
     pts = np.array([0.0, 1e-8, -1e-8 + 1e-8j, 0.1 - 0.2j, 0.2499, 0.2501, -0.2501 + 3j, 0.7 + 0.1j, -3.3, -1.0 + 20j])
-    assert_batch_matches_points(lambda s: eval_family(fam, s, alpha), pts)
+    assert_same_bits_alone_and_in_a_block(lambda s: eval_family(fam, s, alpha), pts)
 
 
 @pytest.mark.parametrize("q, index", [(5, 1), (9, 5), (12, 3)])
@@ -79,13 +92,7 @@ def test_l_function_array_matches_point_by_point(q, index):
     chi = characters_mod(q)[index]
     rng = np.random.default_rng(11)
     pts = np.concatenate((census_points(rng, 40), real_points(rng, 24)))
-    assert_batch_matches_points(lambda s: l_function(chi, s), pts)
-
-
-def assert_same_bits_alone_and_in_a_block(fn, pts):
-    block = fn(pts)
-    assert np.array_equal(fn(pts[::-1])[::-1], block)
-    assert np.array_equal(np.array([fn(s) for s in pts.tolist()]), block)
+    assert_same_bits_alone_and_in_a_block(lambda s: l_function(chi, s), pts)
 
 
 @pytest.mark.parametrize("q", (5, 8, 12))
@@ -236,10 +243,9 @@ def test_li_series_array_matches_point_by_point(lam, monkeypatch):
     cfg = special.DEFAULT_SETTINGS
     values, errs = special._li_series(MIXED_SERIES, 0.05, cfg, lam)
     assert tails[0] == 5 and len(tails) == 3  # two points take route (a), some need both retries
-    for s, v, e in zip(MIXED_SERIES.tolist(), values.tolist(), errs.tolist()):
-        (single,), (single_err,) = special._li_series(np.array([s]), 0.05, cfg, lam)
-        assert abs(v - single) <= 1e-14 * max(1.0, abs(single)), (s, v, single)
-        assert e == pytest.approx(single_err, rel=1e-12)
+    alone = [special._li_series(MIXED_SERIES[i:i + 1], 0.05, cfg, lam) for i in range(MIXED_SERIES.size)]
+    assert np.array_equal(np.concatenate([v for v, _ in alone]), values)
+    assert np.array_equal(np.concatenate([e for _, e in alone]), errs)
 
 
 @pytest.mark.parametrize("a", (0.3, 0.05))
@@ -259,23 +265,43 @@ def test_plain_and_euler_routes_agree(a, lam):
         assert abs(c - p) <= 1e-13 * max(1.0, abs(p))
 
 
-def test_series_blocks_hold_at_most_32_points_and_the_term_cap(monkeypatch):
-    blocks = []
-    original = special._li_block
+class RecordingExp:
+    """Stands in for numpy in ``special``, recording the shape of every array
+    that np.exp is given."""
 
-    def recording(s, first, last, *args):
-        blocks.append((s.size, max(last) - min(first)))
-        return original(s, first, last, *args)
+    def __init__(self):
+        self.shapes = []
 
-    monkeypatch.setattr(special, "_li_block", recording)
+    def exp(self, x, *args, **kwargs):
+        self.shapes.append(np.shape(x))
+        return np.exp(x, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("lam", (0.0, 1.0))
+def test_series_terms_stay_within_the_term_cap_and_the_rounded_spans(lam, monkeypatch):
+    # Sums from 0, like route (c)'s: 300 short ones, so that many rows share a
+    # span, and 100 of spread lengths; and 20 retry-like sums from N - 1 to
+    # 2N - 1, longer than a chunk.  Only the partial sums' terms are
+    # exponentiated as 2-D arrays.
     rng = np.random.default_rng(3)
-    pts = rng.uniform(0.76, 3.0, 300) + 1j * rng.uniform(-60.0, 60.0, 300)
-    cfg = special.DEFAULT_SETTINGS
-    special._li_series(pts, 0.3, cfg)  # short sums: blocks of 32 points
-    special._li_series(pts[:40], 0.02, cfg)  # ~10^4 terms a point: a few points a block
-    assert max(size for size, _ in blocks) == special._LI_BLOCK_POINTS == 32
-    assert all(size == 1 or size * terms <= special._LI_BLOCK_TERMS for size, terms in blocks)
-    assert any(1 < size < 32 for size, _ in blocks)
+    pts = rng.uniform(0.76, 3.0, 420) + 1j * rng.uniform(-60.0, 60.0, 420)
+    short, spread = rng.integers(1, 100, 300), rng.integers(100, 3000, 100)
+    long = rng.integers(3 * 10**4, 8 * 10**4, 20)
+    first = [0] * 400 + (long - 1).tolist()
+    last = short.tolist() + spread.tolist() + (2 * long - 1).tolist()
+    recorder = RecordingExp()
+    monkeypatch.setattr(special, "np", recorder)
+    special._li_partial_sums(pts, first, last, 0.3, lam)
+    terms = [shape for shape in recorder.shapes if len(shape) == 2]
+    assert all(rows == 1 or rows * n <= special._LI_BLOCK_TERMS for rows, n in terms)
+    assert all(n <= special._LI_BLOCK_TERMS for _, n in terms)
+    grid = special._LI_GRID
+    spans = sum(-(-hi // grid) * grid - lo // grid * grid for lo, hi in zip(first, last))
+    assert sum(rows * n for rows, n in terms) <= spans
+    assert max(rows for rows, _ in terms) > 32 and any(n == special._LI_BLOCK_TERMS for _, n in terms)
 
 
 def test_series_memory_is_bounded_by_the_term_cap():

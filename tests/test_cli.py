@@ -345,6 +345,18 @@ def test_usage_errors_exit_one():
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "P", "--a", "1e-300", "--sigma", "2"),
+    ("count", "--family", "Z", "--a", "0.3", "--re-from", "nan", "--re-to", "1", "--im-from", "1", "--im-to", "2"),
+    ("count", "--family", "Z", "--a", "0.3", "--re-from", "0", "--re-to", "inf", "--im-from", "1", "--im-to", "2"),
+], ids=("series-terms", "count-nan", "count-inf"))
+def test_refused_inputs_are_one_error_line(argv):
+    # a periodic series of ~9e16 terms, and rectangles with a non-finite corner
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_zero_denominator_is_a_usage_error():
     package_root = os.path.dirname(os.path.dirname(zetazeros.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))

@@ -235,11 +235,12 @@ def test_closed_form_identity_array_matches_point_by_point(a_txt):
     for fam in (Family.Z, Family.P, Family.Y, Family.O, Family.X):
         direct, closed = closed_form_identity(fam, a_txt, pts)
         assert direct.shape == closed.shape == pts.shape
-        for s, got in zip(pts.tolist(), zip(direct.tolist(), closed.tolist())):
-            want = closed_form_identity(fam, a_txt, s)
-            assert all(isinstance(v, complex) for v in want)
-            for g, w in zip(got, want):
-                assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (fam, a_txt, s)
+        reversed_pair = closed_form_identity(fam, a_txt, pts[::-1])
+        alone = [closed_form_identity(fam, a_txt, s) for s in pts.tolist()]
+        assert all(isinstance(v, complex) for pair in alone for v in pair)
+        for side, got, back in zip((0, 1), (direct, closed), reversed_pair):
+            assert np.array_equal(back[::-1], got), (fam, a_txt, side)
+            assert np.array_equal(np.array([pair[side] for pair in alone]), got), (fam, a_txt, side)
 
 
 @pytest.mark.parametrize("q", [5, 8, 12])
@@ -252,12 +253,11 @@ def test_linear_relation_residual_array_matches_point_by_point(q, direction):
                 continue
             got = linear_relation_residual(fam, r, q, pts, direction=direction)
             assert got.shape == pts.shape
-            # the residual is rounding noise of the relation's sides, so it is measured against their size
-            sides = np.abs(eval_family(fam, pts, Alpha.parse(f"{min(r, q - r)}/{q}")))
-            for s, g, v in zip(pts.ravel().tolist(), got.ravel().tolist(), sides.ravel().tolist()):
-                want = linear_relation_residual(fam, r, q, s, direction=direction)
-                assert isinstance(want, float)
-                assert abs(g - want) <= 1e-14 * max(1.0, v), (fam, r, q, s)
+            reversed_block = linear_relation_residual(fam, r, q, pts[:, ::-1], direction=direction)
+            assert np.array_equal(reversed_block[:, ::-1], got), (fam, r, q)
+            alone = [linear_relation_residual(fam, r, q, s, direction=direction) for s in pts.ravel().tolist()]
+            assert all(isinstance(v, float) for v in alone)
+            assert np.array_equal(np.array(alone), got.ravel()), (fam, r, q)
 
 
 def test_identity_arrays_with_a_pole_raise_like_the_point():

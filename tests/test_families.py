@@ -141,10 +141,12 @@ def test_small_a_series_values(name, a, sigma, t):
 
 
 def test_series_too_close_to_an_integer_is_refused():
-    # At a = 1e-9 the tail route needs N ~ 6 (|s| + 4) / (2 pi a) = 6e9 terms;
-    # the call is refused at once instead of summing them.
-    with pytest.raises(UnsupportedError):
-        periodic_zeta(2.0, 1e-9)
+    # At a = 1e-9 and s = 2 the tail route needs N ~ 6 (|s| + 4) / (2 pi a) =
+    # 6e9 terms; at s = 3 the plain partial sum would take 2e8 terms (seconds),
+    # at a = 1e-300 about 9e16.  Either route is refused at once instead.
+    for s, a in [(2.0, 1e-9), (3.0, 1e-9), (2.0, 1e-300), (2.0, 1e-320)]:
+        with pytest.raises(UnsupportedError):
+            periodic_zeta(s, a)
     with pytest.raises(UnsupportedError):
         eval_family(Family.P, np.array([2.0, 3.0 + 1.0j]), 1e-9)
 
@@ -242,11 +244,12 @@ def test_functional_equation_pair_array_matches_point_by_point(a):
     for fam in (Family.Z, Family.P, Family.Y, Family.O, Family.X):
         lhs, rhs = functional_equation_pair(fam, pts, a)
         assert lhs.shape == rhs.shape == pts.shape
-        for s, got in zip(pts.ravel().tolist(), zip(lhs.ravel().tolist(), rhs.ravel().tolist())):
-            want = functional_equation_pair(fam, s, a)
-            assert all(isinstance(v, complex) for v in want)
-            for g, w in zip(got, want):
-                assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (fam, a, s)
+        reversed_pair = functional_equation_pair(fam, pts[::-1], a)
+        alone = [functional_equation_pair(fam, s, a) for s in pts.ravel().tolist()]
+        assert all(isinstance(v, complex) for pair in alone for v in pair)
+        for side, got, back in zip((0, 1), (lhs, rhs), reversed_pair):
+            assert np.array_equal(back[::-1], got), (fam, a, side)
+            assert np.array_equal(np.array([pair[side] for pair in alone]), got.ravel()), (fam, a, side)
 
 
 @pytest.mark.parametrize("bad", [complex(-0.5, 3.0), 0.0, 1.0])

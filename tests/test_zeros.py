@@ -478,6 +478,12 @@ def test_rectangle_grid_cap_uses_the_nested_path(monkeypatch):
         count_zeros_rectangle(Family.Z, Alpha.parse("1/6"), (complex(-1, 1), complex(2, 30)), 7812)
 
 
+@pytest.mark.parametrize("corners", [(complex("nan+1j"), 1 + 2j), (1j, complex("inf+2j")), (1j, complex(1, math.inf))])
+def test_rectangle_with_a_corner_that_is_not_finite_is_rejected(corners):
+    with pytest.raises(DomainError):
+        count_zeros_rectangle(Family.Z, 0.3, corners)
+
+
 def test_rectangle_near_pole_rejected():
     with pytest.raises(DomainError):
         count_zeros_rectangle(Family.Z, 0.3, (complex(0.5, -0.5), complex(1.5, 0.5)), 128)
