@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import warnings
 from typing import Dict, List, Optional, Sequence
@@ -48,8 +47,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 
-TOL_ENV_VAR = "ZETAZEROS_TOL"
-
 _CSV_COLUMNS = {
     "eval": ["sigma", "t", "re", "im"],
     "scan": ["family", "a", "location", "multiplicity_class", "residual"],
@@ -70,11 +67,7 @@ _CSV_COLUMNS = {
 
 
 def _settings_from(args: argparse.Namespace) -> EvalSettings:
-    tol = args.tol
-    if tol is None:
-        env = os.environ.get(TOL_ENV_VAR)
-        tol = float(env) if env else EvalSettings.target_abs_tol  # the dataclass default
-    return EvalSettings(target_abs_tol=tol)
+    return EvalSettings() if args.tol is None else EvalSettings(target_abs_tol=args.tol)
 
 
 def _parse_grid(text: str) -> List[float]:
@@ -244,11 +237,9 @@ def _verify_relations(cfg: EvalSettings, rng: np.random.Generator):
     for q in (3, 4, 5, 6, 8, 12):
         points = np.array([complex(rng.uniform(1.1, 4.0), rng.uniform(-10.0, 10.0)) for _ in range(4)])
         worst = 0.0
-        for r in range(1, q):
-            if math.gcd(r, q) != 1:
-                continue
-            for f in (Family.Z, Family.P, Family.Y, Family.O) if 2 * r < q else (Family.Z, Family.P):
-                worst = max(worst, float(linear_relation_residual(f, r, q, points, cfg).max()))
+        for f in (Family.Z, Family.P, Family.Y, Family.O):
+            rs = [r for r in range(1, q) if math.gcd(r, q) == 1 and (2 * r < q or not f.odd_symmetric)]
+            worst = max(worst, float(linear_relation_residual(f, rs, q, points, cfg).max()))
         yield f"relations-q={q}", worst, tol
 
 
@@ -320,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a", help='shift parameter; "r/q" is exact, decimals are not')
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if tol:  # the zero layer (scan, beta, count) certifies its own fixed tolerance
-            p.add_argument("--tol", type=float, default=None, help=f"evaluation tolerance (or ${TOL_ENV_VAR})")
+            p.add_argument("--tol", type=float, default=None, help="evaluation tolerance")
 
     p_eval = sub.add_parser("eval", help="evaluate on a sigma/t grid")
     common(p_eval, tol=True)

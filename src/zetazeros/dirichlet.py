@@ -266,32 +266,27 @@ _RELATIONS = {
 
 
 def _coefficients(
-    rel: _Relation, chars: List[DirichletCharacter], r: int, q: int, pts: np.ndarray
-) -> Tuple[Union[complex, np.ndarray], List[complex]]:
-    """c(chi, r) for each chi in chars, as the factor they share (q^s at each point, or a
-    constant) and the factor of each chi."""
+    rel: _Relation, chars: List[DirichletCharacter], q: int, pts: np.ndarray
+) -> Tuple[Union[complex, np.ndarray], Callable[[int], List[complex]]]:
+    """c(chi, n) for each chi in chars, as the factor they share (q^s at each point, or a
+    constant) and a function of n that gives the factor of each chi."""
     if rel.unit is None:
-        return np.array([_power(q, x) for x in pts.tolist()], dtype=complex), [chi.conj()(r) for chi in chars]
-    return rel.unit, [chi(r) * gauss_sum(chi.conj()) for chi in chars]
+        common = np.array([_power(q, x) for x in pts.tolist()], dtype=complex)
+        return common, lambda n: [chi(n).conjugate() for chi in chars]
+    gauss = [gauss_sum(chi.conj()) for chi in chars]
+    return rel.unit, lambda n: [chi(n) * g for chi, g in zip(chars, gauss)]
 
 
-def _family_at_fraction(fam: Family, pts: np.ndarray, r: int, q: int, cfg: EvalSettings) -> np.ndarray:
-    """family(s, r/q) at an array of points for any 0 < r < q, using the a <-> 1-a
-    symmetry to reach the (0, 1/2] domain of the composed families."""
-    if 2 * r <= q:
-        return eval_family(fam, pts, Alpha.coerce(Fraction(r, q)), cfg)
-    value = eval_family(fam, pts, Alpha.coerce(Fraction(q - r, q)), cfg)
-    return -value if fam.odd_symmetric else value
-
-
-def _residuals(res: np.ndarray, shape: Tuple[int, ...]):
-    """Residuals at flat points handed back as a float (shape ()) or an array of that shape."""
-    return float(res[0]) if shape == () else res.reshape(shape)
+def _family_at_fractions(fam: Family, pts: np.ndarray, ns: List[int], q: int, cfg: EvalSettings) -> List[np.ndarray]:
+    """family(s, n/q) at an array of points for each 0 < n < q in ns, one evaluation per pair
+    {n, q - n}: the a <-> 1-a symmetry reaches the (0, 1/2] domain of the composed families."""
+    values = {m: eval_family(fam, pts, Alpha.coerce(Fraction(m, q)), cfg) for m in sorted({min(n, q - n) for n in ns})}
+    return [values[n] if 2 * n <= q else (-values[q - n] if fam.odd_symmetric else values[q - n]) for n in ns]
 
 
 def linear_relation_residual(
     fam: Family,
-    r: int,
+    r,
     q: int,
     s,
     cfg: EvalSettings = DEFAULT_SETTINGS,
@@ -312,19 +307,21 @@ def linear_relation_residual(
     without it the residual at q = 5, r = 1 is exactly 2 q^{-s} zeta(s).
     direction="l_from_family" gives the max over chi of |L(s, chi) - right side| in
 
-        L(s, chi) = 1/2 sum_{gcd(r,q)=1} family(s, r/q) / c(chi, r),
+        L(s, chi) = 1/2 sum_{gcd(n,q)=1} family(s, n/q) / c(chi, n),
 
     the same relation inverted by the orthogonality of the characters; for O
-    it reads L = +i/(2 G(conj chi)) sum_r conj(chi)(r) O(s, r/q), so that
+    it reads L = +i/(2 G(conj chi)) sum_n conj(chi)(n) O(s, n/q), so that
     O(s, 1/4) = 2 L(s, chi mod 4).  For P and O it relies on G(conj chi, n) =
     chi(n) G(conj chi) for all n, i.e. on chi primitive, and is checked for
     primitive characters only; L(s, chi) of the principal character leaves the
-    max at s = 1, its pole.
+    max at s = 1, its pole.  This direction sums over every unit n, so it only
+    validates ``r``: every admissible r gets the same residuals.
 
-    ``s`` is a number (the residual is a float) or an array of points (an
-    array of residuals of its shape).  Each family value and each L(s, chi)
-    is one kernel call over all the points; only the coefficients are formed
-    point by point.
+    ``r`` is an int or a sequence of ints, ``s`` a number or an array; the
+    result has r's shape in front of s's shape (a float when both are scalar).
+    Each L(s, chi), and family(s, n/q) for each pair {n, q - n}, is one kernel
+    call over all the points for every r; only the coefficients are formed
+    point by point, and the q^s column and the Gauss sums once per call.
     """
     rel = _RELATIONS.get(fam)
     if rel is None:
@@ -332,43 +329,47 @@ def linear_relation_residual(
     if direction not in ("family_from_l", "l_from_family"):
         raise DomainError(f"unknown direction {direction!r}")
     pts, shape = as_points(s)
-    if math.gcd(r, q) != 1 or not 0 < r < q:
+    rs = np.ravel(r).tolist()
+    if any(math.gcd(n, q) != 1 or not 0 < n < q for n in rs):
         raise DomainError("need 0 < r < q with gcd(r, q) = 1")
-    if rel.parity < 0 and not 0 < 2 * r < q:
+    if rel.parity < 0 and not all(0 < 2 * n < q for n in rs):
         raise DomainError("odd-family relations need 0 < 2r < q")
     chars = [chi for chi in characters_mod(q) if chi.parity == rel.parity]
     phi = euler_phi(q)
 
     if direction == "family_from_l":
-        lhs = _family_at_fraction(fam, pts, r, q, cfg)
-        common, parts = _coefficients(rel, chars, r, q, pts)
-        total = np.zeros(pts.shape, dtype=complex)
-        for chi, part in zip(chars, parts):
-            total += 2 * part * l_function(chi, pts, cfg)
-        # the shared factor scales the sum, in this order: it sets the rounding that verify prints
-        if rel.trig is None:
-            return _residuals(np.abs(lhs - common / phi * total), shape)
+        lhs = _family_at_fractions(fam, pts, rs, q, cfg)
+        common, parts_at = _coefficients(rel, chars, q, pts)
+        ls = [l_function(chi, pts, cfg) for chi in chars]
         shared = [n for n in range(1, q + 1) if math.gcd(n, q) > 1]
-        weights = [2.0 * rel.trig(2.0 * math.pi * ((r * n) % q) / q) for n in shared]
-        completion = _zeta_sum(pts, [n / q for n in shared], weights, cfg, q=q)
-        return _residuals(np.abs(lhs - (common * total / phi + completion)), shape)
-
-    chars = [chi for chi in chars if rel.unit is None or chi.is_primitive]
-    # L(s, chi) of the principal character has its pole at s = 1 and leaves the max there: alone
-    # (q = 2) it leaves residual 0 at those points, and beside other characters Z(1, n/q) raises
-    live = pts != 1.0 if all(chi.is_principal for chi in chars) else np.ones(pts.shape, dtype=bool)
-    res = np.zeros(pts.shape)
-    if not chars or not live.any():
-        return _residuals(res, shape)
-    sub = pts[live]
-    units = [n for n in range(1, q) if math.gcd(n, q) == 1]
-    rhs = 0.0
-    for n in units:  # (chars, points): the sum of family(s, n/q) / c(chi, n)
-        common, parts = _coefficients(rel, chars, n, q, sub)
-        rhs = rhs + _family_at_fraction(fam, sub, n, q, cfg) / (np.array(parts)[:, None] * common)
-    lhs = np.array([l_function(chi, sub, cfg) for chi in chars])
-    res[live] = np.abs(lhs - rhs / 2.0).max(axis=0)
-    return _residuals(res, shape)
+        rows = []
+        for n, value in zip(rs, lhs):
+            total = sum(2 * part * l for part, l in zip(parts_at(n), ls))  # accumulated in the order of chars
+            # the shared factor scales the sum, in this order: it sets the rounding that verify prints
+            if rel.trig is None:
+                rows.append(np.abs(value - common / phi * total))
+                continue
+            weights = [2.0 * rel.trig(2.0 * math.pi * ((n * m) % q) / q) for m in shared]
+            completion = _zeta_sum(pts, [m / q for m in shared], weights, cfg, q=q)
+            rows.append(np.abs(value - (common * total / phi + completion)))
+    else:
+        chars = [chi for chi in chars if rel.unit is None or chi.is_primitive]
+        # L(s, chi) of the principal character has its pole at s = 1 and leaves the max there: alone
+        # (q = 2) it leaves residual 0 at those points, and beside other characters Z(1, n/q) raises
+        live = pts != 1.0 if all(chi.is_principal for chi in chars) else np.ones(pts.shape, dtype=bool)
+        res = np.zeros(pts.shape)
+        if chars and live.any():
+            sub = pts[live]
+            units = [n for n in range(1, q) if math.gcd(n, q) == 1]
+            common, parts_at = _coefficients(rel, chars, q, sub)
+            rhs = 0.0
+            for n, value in zip(units, _family_at_fractions(fam, sub, units, q, cfg)):  # (chars, points)
+                rhs = rhs + value / (np.array(parts_at(n))[:, None] * common)
+            lhs = np.array([l_function(chi, sub, cfg) for chi in chars])
+            res[live] = np.abs(lhs - rhs / 2.0).max(axis=0)
+        rows = [res] * len(rs)
+    out = np.array(rows).reshape(np.shape(r) + shape)
+    return float(out) if out.shape == () else out
 
 
 # ---------------------------------------------------------------------------

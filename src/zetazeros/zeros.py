@@ -223,6 +223,11 @@ def scan_real_zeros(
     zeros).  For the complex-valued periodic zeta only the |f| dip detection
     applies.
 
+    A reported location is within its bracket of a zero of the *computed*
+    section, whose values carry the cfg target (1e-10 by default): the true
+    zero can be up to about target/|f'| away.  Z'(-10, 0.250124) = 4.8e-5, and
+    the scan of Z over [-16.0596, 0.8663] there reports -9.99999999130 for -10.
+
     An interval containing the s = 1 pole (Z, Hurwitz, Riemann) is split
     around it and a warning is emitted.
     """

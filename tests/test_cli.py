@@ -193,7 +193,7 @@ def test_verify_suites_ask_for_the_points_of_the_per_point_loop(monkeypatch):
     _record(monkeypatch, cli, "functional_equation_pair", calls, lambda fam, s, a, cfg: (fam.name, points(s)))
     _record(monkeypatch, cli, "closed_form_identity", calls, lambda fam, a, s, cfg: (fam.name, points(s)))
     _record(monkeypatch, cli, "linear_relation_residual", calls,
-            lambda fam, r, q, s, cfg: [(fam.name, r, q, x) for x in points(s)])
+            lambda fam, r, q, s, cfg: [(fam.name, n, q, x) for n in np.ravel(r).tolist() for x in points(s)])
     for suite, a in (("functional-equations", "0.3"), ("closed-forms", "1/3"), ("relations", "0.3")):
         assert run_cli("verify", "--suite", suite, "--a", a)[0] == EXIT_OK
 
@@ -230,11 +230,17 @@ def test_verify_suites_make_one_kernel_call_per_family_and_side(monkeypatch):
         assert 1 <= len(kernels) <= 2, (fam, kernels)
         monkeypatch.undo()
 
-    sums = []
+    # one call per (q, family) with every r: each L(s, chi) and each family(s, n/q) of a pair
+    # {n, q - n} once per call; the per-point loop made 684 sums, the per-r loop 171
+    sums, ls, evals = [], [], []
     for module in (special, families, dirichlet):
         _record(monkeypatch, module, "_zeta_sum", sums, lambda *args, **kwargs: None)
+    _record(monkeypatch, dirichlet, "l_function", ls, lambda *args: None)
+    _record(monkeypatch, dirichlet, "eval_family", evals, lambda *args: None)
     assert run_cli("verify", "--suite", "relations")[0] == EXIT_OK
-    assert len(sums) <= 684 // 3  # the per-point loop made 684
+    assert len(sums) <= 99
+    assert len(ls) <= 36  # 18 characters, each for two families of its parity
+    assert len(evals) <= 36  # 9 pairs {n, q - n} over the 6 moduli, for 4 families
 
 
 def test_verify_all_suites_json():
@@ -395,11 +401,14 @@ def test_internal_error_is_one_line_not_a_traceback(monkeypatch):
     assert err == "error: internal error: RuntimeError: something broke\n"
 
 
-def test_tolerance_env_override(monkeypatch):
-    monkeypatch.setenv("ZETAZEROS_TOL", "1e-9")
-    code, out, _ = run_cli("eval", "--family", "Z", "--a", "0.3", "--sigma", "2", "--t", "0")
+def test_tolerance_comes_from_the_option_only(monkeypatch):
+    monkeypatch.setenv("ZETAZEROS_TOL", "not a number")  # no environment variable sets it
+    code, out, _ = run_cli("eval", "--family", "Z", "--a", "0.3", "--sigma", "2", "--t", "0", "--tol", "1e-9")
     assert code == EXIT_OK
     # zeta(2, 0.3) + zeta(2, 0.7), frozen from mpmath
     assert float(out.strip().splitlines()[1].split(",")[2]) == pytest.approx(
         15.079413702802341092, abs=1e-8
     )
+    default = run_cli("eval", "--family", "Z", "--a", "0.3", "--sigma", "2", "--t", "0")
+    monkeypatch.delenv("ZETAZEROS_TOL")
+    assert default == run_cli("eval", "--family", "Z", "--a", "0.3", "--sigma", "2", "--t", "0")

@@ -3,6 +3,7 @@ relations, the rational closed forms, and the f/g modulus factors."""
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -179,6 +180,8 @@ def test_linear_relation_preconditions():
         linear_relation_residual(Family.Z, 2, 4, 2.0)
     with pytest.raises(DomainError):
         linear_relation_residual(Family.Y, 3, 4, 2.0)  # needs 2r < q
+    with pytest.raises(DomainError):
+        linear_relation_residual(Family.Z, [1, 2], 6, 2.0)  # every r of a sequence is checked
 
 
 def test_linear_relations_cover_z_p_y_o_in_two_directions():
@@ -258,6 +261,48 @@ def test_linear_relation_residual_array_matches_point_by_point(q, direction):
             alone = [linear_relation_residual(fam, r, q, s, direction=direction) for s in pts.ravel().tolist()]
             assert all(isinstance(v, float) for v in alone)
             assert np.array_equal(np.array(alone), got.ravel()), (fam, r, q)
+
+
+@pytest.mark.parametrize("q", [5, 8, 12])
+@pytest.mark.parametrize("direction", ["family_from_l", "l_from_family"])
+def test_linear_relation_residual_takes_every_r_in_one_call(q, direction):
+    pts = _array_points(37, (0.3, 4.0), (-8.0, 8.0)).reshape(2, -1)
+    for fam in (Family.Z, Family.P, Family.Y, Family.O):
+        rs = [r for r in range(1, q) if math.gcd(r, q) == 1 and (2 * r < q or not fam.odd_symmetric)]
+        got = linear_relation_residual(fam, rs, q, pts, direction=direction)
+        assert got.shape == (len(rs),) + pts.shape
+        each = [linear_relation_residual(fam, r, q, pts, direction=direction) for r in rs]
+        assert np.array_equal(got, np.array(each)), (fam, q)
+        # r's shape goes in front of s's shape, also for a number s
+        grid = np.array(rs[::-1]).reshape(1, -1)
+        at_point = linear_relation_residual(fam, grid, q, complex(pts[1, 2]), direction=direction)
+        assert at_point.shape == grid.shape
+        assert at_point[0].tolist() == [row[1, 2] for row in each[::-1]], (fam, q)
+
+
+def test_linear_relations_evaluate_each_family_value_once_per_pair_of_units(monkeypatch):
+    import zetazeros.dirichlet as dirichlet
+
+    calls = []
+    original = dirichlet.eval_family
+
+    def recording(fam, s, a, cfg):
+        calls.append(Fraction(*a.exact))
+        return original(fam, s, a, cfg)
+
+    monkeypatch.setattr(dirichlet, "eval_family", recording)
+    s = np.array([2.5 + 1.0j, 1.5 - 3.0j])
+    for q in (5, 8, 12):
+        units = [n for n in range(1, q) if math.gcd(n, q) == 1]
+        pairs = {Fraction(min(n, q - n), q) for n in units}
+        for fam in (Family.Z, Family.P, Family.Y, Family.O):
+            rs = [r for r in units if 2 * r < q or not fam.odd_symmetric]
+            for direction in ("family_from_l", "l_from_family"):
+                calls.clear()
+                linear_relation_residual(fam, rs, q, s, direction=direction)
+                assert len(calls) == len(set(calls)), (fam, q, direction)
+                # l_from_family checks P and O on primitive characters only, and mod 12 has no odd one
+                assert set(calls) == pairs or (fam is Family.O and q == 12 and not calls), (fam, q, direction)
 
 
 def test_identity_arrays_with_a_pole_raise_like_the_point():
