@@ -154,6 +154,8 @@ def _cmd_beta(args: argparse.Namespace, out: io.TextIOBase) -> int:
     else:
         if args.a_points > MAX_GRID_POINTS:
             raise DomainError(f"--a-points {args.a_points} is more than {MAX_GRID_POINTS} points")
+        if args.a_points < 1:
+            raise DomainError(f"--a-points {args.a_points} is less than one point")
         grid = np.linspace(args.a_from, args.a_to, args.a_points)
         alphas = [Alpha(float(x)) for x in grid]
     rows = []

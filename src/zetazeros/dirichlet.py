@@ -313,7 +313,9 @@ def linear_relation_residual(
     it reads L = +i/(2 G(conj chi)) sum_n conj(chi)(n) O(s, n/q), so that
     O(s, 1/4) = 2 L(s, chi mod 4).  For P and O it relies on G(conj chi, n) =
     chi(n) G(conj chi) for all n, i.e. on chi primitive, and is checked for
-    primitive characters only; L(s, chi) of the principal character leaves the
+    primitive characters only: a modulus with no primitive character of the
+    family's parity (P: q = 2, 3, 4, 6, 10, 14, ...; O: q = 6, 10, 12, 14, ...)
+    raises UnsupportedError.  L(s, chi) of the principal character leaves the
     max at s = 1, its pole.  This direction sums over every unit n, so it only
     validates ``r``: every admissible r gets the same residuals.
 
@@ -354,11 +356,16 @@ def linear_relation_residual(
             rows.append(np.abs(value - (common * total / phi + completion)))
     else:
         chars = [chi for chi in chars if rel.unit is None or chi.is_primitive]
+        if not chars:
+            parity = "even" if rel.parity > 0 else "odd"
+            raise UnsupportedError(
+                f"no primitive {parity} character mod {q}: l_from_family has nothing to check for {fam.value}"
+            )
         # L(s, chi) of the principal character has its pole at s = 1 and leaves the max there: alone
         # (q = 2) it leaves residual 0 at those points, and beside other characters Z(1, n/q) raises
         live = pts != 1.0 if all(chi.is_principal for chi in chars) else np.ones(pts.shape, dtype=bool)
         res = np.zeros(pts.shape)
-        if chars and live.any():
+        if live.any():
             sub = pts[live]
             units = [n for n in range(1, q) if math.gcd(n, q) == 1]
             common, parts_at = _coefficients(rel, chars, q, sub)

@@ -197,7 +197,8 @@ _EM_SHIFT = 25  # directly summed terms at Re s >= 0 and |Im s| <= 25; |Im s| ro
 _EM_K_START = 6  # the stopping rule may end the corrections after order k = 6 (B_12) at the earliest
 _EM_MAX_HALF_ORDER = 29  # B_58 is the last correction, B_60 bounds the remainder
 _EM_BLOCK_POINTS = 64  # points per block: numpy's per-call cost is shared, temporaries stay small
-_EM_BLOCK_TERMS = 1 << 15  # and points * (powers or corrections a point) within this: a huge m cannot blow up memory
+_EM_BLOCK_TERMS = 1 << 15  # and points * (powers or corrections a point) within this, but one point at least
+_EM_MAX_TERMS = 1 << 23  # so a point whose longest pass, at shift 4m, holds more powers is refused: hundreds of MB
 _EPS = 2.220446049250313e-16
 
 # 0, then 2k-3 for k = 2 .. K: order 1 is s, and order k extends the Pochhammer
@@ -246,7 +247,8 @@ def _em_shift(s: complex) -> int:
         return _EM_SHIFT if t <= _EM_SHIFT else 8 * math.ceil(t / 8)
     # Negative real part: (n+b)^{-s} grows with n, so keep the direct block
     # tiny and lean on higher-order corrections instead.
-    return max(2, math.ceil(1.35 * (t + 8.0) / _TWO_PI))
+    # clipped so that the float stays an int; a shift past the clip is refused
+    return max(2, math.ceil(min(1.35 * (t + 8.0) / _TWO_PI, _EM_MAX_TERMS)))
 
 
 def _pole_quotient(w: np.ndarray, span: np.ndarray) -> np.ndarray:
@@ -287,6 +289,8 @@ def _hurwitz_combination(
     of the larger (one point at least).  A point whose remainder does not certify
     the target gets up to two more passes, each with twice the shift, unless
     round-off already dominates; the pass with the smallest remainder wins.
+    A point whose last such pass would hold more than _EM_MAX_TERMS powers
+    raises UnsupportedError before anything is summed.
 
     With subtract_pole=True each term is zeta(s, b_j) - b_j^{1-s}/(s-1), an
     entire function; the integral term is then assembled through expm1 so the
@@ -301,6 +305,10 @@ def _hurwitz_combination(
     groups: Dict[int, List[int]] = {}
     for i, x in enumerate(s.tolist()):
         groups.setdefault(_em_shift(x), []).append(i)
+    worst = max(groups, default=0)  # its second retry, at shift 4m, is the longest pass
+    if width * (4 * worst + 1) > _EM_MAX_TERMS:
+        point = s[groups[worst][0]]
+        raise UnsupportedError(f"the Euler-Maclaurin sum at s = {point} needs more than {_EM_MAX_TERMS} terms")
     values = np.empty(s.shape, dtype=complex)
     rems = np.empty(s.shape)
 

@@ -9,7 +9,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -465,55 +465,33 @@ def _rectangle_edges(c0: complex, c1: complex, samples: int) -> List[Tuple[compl
     ]
 
 
-def _rectangle_path(c0: complex, c1: complex, samples: int) -> List[complex]:
-    """Counterclockwise boundary samples, corner-to-corner, closed."""
-    pts: List[complex] = []
-    for start, end, n_edge in _rectangle_edges(c0, c1, samples):
-        for i in range(n_edge):
-            pts.append(start + (end - start) * i / n_edge)
-    pts.append(pts[0])
-    return pts
-
-
 def _winding_pass(
-    f: Callable[[np.ndarray], np.ndarray], path: np.ndarray, values: np.ndarray
-) -> Tuple[float, float, np.ndarray, np.ndarray]:
-    """(total argument / 2pi, min |f|, refinement points, their values) along
-    the closed ``path``, whose ``values`` the caller has evaluated; halves
-    segments until every argument increment is below pi/2.
+    f: Callable[[np.ndarray], np.ndarray], segments: Tuple[np.ndarray, ...], k: int
+) -> Tuple[float, Tuple[np.ndarray, ...]]:
+    """(total argument / 2pi, segments) of pass ``k`` over the closed boundary,
+    given as one unordered list of ``segments``: arrays (start, end,
+    f(start), f(end), depth) with one entry per segment.
 
-    ``f`` maps an array of points to their values.  Each refinement level
-    evaluates the midpoints of all segments whose increment is still too
-    large in one call.
+    Halves every segment whose depth is below k, then every segment whose
+    argument increment exceeds pi/2, until none does.  Each round evaluates
+    the midpoints of the segments it halves in one call of ``f``, which maps
+    an array of points to their values.  A segment left whole keeps its
+    increment, which depends on its two end values alone.
     """
-    za, fa = path, values
-    zr, fr = [np.empty(0, dtype=complex)], [np.empty(0, dtype=complex)]  # refinement points, values
-    min_abs = float(np.abs(fa).min())
-    # segments (za[i], za[i+1]) with values (fa[i], fa[i+1])
-    zb, fb = za[1:], fa[1:]
-    za, fa = za[:-1], fa[:-1]
-    total = 0.0
-    depth = 0
-    while za.size:
-        if (fa == 0.0).any() or (fb == 0.0).any():
-            raise BoundaryError("zero on the rectangle boundary; reposition the rectangle")
-        if depth >= _MAX_REFINE_DEPTH:
-            raise BoundaryError("argument increment will not settle; a zero is too close to the boundary")
+    za, zb, fa, fb, depth = segments
+    while True:
         d_arg = np.angle(fb / fa)
-        settled = np.abs(d_arg) <= 0.5 * math.pi
-        total += float(d_arg[settled].sum())
-        za, zb, fa, fb = (x[~settled] for x in (za, zb, fa, fb))
-        if not za.size:
-            break
-        zm = 0.5 * (za + zb)
+        halve = (depth < k) | (np.abs(d_arg) > 0.5 * math.pi)
+        if not halve.any():
+            return float(d_arg.sum()) / (2.0 * math.pi), (za, zb, fa, fb, depth)
+        keep = ~halve
+        zm = 0.5 * (za[halve] + zb[halve])
         fm = f(zm)
-        zr.append(zm)
-        fr.append(fm)
-        min_abs = min(min_abs, float(np.abs(fm).min()))
-        za, zb = np.concatenate((za, zm)), np.concatenate((zm, zb))
-        fa, fb = np.concatenate((fa, fm)), np.concatenate((fm, fb))
-        depth += 1
-    return total / (2.0 * math.pi), min_abs, np.concatenate(zr), np.concatenate(fr)
+        za, zb = np.concatenate((za[keep], za[halve], zm)), np.concatenate((zb[keep], zm, zb[halve]))
+        fa, fb = np.concatenate((fa[keep], fa[halve], fm)), np.concatenate((fb[keep], fm, fb[halve]))
+        depth = np.concatenate((depth[keep], depth[halve] + 1, depth[halve] + 1))
+        if depth.max() >= k + _MAX_REFINE_DEPTH:
+            raise BoundaryError("argument increment will not settle; a zero is too close to the boundary")
 
 
 def count_zeros_rectangle(
@@ -525,20 +503,23 @@ def count_zeros_rectangle(
 ) -> RectangleCount:
     """Count zeros of the family inside a rectangle by boundary winding number.
 
-    Pass 1 walks the closed boundary path of about ``initial_samples``
-    segments (64 by default, and at least 64); each later pass is the path
-    before it with the midpoint of every segment inserted, so it evaluates
-    only those midpoints and reuses the values of the points it shares.
-    Within a pass, any segment whose argument increment exceeds pi/2 is
-    halved until none does.  The count is returned once two consecutive passes
-    give the same integer, in at most _MAX_PASSES passes.  The principal
-    increments around a closed path sum to a multiple of 2 pi, so
-    ``winding_error``, the distance of the winding number from that
-    integer, reports rounding only.  Boundaries closer than 1e-6 in |f| (or
+    The boundary is one unordered list of segments, each held with its two
+    end values and its depth, the number of halvings that made it.  The
+    first pass starts from the closed path of about ``initial_samples``
+    segments (64 by default, and at least 64).  Pass k, counted from 0,
+    halves every segment of depth below k, then every segment whose argument
+    increment exceeds pi/2, until none does; a segment settled in an earlier
+    pass stays as it is, so every point is evaluated once.  The count is
+    returned once two consecutive passes give the same integer, in at most
+    _MAX_PASSES passes.  The principal increments around a closed path sum to
+    a multiple of 2 pi, so ``winding_error``, the distance of the winding
+    number from that integer, reports rounding only.  Boundaries closer than 1e-6 in |f| (or
     rectangles within 0.01 of the Z pole at s = 1) are rejected, and so,
     before anything is evaluated, are initial samples whose last pass would
-    exceed MAX_GRID_POINTS.  ``samples_used`` counts the points evaluated,
-    each once.
+    exceed MAX_GRID_POINTS.  A non-finite value raises DomainError as soon
+    as it is evaluated.  ``samples_used`` is the number of segments of the
+    last pass, which is the number of points evaluated: a closed path has as
+    many points as segments.
     """
     alpha = Alpha.coerce(a)
     c0, c1 = require_finite(corners[0]), require_finite(corners[1])
@@ -553,38 +534,30 @@ def count_zeros_rectangle(
     samples = max(int(initial_samples), 64)
     # the path has at least `samples` segments, so a larger request is refused
     # before its edges are sized (and before a huge int meets float arithmetic)
-    segments = samples if samples > MAX_GRID_POINTS else sum(n for *_, n in _rectangle_edges(c0, c1, samples))
-    if (segments << (_MAX_PASSES - 1)) + 1 > MAX_GRID_POINTS:
+    first = samples if samples > MAX_GRID_POINTS else sum(n for *_, n in _rectangle_edges(c0, c1, samples))
+    if (first << (_MAX_PASSES - 1)) + 1 > MAX_GRID_POINTS:
         raise DomainError(
             f"{initial_samples} initial samples would sample more than {MAX_GRID_POINTS} boundary points"
         )
 
-    # Values at refinement points: a later pass's path or refinement reaches
-    # each of them again, as a midpoint of the same segment.
-    refined: Dict[complex, complex] = {}
-    evaluated = 0
-
     def f(s: np.ndarray) -> np.ndarray:
-        nonlocal evaluated
-        values = np.array([refined.get(z, math.nan) for z in s.tolist()], dtype=complex)
-        new = np.isnan(values)
-        if new.any():
-            values[new] = eval_family(fam, s[new], alpha, cfg)
-            evaluated += int(np.count_nonzero(new))
+        values = eval_family(fam, s, alpha, cfg)
+        finite = np.isfinite(values)
+        if not finite.all():
+            # a NaN increment never settles, so its segments would halve to _MAX_REFINE_DEPTH
+            raise DomainError(f"{fam.value}(s, {alpha}) is not finite at s = {s[~finite][0]}")
+        if (values == 0.0).any():
+            raise BoundaryError("zero on the rectangle boundary; reposition the rectangle")
         return values
 
-    path = np.array(_rectangle_path(c0, c1, samples), dtype=complex)
-    values = f(path[:-1])
-    values = np.append(values, values[0])  # the closing point is the first one
+    edges = _rectangle_edges(c0, c1, samples)
+    za = np.array([start + (end - start) * i / n for start, end, n in edges for i in range(n)])
+    fa = f(za)
+    segments = (za, np.roll(za, -1), fa, np.roll(fa, -1), np.zeros(za.size, dtype=int))
     prev_count: Optional[int] = None
     for k in range(_MAX_PASSES):
-        if k:
-            # the previous path at the even places, its segments' midpoints between them
-            mids = 0.5 * (path[:-1] + path[1:])
-            between = np.arange(1, path.size)
-            path, values = np.insert(path, between, mids), np.insert(values, between, f(mids))
-        winding, min_abs, zr, fr = _winding_pass(f, path, values)
-        refined.update(zip(zr.tolist(), fr.tolist()))
+        winding, segments = _winding_pass(f, segments, k)
+        min_abs = float(np.abs(segments[2]).min())  # every point starts one segment
         if min_abs < _BOUNDARY_MIN_ABS:
             raise BoundaryError(
                 f"min |f| on the boundary is {min_abs:.3g} < {_BOUNDARY_MIN_ABS}; reposition the rectangle"
@@ -595,7 +568,7 @@ def count_zeros_rectangle(
                 corners=(complex(x0, y0), complex(x1, y1)),
                 count=nearest,
                 boundary_min_abs=min_abs,
-                samples_used=evaluated,
+                samples_used=segments[0].size,
                 winding_error=abs(winding - nearest),
             )
         prev_count = nearest

@@ -22,6 +22,7 @@ import pytest
 from zetazeros import (
     Alpha,
     Family,
+    UnsupportedError,
     beta_zero,
     chi_minus4,
     closed_form_identity,
@@ -240,6 +241,8 @@ def test_criterion_10_dirichlet_layer():
     catalan = l_function(chi_minus4(), 2.0).real
     ok = ok and abs(catalan - 0.915965594177219015) < 1e-9
     rng = np.random.default_rng(9)
+    # l_from_family checks P and O on primitive characters only, and these moduli have none of their parity
+    no_primitive = {(Family.P, 3), (Family.P, 4), (Family.P, 6), (Family.O, 6), (Family.O, 12)}
     for q in (3, 4, 5, 6, 8, 12):
         coprime = [r for r in range(1, q) if math.gcd(r, q) == 1]
         for _ in range(10):
@@ -253,6 +256,10 @@ def test_criterion_10_dirichlet_layer():
                 ok = ok and linear_relation_residual(Family.Y, r, q, s) < 1e-9
                 ok = ok and linear_relation_residual(Family.O, r, q, s) < 1e-9
             for fam in (Family.Z, Family.P, Family.Y, Family.O):
+                if (fam, q) in no_primitive:
+                    with pytest.raises(UnsupportedError):
+                        linear_relation_residual(fam, 1, q, s, direction="l_from_family")
+                    continue
                 ok = ok and linear_relation_residual(fam, 1, q, s, direction="l_from_family") < 1e-9
     assert report("10 dirichlet-layer", ok, f"Catalan residual {abs(catalan - 0.915965594177219015):.1e}")
 

@@ -17,6 +17,7 @@ from zetazeros import (
     Alpha,
     Family,
     PoleError,
+    UnsupportedError,
     characters_mod,
     count_zeros_rectangle,
     eval_family,
@@ -318,12 +319,24 @@ def test_series_memory_is_bounded_by_the_term_cap():
     assert peak <= 8 * special._LI_BLOCK_TERMS * 16  # a few complex temporaries of the cap
 
 
+@pytest.mark.parametrize("sigma, t", [(0.5, 4e6), (0.5, 1e8), (-1.0, 1e8), (0.5, 1e308), (-1.0, 1.7e308)])
+def test_euler_maclaurin_passes_beyond_the_term_cap_are_refused_before_any_pass(monkeypatch, sigma, t):
+    # the shift m grows like |t| and a block holds one point at least, so only the
+    # cap bounds a point's pass: Z's two bases times 4m + 1 exceed 2^23 here
+    def refuse(*args):
+        raise AssertionError("a pass ran before the term cap was checked")
+
+    monkeypatch.setattr(special, "_em_once", refuse)
+    with pytest.raises(UnsupportedError, match="terms"):
+        eval_family(Family.Z, np.array([2.0 + 1.0j, complex(sigma, t)]), Alpha(0.3))
+
+
 # (family, a, corners, initial samples) -> (count, samples_used).  The counts
-# are those the point-by-point implementation produced.  samples_used comes
-# from nested passes: pass 1 evaluates each of its n1 path points once (the
-# closing point repeats the first), pass 2 only the n1 midpoints it inserts,
-# and no refinement point is evaluated again, so a count that settles in two
-# passes without refinement uses exactly 2 n1 points.
+# are those the point-by-point implementation produced.  samples_used is the
+# number of segments of the last pass: pass 1 evaluates the n1 starts of its
+# segments once, pass 2 only the n1 midpoints of the segments it halves, and
+# no point is evaluated again, so a count that settles in two passes without
+# refinement uses exactly 2 n1 points.
 RECTANGLES = [
     (Family.Z, "1/6", (-1 + 1j, 2 + 30j), 512, 11, 1024),
     (Family.Z, "1/6", (-1 + 1j, 2 + 30j), 1024, 11, 2048),
@@ -345,24 +358,31 @@ def test_rectangle_counts_and_samples_unchanged(fam, a, corners, samples, count,
 @pytest.mark.parametrize("fam, a, corners, samples, count, used",
                          [r for r in RECTANGLES if (r[0], r[1]) in ((Family.Z, "1/6"), (Family.P, "2/5"))])
 def test_rectangle_count_evaluates_each_point_once(monkeypatch, fam, a, corners, samples, count, used):
-    evaluated, paths = [], []
+    evaluated, passes = [], []
     evaluate, winding_pass = zeros.eval_family, zeros._winding_pass
 
     def record_points(fam, s, *args):
         evaluated.extend(np.atleast_1d(s).tolist())
         return evaluate(fam, s, *args)
 
-    def record_path(f, path, *args):
-        paths.append(np.array(path))
-        return winding_pass(f, path, *args)
+    def record_segments(*args):
+        winding, segments = winding_pass(*args)
+        passes.append(segments)
+        return winding, segments
 
     monkeypatch.setattr(zeros, "eval_family", record_points)
-    monkeypatch.setattr(zeros, "_winding_pass", record_path)
+    monkeypatch.setattr(zeros, "_winding_pass", record_segments)
     rc = count_zeros_rectangle(fam, Alpha.parse(a), corners, samples)
-    assert len(set(evaluated)) == len(evaluated) == rc.samples_used
-    assert len(paths) >= 2
-    for path, doubled in zip(paths, paths[1:]):
-        assert np.array_equal(doubled[::2], path)
+    assert len(set(evaluated)) == len(evaluated) == rc.samples_used == passes[-1][0].size
+    assert len(passes) >= 2
+    # a closed path: the segments' starts and ends are the same points, each once
+    points = [set(start.tolist()) for start, *_ in passes]
+    for (start, end, *_), pts in zip(passes, points):
+        assert len(pts) == start.size and set(end.tolist()) == pts
+    # each pass keeps every point of the pass before, and the last pass holds every point evaluated
+    for before, after in zip(points, points[1:]):
+        assert before <= after
+    assert points[-1] == set(evaluated)
 
 
 # Census-like tiles (sigma in [-1, 2] or [0.05, 0.95], about 5 high, t <= 60),

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from importlib import resources
 
@@ -355,12 +356,28 @@ def test_usage_errors_exit_one():
     ("eval", "--family", "P", "--a", "1e-300", "--sigma", "2"),
     ("count", "--family", "Z", "--a", "0.3", "--re-from", "nan", "--re-to", "1", "--im-from", "1", "--im-to", "2"),
     ("count", "--family", "Z", "--a", "0.3", "--re-from", "0", "--re-to", "inf", "--im-from", "1", "--im-to", "2"),
-], ids=("series-terms", "count-nan", "count-inf"))
+    ("eval", "--family", "Z", "--a", "0.3", "--sigma", "0.5", "--t", "1e8"),
+    ("eval", "--family", "Z", "--a", "0.3", "--sigma", "0.5", "--t", "1e308"),
+    ("beta", "--family", "Z", "--a-points", "-1"),
+    ("beta", "--family", "Z", "--a-points", "0"),
+], ids=("series-terms", "count-nan", "count-inf", "em-terms-1e8", "em-terms-1e308", "beta-a-points-1", "beta-a-points0"))
 def test_refused_inputs_are_one_error_line(argv):
-    # a periodic series of ~9e16 terms, and rectangles with a non-finite corner
+    # a periodic series of ~9e16 terms, rectangles with a non-finite corner,
+    # Euler-Maclaurin passes of ~4e8 and ~8e308 terms, and empty beta grids
     code, out, err = run_cli(*argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_count_stops_at_a_value_that_is_not_finite():
+    # Z(s, 0.3) is nan, with an AccuracyWarning, from Re s = 600 on this tile; a
+    # count that went on would halve its nan segments toward the depth cap
+    with warnings.catch_warnings(record=True):
+        code, out, err = run_cli(
+            "count", "--family", "Z", "--a", "0.3", "--re-from", "0", "--re-to", "800", "--im-from", "1", "--im-to", "2",
+        )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.splitlines()[-1].startswith("error: ") and "not finite" in err
 
 
 def test_zero_denominator_is_a_usage_error():

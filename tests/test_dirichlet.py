@@ -30,6 +30,15 @@ from zetazeros import (
 )
 
 
+# The moduli q <= 16 with no primitive character of the family's parity:
+# l_from_family checks P and O on primitive characters only, so it raises there.
+NO_PRIMITIVE = {Family.P: {2, 3, 4, 6, 10, 14}, Family.O: {2, 6, 10, 12, 14}}
+
+
+def vacuous(fam, q):
+    return q in NO_PRIMITIVE.get(fam, ())
+
+
 def test_character_counts_and_principal_first():
     for q in (1, 2, 3, 4, 5, 6, 8, 12, 24, 30, 100):
         chars = characters_mod(q)
@@ -154,11 +163,27 @@ def test_linear_relations_both_directions():
             if 2 * r < q:
                 assert linear_relation_residual(Family.Y, r, q, s).max() < 1e-9
                 assert linear_relation_residual(Family.O, r, q, s).max() < 1e-9
-        assert linear_relation_residual(Family.Z, 1, q, s, direction="l_from_family").max() < 1e-9
-        assert linear_relation_residual(Family.P, 1, q, s, direction="l_from_family").max() < 1e-9
-        if q > 2:
-            assert linear_relation_residual(Family.Y, 1, q, s, direction="l_from_family").max() < 1e-9
-            assert linear_relation_residual(Family.O, 1, q, s, direction="l_from_family").max() < 1e-9
+        for fam in (Family.Z, Family.P, Family.Y, Family.O):
+            if vacuous(fam, q):
+                with pytest.raises(UnsupportedError):
+                    linear_relation_residual(fam, 1, q, s, direction="l_from_family")
+            else:
+                assert linear_relation_residual(fam, 1, q, s, direction="l_from_family").max() < 1e-9
+
+
+def test_l_from_family_raises_where_no_primitive_character_of_the_parity_exists():
+    s = np.array([2.5 + 1.0j, 1.5 - 3.0j])
+    for fam, parity in ((Family.P, "even"), (Family.O, "odd")):
+        for q in range(3, 17):
+            if vacuous(fam, q):
+                with pytest.raises(UnsupportedError, match=f"no primitive {parity} character mod {q}:"):
+                    linear_relation_residual(fam, 1, q, s, direction="l_from_family")
+            else:
+                assert linear_relation_residual(fam, 1, q, s, direction="l_from_family").max() < 1e-9
+    with pytest.raises(UnsupportedError, match="no primitive even character mod 2:"):
+        linear_relation_residual(Family.P, 1, 2, s, direction="l_from_family")
+    with pytest.raises(DomainError):  # no odd-family relation has 0 < 2r < 2
+        linear_relation_residual(Family.O, 1, 2, s, direction="l_from_family")
 
 
 def test_linear_relation_spec_examples():
@@ -254,6 +279,10 @@ def test_linear_relation_residual_array_matches_point_by_point(q, direction):
         for r in range(1, q):
             if math.gcd(r, q) != 1 or (fam.odd_symmetric and 2 * r > q):
                 continue
+            if direction == "l_from_family" and vacuous(fam, q):
+                with pytest.raises(UnsupportedError):
+                    linear_relation_residual(fam, r, q, pts, direction=direction)
+                continue
             got = linear_relation_residual(fam, r, q, pts, direction=direction)
             assert got.shape == pts.shape
             reversed_block = linear_relation_residual(fam, r, q, pts[:, ::-1], direction=direction)
@@ -269,6 +298,10 @@ def test_linear_relation_residual_takes_every_r_in_one_call(q, direction):
     pts = _array_points(37, (0.3, 4.0), (-8.0, 8.0)).reshape(2, -1)
     for fam in (Family.Z, Family.P, Family.Y, Family.O):
         rs = [r for r in range(1, q) if math.gcd(r, q) == 1 and (2 * r < q or not fam.odd_symmetric)]
+        if direction == "l_from_family" and vacuous(fam, q):
+            with pytest.raises(UnsupportedError):
+                linear_relation_residual(fam, rs, q, pts, direction=direction)
+            continue
         got = linear_relation_residual(fam, rs, q, pts, direction=direction)
         assert got.shape == (len(rs),) + pts.shape
         each = [linear_relation_residual(fam, r, q, pts, direction=direction) for r in rs]
@@ -299,10 +332,14 @@ def test_linear_relations_evaluate_each_family_value_once_per_pair_of_units(monk
             rs = [r for r in units if 2 * r < q or not fam.odd_symmetric]
             for direction in ("family_from_l", "l_from_family"):
                 calls.clear()
+                if direction == "l_from_family" and vacuous(fam, q):
+                    with pytest.raises(UnsupportedError):
+                        linear_relation_residual(fam, rs, q, s, direction=direction)
+                    assert not calls, (fam, q)
+                    continue
                 linear_relation_residual(fam, rs, q, s, direction=direction)
                 assert len(calls) == len(set(calls)), (fam, q, direction)
-                # l_from_family checks P and O on primitive characters only, and mod 12 has no odd one
-                assert set(calls) == pairs or (fam is Family.O and q == 12 and not calls), (fam, q, direction)
+                assert set(calls) == pairs, (fam, q, direction)
 
 
 def test_identity_arrays_with_a_pole_raise_like_the_point():

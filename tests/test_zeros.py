@@ -5,11 +5,13 @@ tests/oracles/make_reference.py (mpmath, 50-digit bisection).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from zetazeros import (
+    AccuracyWarning,
     Alpha,
     BoundaryError,
     DomainError,
@@ -482,6 +484,25 @@ def test_rectangle_grid_cap_uses_the_nested_path(monkeypatch):
 def test_rectangle_with_a_corner_that_is_not_finite_is_rejected(corners):
     with pytest.raises(DomainError):
         count_zeros_rectangle(Family.Z, 0.3, corners)
+
+
+@pytest.mark.parametrize("corners", [(1j, 800 + 2j), (1j, 1e300 + 2j)])
+def test_rectangle_count_stops_at_its_first_value_that_is_not_finite(monkeypatch, corners):
+    # Z(s, 0.3) is nan far to the right; a nan increment never settles, so the
+    # count would halve its segments level after level
+    calls = []
+    evaluate = zeros.eval_family
+
+    def record(fam, s, *args):
+        calls.append(s.size)
+        return evaluate(fam, s, *args)
+
+    monkeypatch.setattr(zeros, "eval_family", record)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        with pytest.raises(DomainError, match="not finite"):
+            count_zeros_rectangle(Family.Z, 0.3, corners)
+    assert len(calls) == 1
 
 
 def test_rectangle_near_pole_rejected():
