@@ -369,9 +369,10 @@ def run(argv: Sequence[str], out: io.TextIOBase = sys.stdout, err: io.TextIOBase
             args = _PARSER.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    warnings.simplefilter("once", AccuracyWarning)
     try:
-        return args.func(args, out)
+        with warnings.catch_warnings():  # the caller's filters are back in place after the command
+            warnings.simplefilter("once", AccuracyWarning)
+            return args.func(args, out)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_VERIFY

@@ -815,14 +815,18 @@ def _periodic(pts: np.ndarray, alpha: Alpha, cfg: EvalSettings, lam: float = 0.0
     call per route, each taking lam: for Re s <= SERIES_SIGMA_THRESHOLD the
     functional equation through zeta(1-s, a) and zeta(1-s, 1-a) (s = 0
     included); above it, for exact a = r/q, the weighted Hurwitz sum over
-    zeta(s, n/q) while q^{Re s} stays in double range; otherwise the series."""
+    zeta(s, n/q) while q^{Re s} stays in double range and its Euler-Maclaurin
+    pass within _EM_MAX_TERMS; otherwise the series."""
     av = alpha.value
     out = np.empty(pts.shape, dtype=complex)
     fe = pts.real <= SERIES_SIGMA_THRESHOLD
     rational = np.zeros(pts.shape, dtype=bool)
     if alpha.exact is not None:
-        # zeta(s, 1/q) ~ q^s must stay finite until q^{-s} scales it back
-        rational = ~fe & (np.abs(pts - 1.0) > 5e-3) & (pts.real * math.log(alpha.exact[1]) < _LOG_DBL_MAX)
+        q = alpha.exact[1]
+        # zeta(s, 1/q) ~ q^s must stay finite until q^{-s} scales it back, and
+        # the pass over q bases must stay within the terms _hurwitz_combination allows
+        fits = np.array([q * (4 * _em_shift(x) + 1) <= _EM_MAX_TERMS for x in pts.tolist()], dtype=bool)
+        rational = ~fe & fits & (np.abs(pts - 1.0) > 5e-3) & (pts.real * math.log(q) < _LOG_DBL_MAX)
     series = ~(fe | rational)
     if fe.any():
         out[fe] = _li_functional_equation(pts[fe], av, cfg, lam)

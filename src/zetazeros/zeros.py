@@ -216,12 +216,16 @@ def scan_real_zeros(
 ) -> List[ZeroRecord]:
     """Scan [lo, hi] for real zeros of the family section.
 
-    Sign changes are refined (ITP, from the grid values at both ends) to
-    brackets narrower than 1e-10 and reported as simple; local |f| minima
-    that dip below _TOUCH_TOL without a sign change are refined by Brent's
-    minimiser and reported as even-touch (this is what catches double
-    zeros).  For the complex-valued periodic zeta only the |f| dip detection
-    applies.
+    One path for every family: the section is Re f, or |f| for the complex
+    periodic zeta, whose zeros are then even touches.  A grid value below
+    _GRID_ZERO_TOL is a zero, simple if f changes sign from step/4 to its
+    left to step/4 to its right.  Sign changes are refined (ITP, from the grid
+    values at both ends) to brackets narrower than 1e-10 and reported as
+    simple; local |f| minima with no sign change on either side are refined
+    by Brent's minimiser to 1e-8 and reported as even touches if |f| there is
+    below _TOUCH_TOL (this is what catches double zeros).  The three exclude
+    each other, so nothing is merged; two zeros within one grid interval
+    show as one even touch at most.
 
     A reported location is within its bracket of a zero of the *computed*
     section, whose values carry the cfg target (1e-10 by default): the true
@@ -253,7 +257,7 @@ def scan_real_zeros(
         raise PoleError("scan endpoint sits on the s = 1 pole", 1.0 + 0.0j)
 
     def f(x: np.ndarray) -> np.ndarray:
-        # the real section; the complex periodic zeta is scanned for |f| dips only
+        # Re f, or |f| for the complex periodic zeta: one path, its zeros even touches
         if not x.size:
             return x
         values = eval_family(fam, x, alpha, cfg)
@@ -264,25 +268,12 @@ def scan_real_zeros(
     vals = f(xs)  # the whole grid in one call
     mags = np.abs(vals)
     inner = mags[1:-1]
-
-    if fam is Family.PERIODIC:
-        dips = 1 + np.flatnonzero((inner <= mags[:-2]) & (inner <= mags[2:]) & (inner < _TOUCH_TOL))
-        locs = _refine_touch(f, xs[dips - 1], xs[dips + 1], _BRACKET_WIDTH)
-        brackets = zip(xs[dips - 1].tolist(), xs[dips + 1].tolist())
-        return [ZeroRecord(loc, EVEN_TOUCH, b, r) for loc, b, r in zip(locs.tolist(), brackets, f(locs).tolist())]
-
     small = mags < _GRID_ZERO_TOL  # a grid value this small has no sign
     crossed = vals[:-1] * vals[1:] < 0.0
 
-    # A grid point that lands (numerically) on a zero is classified by its
-    # neighbours' signs; a neighbour beyond an end of the grid, or itself on a
-    # zero, is sampled a quarter step further out.
+    # a grid point on a zero is classified by f a quarter step to either side
     at = np.flatnonzero(small)
-    nxt = np.minimum(at + 1, n - 1)
-    off_left, off_right = at == 0, (nxt == at) | small[nxt]
-    left, right = vals[at - 1], vals[nxt]
-    probes = np.concatenate((xs[at[off_left]] - 0.25 * step, xs[nxt[off_right]] + 0.25 * step))
-    left[off_left], right[off_right] = np.split(f(probes), [np.count_nonzero(off_left)])
+    left, right = f(np.concatenate((xs[at] - 0.25 * step, xs[at] + 0.25 * step))).reshape(2, -1)
     simple = (left == 0.0) | (right == 0.0) | ((left < 0.0) != (right < 0.0))
     records = [
         ZeroRecord(x0, SIMPLE if is_simple else EVEN_TOUCH, (x0 - 0.5 * step, x0 + 0.5 * step), resid)
@@ -305,24 +296,7 @@ def scan_real_zeros(
         for kind, loc, bracket, resid in zip(kinds, locs.tolist(), brackets, resids)
         if kind == SIMPLE or resid < _TOUCH_TOL
     ]
-
-    # De-duplicate records closer than half a step (touch refinement overlap).
-    # A refined sign change is a simple zero whatever the residuals say, so
-    # it wins over an even touch; between records of one kind the smaller
-    # residual wins.
-    records.sort(key=lambda rec: rec.location)
-    dedup: List[ZeroRecord] = []
-    for rec in records:
-        if dedup and abs(rec.location - dedup[-1].location) < 0.5 * step:
-            if _rank(rec) < _rank(dedup[-1]):
-                dedup[-1] = rec
-            continue
-        dedup.append(rec)
-    return dedup
-
-
-def _rank(rec: ZeroRecord) -> Tuple[bool, float]:
-    return rec.multiplicity_class != SIMPLE, rec.residual
+    return sorted(records, key=lambda rec: rec.location)
 
 
 # ---------------------------------------------------------------------------

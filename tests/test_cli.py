@@ -17,7 +17,7 @@ import pytest
 
 import zetazeros
 from zetazeros import DomainError
-from zetazeros.cli import EXIT_OK, EXIT_USAGE, run
+from zetazeros.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
 from zetazeros.zeros import EVEN_TOUCH, SIMPLE
 
 
@@ -417,6 +417,36 @@ def test_internal_error_is_one_line_not_a_traceback(monkeypatch):
     assert (code, out) == (EXIT_USAGE, "")
     assert err == "error: internal error: RuntimeError: something broke\n"
 
+
+
+def test_convergence_error_is_exit_two_with_one_error_line(monkeypatch):
+    import zetazeros.cli as cli
+
+    def unsettled(*args, **kwargs):
+        raise zetazeros.ConvergenceError("winding number did not stabilize")
+
+    monkeypatch.setattr(cli, "count_zeros_rectangle", unsettled)
+    code, out, err = run_cli(
+        "count", "--family", "Z", "--a", "0.3", "--re-from", "2", "--re-to", "3", "--im-from", "1", "--im-to", "10"
+    )
+    assert (code, out) == (EXIT_VERIFY, "")
+    assert err == "error: winding number did not stabilize\n"
+
+
+def test_run_leaves_the_callers_warning_filters_alone():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", zetazeros.AccuracyWarning)
+        before = list(warnings.filters)
+        assert run_cli("eval", "--family", "Z", "--a", "0.3", "--sigma", "2")[0] == EXIT_OK
+        assert warnings.filters == before
+        with pytest.raises(zetazeros.AccuracyWarning):
+            zetazeros.eval_family(zetazeros.Family.P, 2 + 1j, 1e-5)
+
+
+def test_exact_a_with_a_huge_denominator_is_evaluated():
+    with warnings.catch_warnings(record=True):
+        code, out, err = run_cli("eval", "--family", "P", "--a", "1/100000", "--sigma", "2", "--t", "1")
+    assert code == EXIT_OK and out.count("\n") == 2
 
 def test_tolerance_comes_from_the_option_only(monkeypatch):
     monkeypatch.setenv("ZETAZEROS_TOL", "not a number")  # no environment variable sets it

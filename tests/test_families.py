@@ -151,6 +151,17 @@ def test_series_too_close_to_an_integer_is_refused():
         eval_family(Family.P, np.array([2.0, 3.0 + 1.0j]), 1e-9)
 
 
+
+def test_exact_a_with_a_huge_denominator_takes_the_series():
+    # the exact pass over 10^5 bases would exceed the Euler-Maclaurin term
+    # cap, so the exact a gets the series value of the float a, warning alike
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", AccuracyWarning)
+        exact = eval_family(Family.P, 2 + 1j, "1/100000")
+        approx = eval_family(Family.P, 2 + 1j, 1e-5)
+    assert exact == approx
+    assert [w.category for w in caught] == [AccuracyWarning, AccuracyWarning]
+
 # Frozen mpmath values (Hurwitz's formula; tests/oracles/make_reference.py,
 # section NEAR_ZERO) around s = 0, where the functional-equation route forms
 # (c- + c+)/s as 2 g sin(pi s/2)/s for |s| < 0.25.

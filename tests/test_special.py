@@ -119,6 +119,12 @@ def test_gamma_at_the_edge_of_the_double_range():
         gamma(complex(3, 700))
 
 
+
+def test_reflection_factor_beyond_the_double_range_is_a_domain_error():
+    # Gamma(301 - 10i) overflows the reflection factor of zeta(-300 + 10i, 0.3)
+    with pytest.raises(DomainError, match="double range"):
+        hurwitz_zeta(complex(-300, 10), 0.3)
+
 def test_gamma_left_of_one_half_in_log_space():
     # frozen mpmath values: sin(pi s) and Gamma(1-s) overflow on their own here
     assert gamma(complex(-1, 300)) == pytest.approx(

@@ -34,6 +34,7 @@ BETA_Z_ORACLE = {
 }
 BETA_P_2499_ORACLE = 10.63535576526834201
 A1_DOUBLE_ZERO = 0.2308296502521382385  # P(3, a_1) = 0, so Z(., a_1) has a double zero at -2
+BETA_Z_NEAR_A1 = -2.022889316699684379  # the zero of Z(., a_1 + 3e-4) next to -2 (40-digit findroot)
 
 
 def locations(records):
@@ -58,6 +59,16 @@ def test_scan_z_nonpositive_even_integers():
 
 def test_scan_periodic_finds_nothing():
     assert scan_real_zeros(Family.PERIODIC, 0.3, -10.0, 5.0) == []
+
+
+def test_scan_periodic_zeros_are_even_touches():
+    # Li_s(-1) = -eta(s) vanishes at the negative even integers; |f| is the
+    # section, so each zero is an even touch
+    recs = scan_real_zeros(Family.PERIODIC, 0.5, -12.01, 5.0)
+    assert [round(x) for x in locations(recs)] == [-10, -8, -6, -4, -2]
+    for rec in recs:
+        assert rec.multiplicity_class == EVEN_TOUCH
+        assert abs(rec.location - round(rec.location)) < 1e-7
 
 
 def test_scan_detects_double_zero_as_even_touch():
@@ -87,6 +98,15 @@ def test_scan_keeps_zeros_on_both_endpoints():
     recs = scan_real_zeros(Family.Z, A1_DOUBLE_ZERO, -4.9, -2.0, 0.05)
     assert [round(x) for x in locations(recs)] == [-4, -2]
     assert [rec.multiplicity_class for rec in recs] == [SIMPLE, EVEN_TOUCH]
+
+
+def test_scan_keeps_two_zeros_closer_than_half_a_step():
+    # just above a_1 the extra zero of Z has left -2 by 0.023, less than half a
+    # grid step: two simple zeros, both reported
+    recs = scan_real_zeros(Family.Z, A1_DOUBLE_ZERO + 3e-4, -3.01, -1.51)
+    assert [rec.multiplicity_class for rec in recs] == [SIMPLE, SIMPLE]
+    assert abs(recs[0].location - BETA_Z_NEAR_A1) < 1e-8
+    assert abs(recs[1].location + 2.0) < 1e-8
 
 
 def test_scan_splits_around_pole():
