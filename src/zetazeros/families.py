@@ -5,7 +5,9 @@ Evaluation routes (0 < a <= 1/2 throughout):
 
   Z(s,a) = zeta(s,a) + zeta(s,1-a)               simple pole at s = 1
   Y(s,a) = zeta(s,a) - zeta(s,1-a)               entire; Z and Y each take one
-           paired Euler-Maclaurin pass, certified on the sum
+           paired Euler-Maclaurin pass, certified on the sum; below Re s = 0
+           special._hurwitz_reflect pairs the bases a and 1-a into one series
+           at 1-s times the cosine or sine factor, c- + c+ or c- - c+
   P(s,a) = Li_s(e^{2pi i a}) + Li_s(e^{2pi i(1-a)})   entire
   O(s,a) = -i (Li_s(e^{2pi i a}) - Li_s(e^{2pi i(1-a)}))  entire
   X(s,a) = Y(s,a) + O(s,a)
@@ -45,7 +47,6 @@ from .core import (
 )
 from .special import (
     _fe_factor_columns,
-    _pair_diff_reflect,
     _periodic,
     _zeta_sum,
     gamma,  # noqa: F401  (unused here; perfbench's tracer test patches families.gamma)
@@ -83,8 +84,7 @@ def z_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> n
             1.0 + 0.0j,
             limits=(-math.inf, math.inf),
         )
-    av = a.value
-    return _zeta_sum(s, (av, 1.0 - av), (1.0, 1.0), cfg, reflect=lambda x: _pair_diff_reflect(x, av, 1.0, cfg))
+    return _zeta_sum(s, (a.value, 1.0 - a.value), (1.0, 1.0), cfg)
 
 
 def y_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:

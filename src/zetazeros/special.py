@@ -467,12 +467,11 @@ def _settle(
             _warn_accuracy(rem, tol, complex(pts[i]))
 
 
-def _zeta_sum(s: np.ndarray, bases, weights, cfg: EvalSettings, q: int = 1, reflect=None) -> np.ndarray:
+def _zeta_sum(s: np.ndarray, bases, weights, cfg: EvalSettings, q: int = 1) -> np.ndarray:
     """q^{-s} sum_j w_j zeta(s, b_j) at a 1-D array of points, in one Euler-Maclaurin pass
     certified on that value.  Weights that sum to zero (to rounding) make the sum entire: each
-    pole part is subtracted in the pass and added back as [b^{1-s} - 1]/(s-1).  ``reflect(s)``,
-    the unscaled sums and their bounds at an array of points with Re s < 0, defaults to each
-    base's own Hurwitz reflection."""
+    pole part is subtracted in the pass and added back as [b^{1-s} - 1]/(s-1).  A point with
+    Re s < 0 that the pass leaves uncertified may take _hurwitz_reflect's value instead."""
     w_arr = np.asarray(weights, dtype=complex)
     entire = abs(sum(weights)) <= len(weights) * _EPS * sum(map(abs, weights))
     values, rems = _hurwitz_combination(s, bases, w_arr, cfg, subtract_pole=entire)
@@ -480,7 +479,7 @@ def _zeta_sum(s: np.ndarray, bases, weights, cfg: EvalSettings, q: int = 1, refl
         values += _weigh(_pole_quotient(1.0 - s, np.log(bases)), w_arr)
 
     def reflected(idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        value, rem = reflect(s[idx]) if reflect else _hurwitz_reflect(s[idx], bases, w_arr, cfg)
+        value, rem = _hurwitz_reflect(s[idx], bases, w_arr, cfg)
         return value * scale[idx], rem * np.abs(scale[idx])
 
     # values beyond the double range come out inf: _settle warns, or raises from a reflection
@@ -527,30 +526,43 @@ def _fe_factor_columns(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _hurwitz_reflect(s: np.ndarray, bases, weights: np.ndarray, cfg: EvalSettings) -> Tuple[np.ndarray, np.ndarray]:
-    """sum_j w_j zeta(s, b_j) and its bound at an array of points with Re s < 0,
-    each zeta through c- Li_w(e^{2 pi i b}) + c+ Li_w(e^{-2 pi i b}) with w = 1 - s
-    and c-+ from _fe_factors (Re w > 1, so both series converge absolutely; at
-    b = 1 both are zeta(w)).  One series call per distinct base serves every point."""
+    """sum_j w_j zeta(s, b_j) and its bound at an array of points with Re s < 0, through the
+    functional equation at w = 1 - s (Re w > 1, so every series converges absolutely).
+
+    A base b_j with a partner b_k = 1 - b_j of weight w_k = +-w_j (both to 4 eps; chi values
+    are not exact negatives, and 1 - 11/12 != 1/12 in doubles) joins it as (w_j +- w_k)/2 times
+    zeta(s, b_j) +- zeta(s, 1 - b_j): one _pair_diff_reflect call, one series.  Any other base
+    takes c- Li_w(e^{2 pi i b}) + c+ Li_w(e^{-2 pi i b}), with c-+ from _fe_factors: two series,
+    or one at b = 1/2 and at b = 1, where both are the same (zeta(w) at b = 1)."""
     w = 1.0 - s
-    c_minus, c_plus = _fe_factor_columns(w)
     value, rem = np.zeros(s.shape, dtype=complex), np.zeros(s.shape)
-    series = {}  # Li_w(e^{2 pi i x}) by x to 1e-15: bases b and 1 - b share their two series
-
-    def li(x: float) -> Tuple[np.ndarray, np.ndarray]:
-        key = round(x, 15)
-        if key not in series:
-            series[key] = _hurwitz_combination(w, (1.0,), (1.0,), cfg) if x == 1.0 else _li_series(w, x, cfg)
-        return series[key]
-
-    for b, weight in zip(bases, weights.tolist()):
+    bases, weights = list(bases), weights.tolist()
+    for j, weight in enumerate(weights):
         # Reduce b to (0, 1]: zeta(s, b) = zeta(s, b - 1) - (b - 1)^{-s}.
-        while b > 1.0:
-            b -= 1.0
-            value -= weight * np.exp(-s * math.log(b))
-        la, ea = li(b)
-        lb, eb = (la, ea) if b == 1.0 else li(1.0 - b)
-        value += weight * (c_minus * la + c_plus * lb)
-        rem += abs(weight) * (np.abs(c_minus) * ea + np.abs(c_plus) * eb)
+        while bases[j] > 1.0:
+            bases[j] -= 1.0
+            value -= weight * np.exp(-s * math.log(bases[j]))
+    factors = None  # c- and c+, formed only for a base without a partner
+    left = list(range(len(bases)))
+    while left:
+        j = left.pop(0)
+        b, weight = bases[j], weights[j]
+        for k, sign in [(k, sign) for k in left for sign in (1.0, -1.0)]:
+            if abs(b + bases[k] - 1.0) <= 4.0 * _EPS and abs(weights[k] - sign * weight) <= 4.0 * _EPS * abs(weight):
+                left.remove(k)
+                pair, err = _pair_diff_reflect(s, b, sign, cfg)
+                scale = 0.5 * (weight + sign * weights[k])
+                value += scale * pair
+                rem += abs(scale) * err
+                break
+        else:
+            if factors is None:
+                factors = _fe_factor_columns(w)
+            c_minus, c_plus = factors
+            la, ea = _hurwitz_combination(w, (1.0,), (1.0,), cfg) if b == 1.0 else _li_series(w, b, cfg)
+            lb, eb = (la, ea) if b in (0.5, 1.0) else _li_series(w, 1.0 - b, cfg)
+            value += weight * (c_minus * la + c_plus * lb)
+            rem += abs(weight) * (np.abs(c_minus) * ea + np.abs(c_plus) * eb)
     return value, rem
 
 
@@ -560,27 +572,30 @@ def hurwitz_pair_diff(s, a: float, cfg: EvalSettings = DEFAULT_SETTINGS):
     The paired form keeps the two pole parts together (the difference is
     entire), so it is usable at every s including s = 1, and it avoids the
     cancellation of two separately rounded values for Re s > 0.  Deep in the
-    left half-plane with t != 0 the sine-kernel reflection through the
-    conjugate series at 1-s takes over, point by point, when Euler-Maclaurin
-    cannot certify the tolerance.  ``s`` is a number or an array of points.
+    left half-plane with t != 0 the pair's reflection, one series at 1-s
+    times c- - c+ = -2i Gamma(1-s) (2pi)^{s-1} sin(pi(1-s)/2), takes over
+    point by point when Euler-Maclaurin cannot certify the tolerance.  ``s``
+    is a number or an array of points.
     """
     pts, shape = as_points(s)
     if not 0.0 < a < 1.0:
         raise DomainError("pair difference needs 0 < a < 1")
-    values = _zeta_sum(pts, (a, 1.0 - a), (1.0, -1.0), cfg, reflect=lambda x: _pair_diff_reflect(x, a, -1.0, cfg))
-    return from_points(values, shape)
+    return from_points(_zeta_sum(pts, (a, 1.0 - a), (1.0, -1.0), cfg), shape)
 
 
 def _pair_diff_reflect(s: np.ndarray, a: float, sign: float, cfg: EvalSettings) -> Tuple[np.ndarray, np.ndarray]:
     """zeta(s,a) + sign zeta(s,1-a), sign = +-1, and its bound at an array of points
     with Re s < 0, through (c- + sign c+) (Li_w(e^{2pi i a}) + sign Li_w(e^{-2pi i a}))
     with w = 1 - s and c-+ from _fe_factors: one series call with lam = sign; both
-    series converge absolutely and nothing cancels."""
+    series converge absolutely and nothing cancels but the factor itself."""
     w = 1.0 - s
     c_minus, c_plus = _fe_factor_columns(w)
     factor = c_minus + sign * c_plus  # 2 Gamma(w) (2pi)^{-w} cos(pi w/2), or -2i ... sin(pi w/2)
     li, err = _li_series(w, a, cfg, sign)
-    return factor * li, np.abs(factor) * err
+    # c-+ each carry the rounding of their exponent's -+ i pi w/2, about eps pi |w|/2: where
+    # cos or sin(pi w/2) vanishes, that rounding is all that is left of the factor
+    noise = _EPS * (1.0 + 0.5 * math.pi * np.abs(w)) * (np.abs(c_minus) + np.abs(c_plus))
+    return factor * li, np.abs(factor) * err + noise * np.abs(li)
 
 
 def riemann_zeta(s, cfg: EvalSettings = DEFAULT_SETTINGS):

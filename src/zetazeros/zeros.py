@@ -220,12 +220,13 @@ def scan_real_zeros(
     periodic zeta, whose zeros are then even touches.  A grid value below
     _GRID_ZERO_TOL is a zero, simple if f changes sign from step/4 to its
     left to step/4 to its right.  Sign changes are refined (ITP, from the grid
-    values at both ends) to brackets narrower than 1e-10 and reported as
-    simple; local |f| minima with no sign change on either side are refined
-    by Brent's minimiser to 1e-8 and reported as even touches if |f| there is
-    below _TOUCH_TOL (this is what catches double zeros).  The three exclude
-    each other, so nothing is merged; two zeros within one grid interval
-    show as one even touch at most.
+    values at both ends, or from that probe at an end on a grid zero) to
+    brackets narrower than 1e-10 and reported as simple; local |f| minima
+    with no sign change on either side are refined by Brent's minimiser to
+    1e-8 and reported as even touches if |f| there is below _TOUCH_TOL (this
+    is what catches double zeros).  The three exclude each other, so nothing
+    is merged; two zeros within one grid interval show as one even touch at
+    most.
 
     A reported location is within its bracket of a zero of the *computed*
     section, whose values carry the cfg target (1e-10 by default): the true
@@ -280,12 +281,19 @@ def scan_real_zeros(
         for x0, is_simple, resid in zip(xs[at].tolist(), simple.tolist(), mags[at].tolist())
     ]
 
-    # Sign changes between signed grid values are refined.  A local |f|
-    # minimum is refined as a candidate touch only with no sign change on
-    # either side: next to one, the refined sign change is the zero.
-    signs = np.flatnonzero(crossed & ~small[:-1] & ~small[1:])
+    # Sign changes are refined between the ends of each grid interval: its
+    # grid points, or a grid zero's probe a quarter step inside the interval,
+    # so that a second zero beside a grid zero is found.  A local |f| minimum
+    # is refined as a candidate touch only with no sign change on either
+    # side: next to one, the refined sign change is the zero.
+    lx, lf = xs.copy(), vals.copy()  # each grid point as an interval's left end
+    rx, rf = xs.copy(), vals.copy()  # and as its right end
+    lx[at] += 0.25 * step
+    rx[at] -= 0.25 * step
+    lf[at], rf[at] = right, left
+    signs = np.flatnonzero(lf[:-1] * rf[1:] < 0.0)
     dips = 1 + np.flatnonzero(~small[1:-1] & ~crossed[:-1] & ~crossed[1:] & (inner < mags[:-2]) & (inner <= mags[2:]))
-    blo, bhi = _bisect(f, xs[signs], xs[signs + 1], vals[signs], vals[signs + 1], _BRACKET_WIDTH)
+    blo, bhi = _bisect(f, lx[signs], rx[signs + 1], lf[signs], rf[signs + 1], _BRACKET_WIDTH)
     touches = _refine_touch(lambda x: np.abs(f(x)), xs[dips - 1], xs[dips + 1], 1e-8)
     locs = np.concatenate((0.5 * (blo + bhi), touches))
     resids = np.abs(f(locs)).tolist()

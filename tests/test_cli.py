@@ -32,6 +32,16 @@ def load_schema():
         return json.load(fh)
 
 
+def test_scan_finds_a_zero_beside_a_grid_zero():
+    # the grid point -2.0 is a zero, and beta_Z = -2.0228893... lies in the interval to its left
+    code, out, err = run_cli("scan", "--family", "Z", "--a", "0.2311296502521382", "--from", "-3.0", "--to", "-1.5")
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[3] for row in rows] == [SIMPLE, SIMPLE]
+    assert abs(float(rows[0][2]) + 2.0228893) < 1e-7
+    assert float(rows[1][2]) == -2.0
+
+
 def test_scan_emits_five_zero_rows():
     code, out, err = run_cli("scan", "--family", "Y", "--a", "0.3", "--from", "-10", "--to", "2")
     assert code == EXIT_OK

@@ -313,6 +313,25 @@ def test_pair_diff_at_s_equal_one_is_digamma_reflection():
         assert hurwitz_pair_diff(1.0, a).real == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("a", [0.1, 0.3, 0.5])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_reflection_of_a_symmetric_pair_is_the_pair_kernel(a, sign):
+    # bases a and 1 - a with weights 1 and +-1 take one series through the pair's factor c- +- c+
+    rng = np.random.default_rng(2111)
+    s = rng.uniform(-12.0, -1.0, 24) + 1j * rng.uniform(-60.0, 60.0, 24)
+    value, bound = special._hurwitz_reflect(s, (a, 1.0 - a), np.array([1.0, sign], dtype=complex), DEFAULT_SETTINGS)
+    pair, pair_bound = special._pair_diff_reflect(s, a, sign, DEFAULT_SETTINGS)
+    assert np.array_equal(value, pair)
+    assert np.array_equal(bound, pair_bound)
+
+
+def test_pair_reflection_bound_counts_the_rounding_of_its_factor():
+    # Y(-15, 0.3) = 0: at w = 16 the factor c- - c+ = -2i Gamma(w) (2pi)^{-w} sin(8 pi) is the
+    # rounding of c-+ alone, and the bound must cover what that rounding leaves
+    value, bound = special._pair_diff_reflect(np.array([-15.0 + 0.0j]), 0.3, -1.0, DEFAULT_SETTINGS)
+    assert abs(value[0]) <= bound[0]
+
+
 # ---------------------------------------------------------------------------
 # Periodic zeta
 
