@@ -1,14 +1,14 @@
-"""Double-precision special functions: Bernoulli polynomials, complex gamma,
-Riemann/Hurwitz zeta via Euler-Maclaurin, and the periodic zeta.
+"""Double-precision special functions: Bernoulli polynomials, complex gamma by
+Stirling's series, Riemann/Hurwitz zeta via Euler-Maclaurin, and the periodic zeta.
 
-All evaluation is pure and reentrant; the Bernoulli coefficient tables are
-built once at import time and never mutated.  The public zeta functions take
-a number or an array of points; the kernels below them take 1-D arrays only.
-Euler-Maclaurin work and the periodic series run in blocks of points, and a
-single number is a block of one; every sum runs along one point's own row, so
-a point gets the same bits alone as in any block.  Powers of positive real
-bases always use the principal real logarithm, so no branch cut is ever
-crossed.
+All evaluation is pure and reentrant; the Bernoulli tables, which give Stirling's
+series and the Euler-Maclaurin corrections their coefficients, are built once at
+import time and never mutated.  The public zeta functions take a number or an
+array of points; the kernels below them take 1-D arrays only.  Euler-Maclaurin
+work and the periodic series run in blocks of points, and a single number is a
+block of one; every sum runs along one point's own row, so a point gets the same
+bits alone as in any block.  Powers of positive real bases always use the
+principal real logarithm, so no branch cut is ever crossed.
 """
 
 from __future__ import annotations
@@ -103,27 +103,12 @@ def bernoulli_poly_exact(n: int, x: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Complex gamma: Lanczos approximation (g = 7, 9 terms) with reflection.
+# Complex gamma: Stirling's series, its coefficients from the Bernoulli table,
+# with reflection left of Re s = 1/2.
 
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _lanczos_series(z: complex) -> complex:
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (z + i)
-    return acc
+# B_2k / (2k (2k-1)), k = 1 .. 14: log Gamma(s) - (s - 1/2) log s + s - log(2pi)/2 = sum_k c_k s^{1-2k}.
+_STIRLING = tuple(float(BERNOULLI_NUMBERS[2 * k] / (2 * k * (2 * k - 1))) for k in range(1, 15))
+_STIRLING_MIN_ABS = 6.0  # the series is summed at |s| >= 6, where its 15th term is below 2e-17
 
 
 def gamma(s: complex) -> complex:
@@ -131,9 +116,10 @@ def gamma(s: complex) -> complex:
 
     Raises PoleError at the nonpositive integers, and DomainError where
     |Gamma(s)| is beyond the double range or below the smallest normal double,
-    on either side of Re s = 1/2.  Relative accuracy is ~1e-13 for |s| <= 100.
+    on either side of Re s = 1/2.  Relative accuracy is ~1e-14 for |Im s| <= 30 and
+    ~1e-13 to |Im s| = 100, where the rounding of (s - 1/2) log s dominates.
     """
-    # One exponential of the logarithm: t^{z+1/2} and e^{-t} on the right, and
+    # One exponential of the logarithm: s^{s-1/2} and e^{-s} on the right, and
     # sin(pi s) and Gamma(1-s) on the left, leave the range on their own where
     # the value is still in it.
     s = complex(s)
@@ -158,16 +144,24 @@ def log_gamma(s: complex) -> complex:
     """A logarithm of Gamma(s): exp(log_gamma(s)) == gamma(s).
 
     The branch is NOT the principal one; this is only meant for forming
-    exp() of balanced combinations without overflow.
+    exp() of balanced combinations without overflow.  For Re s >= 1/2 it is Stirling's
+    series at s + n, |s + n| >= 6 for the least such n, less log s (s+1) ... (s+n-1).
     """
     s = require_finite(s)
     if s.imag == 0.0 and s.real <= 0.0 and s.real.is_integer():
         raise PoleError(f"gamma pole at s = {int(s.real)}", complex(int(s.real)))
-    if s.real >= 0.5:
-        z = s - 1.0
-        t = z + _LANCZOS_G + 0.5
-        return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * cmath.log(t) - t + cmath.log(_lanczos_series(z))
-    return math.log(math.pi) - _log_sin_pi(s) - log_gamma(1.0 - s)
+    if s.real < 0.5:
+        return math.log(math.pi) - _log_sin_pi(s) - log_gamma(1.0 - s)
+    product = 1.0
+    while abs(s) < _STIRLING_MIN_ABS:
+        product *= s
+        s += 1.0
+    r = 1.0 / s
+    r2 = r * r
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = series * r2 + c
+    return (s - 0.5) * cmath.log(s) - s + 0.5 * _LOG_TWO_PI + series * r - cmath.log(product)
 
 
 def _fe_factors(w: complex) -> Tuple[complex, complex, complex]:
@@ -527,14 +521,18 @@ def _fe_factor_columns(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _hurwitz_reflect(s: np.ndarray, bases, weights: np.ndarray, cfg: EvalSettings) -> Tuple[np.ndarray, np.ndarray]:
     """sum_j w_j zeta(s, b_j) and its bound at an array of points with Re s < 0, through the
-    functional equation at w = 1 - s (Re w > 1, so every series converges absolutely).
+    functional equation at w = 1 - s (Re w > 1, so every series converges absolutely), with
+    c-+ of _fe_factors formed once, at every point, for every base.
 
     A base b_j with a partner b_k = 1 - b_j of weight w_k = +-w_j (both to 4 eps; chi values
     are not exact negatives, and 1 - 11/12 != 1/12 in doubles) joins it as (w_j +- w_k)/2 times
     zeta(s, b_j) +- zeta(s, 1 - b_j): one _pair_diff_reflect call, one series.  Any other base
-    takes c- Li_w(e^{2 pi i b}) + c+ Li_w(e^{-2 pi i b}), with c-+ from _fe_factors: two series,
-    or one at b = 1/2 and at b = 1, where both are the same (zeta(w) at b = 1)."""
+    takes c- Li_w(e^{2 pi i b}) + c+ Li_w(e^{-2 pi i b}): two series, or one at b = 1/2 and at
+    b = 1, where both are the same (zeta(w) at b = 1).  Its bound adds eps (1 + pi |w|/2)
+    (|c- Li| + |c+ Li|), as the pair kernel does: the rounding of c-+, all that is left where
+    the sum cancels, as at zeta(-2n, 1/2) = 0."""
     w = 1.0 - s
+    c_minus, c_plus = _fe_factor_columns(w)
     value, rem = np.zeros(s.shape, dtype=complex), np.zeros(s.shape)
     bases, weights = list(bases), weights.tolist()
     for j, weight in enumerate(weights):
@@ -542,7 +540,6 @@ def _hurwitz_reflect(s: np.ndarray, bases, weights: np.ndarray, cfg: EvalSetting
         while bases[j] > 1.0:
             bases[j] -= 1.0
             value -= weight * np.exp(-s * math.log(bases[j]))
-    factors = None  # c- and c+, formed only for a base without a partner
     left = list(range(len(bases)))
     while left:
         j = left.pop(0)
@@ -550,19 +547,18 @@ def _hurwitz_reflect(s: np.ndarray, bases, weights: np.ndarray, cfg: EvalSetting
         for k, sign in [(k, sign) for k in left for sign in (1.0, -1.0)]:
             if abs(b + bases[k] - 1.0) <= 4.0 * _EPS and abs(weights[k] - sign * weight) <= 4.0 * _EPS * abs(weight):
                 left.remove(k)
-                pair, err = _pair_diff_reflect(s, b, sign, cfg)
+                pair, err = _pair_diff_reflect(s, b, sign, c_minus, c_plus, cfg)
                 scale = 0.5 * (weight + sign * weights[k])
                 value += scale * pair
                 rem += abs(scale) * err
                 break
         else:
-            if factors is None:
-                factors = _fe_factor_columns(w)
-            c_minus, c_plus = factors
             la, ea = _hurwitz_combination(w, (1.0,), (1.0,), cfg) if b == 1.0 else _li_series(w, b, cfg)
             lb, eb = (la, ea) if b in (0.5, 1.0) else _li_series(w, 1.0 - b, cfg)
+            am, ap = np.abs(c_minus), np.abs(c_plus)
+            noise = _EPS * (1.0 + 0.5 * math.pi * np.abs(w)) * (am * np.abs(la) + ap * np.abs(lb))
             value += weight * (c_minus * la + c_plus * lb)
-            rem += abs(weight) * (np.abs(c_minus) * ea + np.abs(c_plus) * eb)
+            rem += abs(weight) * (am * ea + ap * eb + noise)
     return value, rem
 
 
@@ -583,13 +579,14 @@ def hurwitz_pair_diff(s, a: float, cfg: EvalSettings = DEFAULT_SETTINGS):
     return from_points(_zeta_sum(pts, (a, 1.0 - a), (1.0, -1.0), cfg), shape)
 
 
-def _pair_diff_reflect(s: np.ndarray, a: float, sign: float, cfg: EvalSettings) -> Tuple[np.ndarray, np.ndarray]:
+def _pair_diff_reflect(
+    s: np.ndarray, a: float, sign: float, c_minus: np.ndarray, c_plus: np.ndarray, cfg: EvalSettings
+) -> Tuple[np.ndarray, np.ndarray]:
     """zeta(s,a) + sign zeta(s,1-a), sign = +-1, and its bound at an array of points
     with Re s < 0, through (c- + sign c+) (Li_w(e^{2pi i a}) + sign Li_w(e^{-2pi i a}))
-    with w = 1 - s and c-+ from _fe_factors: one series call with lam = sign; both
-    series converge absolutely and nothing cancels but the factor itself."""
+    with w = 1 - s and the caller's c-+ from _fe_factor_columns(w): one series call
+    with lam = sign; both series converge absolutely and nothing cancels but the factor."""
     w = 1.0 - s
-    c_minus, c_plus = _fe_factor_columns(w)
     factor = c_minus + sign * c_plus  # 2 Gamma(w) (2pi)^{-w} cos(pi w/2), or -2i ... sin(pi w/2)
     li, err = _li_series(w, a, cfg, sign)
     # c-+ each carry the rounding of their exponent's -+ i pi w/2, about eps pi |w|/2: where

@@ -144,6 +144,24 @@ def main():
                     v = family(name, s, mp.mpf(a))
                     print(f"    ({name!r}, {a}, {sigma}, {t}): complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)}),")
 
+    print("# LOG_GAMMA in tests/test_special.py: ten points per |t| band, even k right of Re s = 1/2 (Stirling's")
+    print("# series), odd k left of it (the reflection), t of both signs; 25 digits of the principal log Gamma")
+    for band, (lo, hi) in enumerate(((0, 1), (1, 14), (14, 30), (30, 100), (100, 300), (300, 800))):
+        print(f"    ({lo}, {hi}): [")
+        for k in range(10):
+            u, v = (0.5 + 0.618034 * k) % 1.0, (0.15 + 0.754878 * k + 0.381966 * band) % 1.0
+            t = round((lo + (hi - lo) * u) * (-1) ** (k // 2), 4)
+            # sigma^2-spaced on the right, so that points at small |t| take the shift to |s| >= 6
+            sigma = round(0.5 + 19.5 * v * v if k % 2 == 0 else 0.5 - 8.5 * v, 4)
+            # the reference is taken at the doubles the test passes, not at the decimals
+            val = mp.loggamma(mp.mpc(sigma, t))
+            print(f"        ({sigma!r}, {t!r}, {mp.nstr(val.real, 25)!r}, {mp.nstr(val.imag, 25)!r}),")
+        print("    ],")
+    print("# GAMMA_REAL in tests/test_special.py: Gamma(x) on [0.25, 20], 25 digits")
+    for k in range(12):
+        x = round(0.25 + 19.75 * ((0.1 + 0.618034 * k) % 1.0), 4)
+        print(f"    ({x!r}, {mp.nstr(mp.gamma(mp.mpf(x)), 25)!r}),")
+
     print("# frozen values where reflection wins on relative bound")
     print(f"zeta(-120+3j, 0.3) = {mp.nstr(mp.zeta(mp.mpc(-120, 3), mp.mpf('0.3')), 17)}")
     print(f"zeta(-200, 0.3) = {mp.nstr(mp.zeta(-200, mp.mpf('0.3')), 17)}")

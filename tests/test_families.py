@@ -1,6 +1,7 @@
 """Tests for the composed families: evaluation paths, functional equations,
 exact special values, a-derivatives, and the sign/monotonicity invariants."""
 
+import contextlib
 import math
 import warnings
 
@@ -345,6 +346,11 @@ def test_partial_a_pole():
         partial_a(Family.Z, 0.0, 0.3)
 
 
+# O(sigma, 0.05) at these sigma: the small-a periodic series cannot certify its target
+# (ROADMAP item 4); the warnings are pinned so that any other one fails the strict run
+O_WARNS_AT_A_005 = (0.75, 0.8, 0.85, 0.9, 1.0, 1.05, 1.15, 1.2)
+
+
 def test_positivity_y_and_o():
     # Y(sigma, a) > 0 and O(sigma, a) > 0 on sigma in (0, 5], a in (0, 1/2)
     sigmas = np.arange(0.05, 5.0 + 1e-9, 0.05)
@@ -352,7 +358,9 @@ def test_positivity_y_and_o():
     for a in a_grid:
         for sigma in sigmas:
             assert eval_family(Family.Y, complex(sigma, 0.0), float(a)).real > 0.0
-            assert eval_family(Family.O, complex(sigma, 0.0), float(a)).real > 0.0
+            known = a == 0.05 and round(sigma, 2) in O_WARNS_AT_A_005
+            with pytest.warns(AccuracyWarning) if known else contextlib.nullcontext():
+                assert eval_family(Family.O, complex(sigma, 0.0), float(a)).real > 0.0
 
 
 def test_negativity_p_for_large_a():

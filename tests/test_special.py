@@ -6,8 +6,10 @@ Reference constants were produced by tests/oracles/make_reference.py
 """
 
 import cmath
+import contextlib
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +34,7 @@ from zetazeros import (
     riemann_zeta,
     special,
 )
+from zetazeros.dirichlet import characters_mod
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +139,120 @@ def test_gamma_left_of_one_half_in_log_space():
         gamma(complex(-1, 1000))
     with pytest.raises(DomainError):
         gamma(1e-310)
+
+
+# log Gamma(s), ten points per |t| band on both sides of Re s = 1/2, and Gamma(x) on [0.25, 20]
+# (tests/oracles/make_reference.py, sections LOG_GAMMA and GAMMA_REAL; mpmath at 50 digits,
+# printed to 25 and compared in exact decimal arithmetic).  Each band's bound is about 1.5 eps
+# |s log s| at its largest |t|, the rounding of the leading term (s - 1/2) log s.
+LOG_GAMMA = {
+    (0, 1): [
+        (0.9387, 0.5, '-0.1687566953893548208860173', '-0.2893607380903724919119703'),
+        (-7.1915, 0.118, '-7.384184315434886811391915', '-24.41512734902890886473115'),
+        (8.9879, -0.7361, '10.54686754042408565584917', '-1.575596259651674331007539'),
+        (-3.0244, -0.3541, '-0.966621612136689930391824', '10.64288814008847262854023'),
+        (1.0603, 0.9721, '-0.6158103859516363503596797', '-0.2412774798628255839873398'),
+        (-7.3573, 0.5902, '-9.263259656275880770196735', '-23.48568629113437351771381'),
+        (9.4974, -0.2082, '11.68121348432718179422364', '-0.4575274527033230484407044'),
+        (-3.1902, -0.8262, '-2.700188521149173666488172', '10.5103580029887455609421'),
+        (1.1967, 0.4443, '-0.2050728236988569231448872', '-0.1098851530540004127124037'),
+        (-7.5232, 0.0623, '-8.469060909657465923623697', '-25.01708055975034951341053'),
+    ],
+    (1, 14): [
+        (6.0183, 7.5, '0.687145650322814788552292', '14.40555784122471825604469'),
+        (-1.9382, 2.5344, '-5.623295298915233295117533', '-5.036459007104932295781605'),
+        (0.5339, -10.5689, '-15.60273002887362399624509', '-14.40881555666433676080007'),
+        (-6.2711, -5.6033, '-20.75292177095393073324243', '10.01271202226890960874394'),
+        (6.4305, 13.6378, '-4.831738115240298419681704', '30.06222291116922021407992'),
+        (-2.104, 8.6722, '-18.36506954880437113079766', '5.589591455285944212292263'),
+        (0.5731, -3.7067, '-4.807980627973729137831496', '-1.274993089379469939166606'),
+        (-6.437, -11.7411, '-34.9760639095547677308318', '-4.340217342793273875455151'),
+        (6.8576, 6.7755, '3.192800097124446219672768', '13.526300081328092329776'),
+        (-2.2699, 1.81, '-4.253727715144991935703102', '-6.736027213103178835446456'),
+    ],
+    (14, 30): [
+        (16.7878, 22.0, '17.998827326575571297828', '66.01625750189606489396535'),
+        (-5.1849, 15.8885, '-39.87686418357418902840847', '18.12880218782206079274767'),
+        (4.0005, -25.7771, '-28.18632358493498389579862', '-63.24844159453312806385492'),
+        (-1.0178, -19.6656, '-34.49438554935074402640336', '-36.47512151514068325172787'),
+        (17.4907, 29.5542, '12.88446421194772820936087', '92.56771568668184647644953'),
+        (-5.3507, 23.4427, '-54.4203650587336431495697', '40.59740266108347735403021'),
+        (4.3303, -17.3313, '-15.34879180216692799948746', '-37.70551421313396369949284'),
+        (-1.1837, -27.2198, '-47.40165302807905628688388', '-60.01764775908891281603218'),
+        (18.2084, 21.1084, '23.50971293962373416917922', '64.34563644146935053301688'),
+        (-5.5166, 14.9969, '-39.08333919285023590592069', '14.98745477802894987410045'),
+    ],
+    (30, 100): [
+        (2.2073, 65.0, '-94.05571187542608212649513', '208.9952141797298225533397'),
+        (0.0684, 38.2624, '-60.7564479653067472750202', '100.5043795789590168646019'),
+        (13.157, -81.5248, '-71.38722898648740850678103', '-296.161741574965531965502'),
+        (-4.2645, -54.7871, '-104.2208233380113079079004', '-156.8603628553004741266508'),
+        (2.4399, 98.0495, '-144.2013797584850040857803', '354.5822047687551774754101'),
+        (-0.0974, 71.3119, '-113.6466777003141009234308', '232.0401734668413045805529'),
+        (13.7775, -44.5743, '-18.49037331305075357800437', '-143.5891877422524137871004'),
+        (-4.4304, -87.8367, '-159.1230909405589999695802', '-297.3921582110989333547144'),
+        (2.6874, 61.099, '-86.05903087911789280875263', '193.5678563971232036050698'),
+        (-0.2633, 34.3614, '-55.75559981073816626957173', '85.96634449214931043461901'),
+    ],
+    (100, 300): [
+        (9.4602, 200.0, '-265.7633572955915426084853', '873.5376846021468267166093'),
+        (-3.1783, 123.6068, '-210.9614609693449798094621', '465.987958677655652452301'),
+        (1.1864, -247.2136, '-383.6210383856694186924763', '-1116.073227060741920389079'),
+        (-7.5112, -170.8204, '-308.5905182542728586133208', '-694.5296122422564155212849'),
+        (9.9835, 294.4272, '-407.6505921412736765239022', '1394.144870066954025325162'),
+        (-3.3442, 218.034, '-362.2679389914471105463037', '949.9308478098628612144204'),
+        (1.3366, -141.6408, '-217.4259807134953923391083', '-561.2597154944142602492105'),
+        (-7.6771, -265.2476, '-461.3659526329310000095417', '-1202.039636332973156671013'),
+        (10.5216, 188.8544, '-243.2052030285510912066059', '816.4033815107099252078883'),
+        (-3.51, 112.4612, '-194.6731967126505247678371', '412.2789936741802685778984'),
+    ],
+    (300, 800): [
+        (0.5698, 550.0, '-862.5786089175952221175401', '2920.564765936656300721489'),
+        (-6.425, 359.017, '-603.7664089111600536283235', '1742.268322541278695695455'),
+        (6.8264, -668.034, '-1007.277270175731095505046', '-3686.993239218872582293272'),
+        (-2.2579, -477.051, '-765.4407234020668866851981', '-2460.879928508099323783277'),
+        (0.6228, 786.068, '-1233.015075568017960543548', '4454.874332056063383453674'),
+        (-6.5909, 595.085, '-979.1402235412453145096383', '3195.556534633719415352148'),
+        (7.2672, -404.102, '-593.2282010770374037507693', '-2031.757103851071255172537'),
+        (-2.4238, -713.119, '-1138.454112906169474387719', '-3967.223401303945184024474'),
+        (0.6906, 522.136, '-818.0576112850524617886457', '2745.65298017371376970314'),
+        (-6.7567, 331.153, '-561.3631413556777081686695', '1578.910766522307131791543'),
+    ],
+}
+LOG_GAMMA_BOUNDS = {
+    (0, 1): 3e-14, (1, 14): 3e-14, (14, 30): 3e-14, (30, 100): 1.2e-13, (100, 300): 5e-13, (300, 800): 2e-12
+}
+GAMMA_REAL = (
+    (2.225, '1.117096618885904031559065'),
+    (14.4312, '19261099742.73542992172157'),
+    (6.8873, '583.5727898920679549600693'),
+    (19.0935, '8412574716702238.752414956'),
+    (11.5497, '13407234.30368651259803315'),
+    (4.0059, '6.04466158985667921478623'),
+    (16.212, '2341490844544.663813818893'),
+    (8.6682, '19948.16082605934074146272'),
+    (1.1244, '0.9419624769355473249497753'),
+    (13.3305, '1108623271.077557400489934'),
+    (5.7867, '83.74326404975187914567581'),
+    (17.9929, '348532395419334.3187236546'),
+)
+_TWO_PI = Decimal("6.283185307179586476925286766559")
+
+
+@pytest.mark.parametrize("band", list(LOG_GAMMA), ids=lambda band: f"t{band[0]}-{band[1]}")
+def test_log_gamma_per_band_against_frozen_values(band):
+    errors = []
+    for sigma, t, re, im in LOG_GAMMA[band]:
+        value = log_gamma(complex(sigma, t))
+        d_im = Decimal(value.imag) - Decimal(im)
+        d_im -= round(d_im / _TWO_PI) * _TWO_PI  # log_gamma's branch is not the principal one
+        errors.append(abs(complex(float(Decimal(value.real) - Decimal(re)), float(d_im))))
+    assert max(errors) <= LOG_GAMMA_BOUNDS[band]
+
+
+def test_gamma_on_the_real_line_against_frozen_values():
+    for x, want in GAMMA_REAL:
+        assert abs((Decimal(gamma(x).real) - Decimal(want)) / Decimal(want)) <= Decimal("2e-14")
 
 
 def test_log_gamma_exponentiates_to_gamma():
@@ -320,15 +437,51 @@ def test_reflection_of_a_symmetric_pair_is_the_pair_kernel(a, sign):
     rng = np.random.default_rng(2111)
     s = rng.uniform(-12.0, -1.0, 24) + 1j * rng.uniform(-60.0, 60.0, 24)
     value, bound = special._hurwitz_reflect(s, (a, 1.0 - a), np.array([1.0, sign], dtype=complex), DEFAULT_SETTINGS)
-    pair, pair_bound = special._pair_diff_reflect(s, a, sign, DEFAULT_SETTINGS)
+    pair, pair_bound = special._pair_diff_reflect(s, a, sign, *special._fe_factor_columns(1.0 - s), DEFAULT_SETTINGS)
     assert np.array_equal(value, pair)
     assert np.array_equal(bound, pair_bound)
+
+
+def test_reflection_forms_its_factors_once_per_point(monkeypatch):
+    # L(s, chi mod 11 #3) pairs its ten bases into five pair kernels; the reflection forms c-+
+    # once per point and hands them to every pair, which forms none of its own
+    chi = characters_mod(11)[3]
+    units = [r for r in range(1, 12) if chi(r) != 0.0]
+    s = -10.5 + 1j * np.linspace(-40.0, 40.0, 5)
+    calls = {"factors": 0, "pairs": 0, "factors_in_pairs": 0}
+    fe_factors, pair_diff_reflect = special._fe_factors, special._pair_diff_reflect
+
+    def counted_factors(w):
+        calls["factors"] += 1
+        return fe_factors(w)
+
+    def counted_pair(*args):
+        before = calls["factors"]
+        out = pair_diff_reflect(*args)
+        calls["pairs"] += 1
+        calls["factors_in_pairs"] += calls["factors"] - before
+        return out
+
+    monkeypatch.setattr(special, "_fe_factors", counted_factors)
+    monkeypatch.setattr(special, "_pair_diff_reflect", counted_pair)
+    weights = np.array([chi(r) for r in units], dtype=complex)
+    special._hurwitz_reflect(s, [r / 11 for r in units], weights, DEFAULT_SETTINGS)
+    assert calls == {"factors": 5, "pairs": 5, "factors_in_pairs": 0}
+
+
+def test_unpaired_reflection_bound_counts_the_rounding_of_its_sum():
+    # zeta(-2n, 1/2) = 0: c- Li_w(-1) + c+ Li_w(-1) cancels to the rounding of its two terms,
+    # and the bound must cover what that rounding leaves
+    for sigma in (-14.0, -30.0):
+        value, bound = special._hurwitz_reflect(np.array([complex(sigma)]), (0.5,), np.array([1.0]), DEFAULT_SETTINGS)
+        assert abs(value[0]) <= bound[0]
 
 
 def test_pair_reflection_bound_counts_the_rounding_of_its_factor():
     # Y(-15, 0.3) = 0: at w = 16 the factor c- - c+ = -2i Gamma(w) (2pi)^{-w} sin(8 pi) is the
     # rounding of c-+ alone, and the bound must cover what that rounding leaves
-    value, bound = special._pair_diff_reflect(np.array([-15.0 + 0.0j]), 0.3, -1.0, DEFAULT_SETTINGS)
+    s = np.array([-15.0 + 0.0j])
+    value, bound = special._pair_diff_reflect(s, 0.3, -1.0, *special._fe_factor_columns(1.0 - s), DEFAULT_SETTINGS)
     assert abs(value[0]) <= bound[0]
 
 
@@ -387,16 +540,19 @@ def test_periodic_domain():
 
 
 def test_periodic_series_vs_functional_equation():
-    # the two evaluation strategies agree across the overlap strip
+    # the two evaluation strategies agree across the overlap strip; the functional equation
+    # cannot certify draws 21 and 82 (sigma 2.75 and 2.49 at a = 0.1 and 0.3, ROADMAP item 4),
+    # and those two warnings are pinned so that any other one fails the strict run
     from zetazeros.special import _li_functional_equation, _li_series
     from zetazeros import DEFAULT_SETTINGS
 
     rng = np.random.default_rng(105)
-    for _ in range(200):
+    for i in range(200):
         s = np.array([complex(rng.uniform(0.76, 3.0), rng.uniform(-20, 20))])
         a = float(rng.choice([0.1, 0.3, 0.45]))
         v1, _ = _li_series(s, a, DEFAULT_SETTINGS)
-        v2 = _li_functional_equation(s, a, DEFAULT_SETTINGS)
+        with pytest.warns(AccuracyWarning) if i in (21, 82) else contextlib.nullcontext():
+            v2 = _li_functional_equation(s, a, DEFAULT_SETTINGS)
         assert abs(v1[0] - v2[0]) < 1e-8
 
 
