@@ -1,6 +1,10 @@
 """Command-line front end: evaluation grids, zero scans, beta sweeps,
 verification suites, and rectangle counting, with CSV or JSON output.
 
+Each command has one column table, which serves CSV and JSON alike: the CSV
+header is the table, and each JSON row has the header's names as its keys
+and the values of the matching CSV row.
+
 Exit status: 0 = success (and, for `verify`, every check passed);
 1 = usage or domain error, or an internal error (reported on one line);
 2 = verification failure or non-convergence.
@@ -17,7 +21,7 @@ import json
 import math
 import sys
 import warnings
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -47,22 +51,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 
-_CSV_COLUMNS = {
-    "eval": ["sigma", "t", "re", "im"],
-    "scan": ["family", "a", "location", "multiplicity_class", "residual"],
-    "beta": ["a", "family", "beta", "prediction", "deviation"],
-    "verify": ["suite", "check", "residual", "tolerance", "status"],
-    "count": [
-        "family",
-        "a",
-        "re_lo",
-        "im_lo",
-        "re_hi",
-        "im_hi",
-        "count",
-        "boundary_min_abs",
-        "samples_used",
-    ],
+# each command's columns in CSV order: the CSV header and the JSON keys of every row
+_COLUMNS = {
+    "eval": ("sigma", "t", "re", "im"),
+    "scan": ("family", "a", "location", "multiplicity_class", "residual"),
+    "beta": ("a", "family", "beta", "prediction", "deviation"),
+    "verify": ("suite", "check", "residual", "tolerance", "status"),
+    "count": ("family", "a", "re_lo", "im_lo", "re_hi", "im_hi", "count", "boundary_min_abs", "samples_used"),
 }
 
 
@@ -86,18 +81,17 @@ def _parse_grid(text: str) -> List[float]:
     return [float(text)]
 
 
-def _emit(command: str, rows: List[Dict[str, object]], fmt: str, out: io.TextIOBase) -> None:
+def _emit(command: str, rows: List[tuple], fmt: str, out: io.TextIOBase) -> None:
+    cols = _COLUMNS[command]
     if fmt == "json":
-        payload = {"command": command, "rows": rows}
+        payload = {"command": command, "rows": [dict(zip(cols, row)) for row in rows]}
         # dumps runs the C encoder; dump streams through the pure-Python one
         out.write(json.dumps(payload, sort_keys=True))
         out.write("\n")
         return
-    cols = _CSV_COLUMNS[command]
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(cols)
-    for row in rows:
-        writer.writerow([row[c] for c in cols])
+    writer.writerows(rows)
 
 
 def _cmd_eval(args: argparse.Namespace, out: io.TextIOBase) -> int:
@@ -124,7 +118,7 @@ def _cmd_eval(args: argparse.Namespace, out: io.TextIOBase) -> int:
         values = l_function(chi, grid, cfg).tolist()
     else:
         values = eval_family(fam, grid, 1.0 if fam is Family.RIEMANN else alpha, cfg).tolist()
-    rows = [{"sigma": s.real, "t": s.imag, "re": v.real, "im": v.imag} for s, v in zip(points, values)]
+    rows = [(s.real, s.imag, v.real, v.imag) for s, v in zip(points, values)]
     _emit("eval", rows, args.format, out)
     return EXIT_OK
 
@@ -133,16 +127,7 @@ def _cmd_scan(args: argparse.Namespace, out: io.TextIOBase) -> int:
     fam = parse_family(args.family)
     alpha = Alpha.parse(args.a)
     records = scan_real_zeros(fam, alpha, args.lo, args.hi, args.step)
-    rows = [
-        {
-            "family": fam.name,
-            "a": str(alpha),
-            "location": rec.location,
-            "multiplicity_class": rec.multiplicity_class,
-            "residual": rec.residual,
-        }
-        for rec in records
-    ]
+    rows = [(fam.name, str(alpha), rec.location, rec.multiplicity_class, rec.residual) for rec in records]
     _emit("scan", rows, args.format, out)
     return EXIT_OK
 
@@ -158,18 +143,8 @@ def _cmd_beta(args: argparse.Namespace, out: io.TextIOBase) -> int:
             raise DomainError(f"--a-points {args.a_points} is less than one point")
         grid = np.linspace(args.a_from, args.a_to, args.a_points)
         alphas = [Alpha(float(x)) for x in grid]
-    rows = []
-    for alpha in alphas:
-        pt = beta_zero(fam, alpha)
-        rows.append(
-            {
-                "a": pt.a,
-                "family": pt.family.name,
-                "beta": pt.beta,
-                "prediction": pt.asymptotic_prediction,
-                "deviation": pt.deviation,
-            }
-        )
+    points = [beta_zero(fam, alpha) for alpha in alphas]
+    rows = [(pt.a, pt.family.name, pt.beta, pt.asymptotic_prediction, pt.deviation) for pt in points]
     _emit("beta", rows, args.format, out)
     return EXIT_OK
 
@@ -183,18 +158,10 @@ def _cmd_count(args: argparse.Namespace, out: io.TextIOBase) -> int:
         (complex(args.re_lo, args.im_lo), complex(args.re_hi, args.im_hi)),
         initial_samples=args.samples,
     )
+    lo, hi = result.corners
     rows = [
-        {
-            "family": fam.name,
-            "a": str(alpha),
-            "re_lo": result.corners[0].real,
-            "im_lo": result.corners[0].imag,
-            "re_hi": result.corners[1].real,
-            "im_hi": result.corners[1].imag,
-            "count": result.count,
-            "boundary_min_abs": result.boundary_min_abs,
-            "samples_used": result.samples_used,
-        }
+        (fam.name, str(alpha), lo.real, lo.imag, hi.real, hi.imag, result.count, result.boundary_min_abs,
+         result.samples_used)
     ]
     _emit("count", rows, args.format, out)
     return EXIT_OK
@@ -276,26 +243,16 @@ def _cmd_verify(args: argparse.Namespace, out: io.TextIOBase) -> int:
         selected = [args.suite]
     else:
         raise DomainError(f"unknown suite {args.suite!r}; choices: {', '.join(suites)}, all")
-    rows = []
-    ok = True
-    for name in selected:
-        for check, residual, tol in suites[name]():
-            status = "PASS" if residual < tol else "FAIL"
-            ok = ok and status == "PASS"
-            rows.append(
-                {
-                    "suite": name,
-                    "check": check,
-                    "residual": residual,
-                    "tolerance": tol,
-                    "status": status,
-                }
-            )
+    rows = [
+        (name, check, residual, tol, "PASS" if residual < tol else "FAIL")
+        for name in selected
+        for check, residual, tol in suites[name]()
+    ]
     if not rows and args.suite in ("closed-forms", "functional-equations"):
         what = "closed form" if args.suite == "closed-forms" else "functional equation pair"
         raise UnsupportedError(f"no {what} for {fam.name if fam else 'Z, P, Y, O or X'} at a = {alpha}")
     _emit("verify", rows, args.format, out)
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_OK if all(row[-1] == "PASS" for row in rows) else EXIT_VERIFY
 
 
 class _Parser(argparse.ArgumentParser):

@@ -34,6 +34,7 @@ EVEN_TOUCH = "even-touch"
 
 # Absolute tolerance the family kernels certify for every evaluation of the
 # zero layer: scan grids and brackets, beta brackets and rectangle boundaries.
+# The zero layer takes no settings of its own.
 _SCAN_SETTINGS = EvalSettings(target_abs_tol=1e-10)
 _MAX_PASSES = 8  # winding passes of a rectangle count, each with twice the samples of the one before
 
@@ -212,7 +213,6 @@ def scan_real_zeros(
     lo: float,
     hi: float,
     step: float = _DEFAULT_STEP,
-    cfg: EvalSettings = _SCAN_SETTINGS,
 ) -> List[ZeroRecord]:
     """Scan [lo, hi] for real zeros of the family section.
 
@@ -229,9 +229,9 @@ def scan_real_zeros(
     most.
 
     A reported location is within its bracket of a zero of the *computed*
-    section, whose values carry the cfg target (1e-10 by default): the true
-    zero can be up to about target/|f'| away.  Z'(-10, 0.250124) = 4.8e-5, and
-    the scan of Z over [-16.0596, 0.8663] there reports -9.99999999130 for -10.
+    section, evaluated at the zero layer's fixed 1e-10 (_SCAN_SETTINGS): the
+    true zero can be up to about 1e-10/|f'| away.  Z'(-10, 0.250124) = 4.8e-5,
+    and the scan of Z over [-16.0596, 0.8663] there reports -9.99999999130 for -10.
 
     An interval containing the s = 1 pole (Z, Hurwitz, Riemann) is split
     around it and a warning is emitted.
@@ -252,8 +252,8 @@ def scan_real_zeros(
             stacklevel=2,
         )
         gap = max(step / 4.0, 1e-6)
-        below = scan_real_zeros(fam, alpha, lo, 1.0 - gap, step, cfg)
-        return below + scan_real_zeros(fam, alpha, 1.0 + gap, hi, step, cfg)
+        below = scan_real_zeros(fam, alpha, lo, 1.0 - gap, step)
+        return below + scan_real_zeros(fam, alpha, 1.0 + gap, hi, step)
     if has_pole and (lo == 1.0 or hi == 1.0):
         raise PoleError("scan endpoint sits on the s = 1 pole", 1.0 + 0.0j)
 
@@ -261,7 +261,7 @@ def scan_real_zeros(
         # Re f, or |f| for the complex periodic zeta: one path, its zeros even touches
         if not x.size:
             return x
-        values = eval_family(fam, x, alpha, cfg)
+        values = eval_family(fam, x, alpha, _SCAN_SETTINGS)
         return np.abs(values) if fam is Family.PERIODIC else values.real
 
     n = max(2, int(round((hi - lo) / step)) + 1)
@@ -310,8 +310,9 @@ def scan_real_zeros(
 # ---------------------------------------------------------------------------
 # The extra real zero beta_P(a) / beta_Z(a) for 0 < a < 1/4.
 
-def monotone_kernel(sigma: float, a: AlphaLike, cfg: EvalSettings = _SCAN_SETTINGS) -> float:
-    """alpha^{-sigma} Gamma(sigma) P(sigma, a) with alpha = -log cos 2 pi a.
+def monotone_kernel(sigma: float, a: AlphaLike) -> float:
+    """alpha^{-sigma} Gamma(sigma) P(sigma, a) with alpha = -log cos 2 pi a,
+    P evaluated at the zero layer's fixed 1e-10 (_SCAN_SETTINGS).
 
     Strictly increasing in sigma > 0 for 0 < a <= 1/4, which is what makes
     the sign-change search for beta_P rigorous rather than heuristic.
@@ -322,7 +323,7 @@ def monotone_kernel(sigma: float, a: AlphaLike, cfg: EvalSettings = _SCAN_SETTIN
     if sigma <= 0.0:
         raise DomainError("monotone kernel needs sigma > 0")
     c = -math.log(math.cos(2.0 * math.pi * alpha.value))
-    p = float(eval_family(Family.P, np.array([sigma], dtype=complex), alpha, cfg)[0].real)
+    p = float(eval_family(Family.P, np.array([sigma], dtype=complex), alpha, _SCAN_SETTINGS)[0].real)
     return math.exp(-sigma * math.log(c)) * gamma(complex(sigma, 0.0)).real * p
 
 
@@ -351,14 +352,15 @@ def asymptotic_prediction(fam: Family, a: AlphaLike) -> float:
     return beta_p if fam is Family.P else 1.0 - beta_p
 
 
-def beta_zero(fam: Family, a: AlphaLike, cfg: EvalSettings = _SCAN_SETTINGS) -> BetaCurvePoint:
+def beta_zero(fam: Family, a: AlphaLike) -> BetaCurvePoint:
     """Locate beta_P(a) as the sign change of the monotone kernel and return
     the requested family's curve point (beta_Z = 1 - beta_P).
 
     The bracket is (0, 1) for a < 1/6, and for a > 1/6 the first [2^k, 2^(k+1)]
     from [1, 2] up whose upper end is positive.  ITP steps (``_bisect``) refine
     it to 1e-10 from the ends' values; P at the upper end 1 of the first
-    bracket is not evaluated, so there the first step is the midpoint.
+    bracket is not evaluated, so there the first step is the midpoint.  P is
+    evaluated at the zero layer's fixed 1e-10 (_SCAN_SETTINGS).
 
     a = 1/6 exactly returns the boundary values beta_P = 1, beta_Z = 0.
     """
@@ -374,7 +376,7 @@ def beta_zero(fam: Family, a: AlphaLike, cfg: EvalSettings = _SCAN_SETTINGS) -> 
     else:
         # sign(kernel) = sign(P) for sigma > 0 since alpha^{-sigma} Gamma > 0
         def f(sigma) -> np.ndarray:
-            return eval_family(Family.P, np.atleast_1d(sigma), alpha, cfg).real
+            return eval_family(Family.P, np.atleast_1d(sigma), alpha, _SCAN_SETTINGS).real
 
         if av < 1.0 / 6.0:
             lo, hi = 1e-12, 1.0
@@ -393,10 +395,7 @@ def beta_zero(fam: Family, a: AlphaLike, cfg: EvalSettings = _SCAN_SETTINGS) -> 
         beta_p = float(0.5 * (blo[0] + bhi[0]))
 
     beta = beta_p if fam is Family.P else 1.0 - beta_p
-    try:
-        pred = asymptotic_prediction(fam, alpha)
-    except DomainError:
-        pred = math.nan
+    pred = asymptotic_prediction(fam, alpha)
     return BetaCurvePoint(a=av, family=fam, beta=beta, asymptotic_prediction=pred, deviation=abs(beta - pred))
 
 
@@ -481,7 +480,6 @@ def count_zeros_rectangle(
     a: AlphaLike,
     corners: Tuple[complex, complex],
     initial_samples: int = 64,
-    cfg: EvalSettings = _SCAN_SETTINGS,
 ) -> RectangleCount:
     """Count zeros of the family inside a rectangle by boundary winding number.
 
@@ -501,7 +499,8 @@ def count_zeros_rectangle(
     exceed MAX_GRID_POINTS.  A non-finite value raises DomainError as soon
     as it is evaluated.  ``samples_used`` is the number of segments of the
     last pass, which is the number of points evaluated: a closed path has as
-    many points as segments.
+    many points as segments.  Values are evaluated at the zero layer's fixed
+    1e-10 (_SCAN_SETTINGS).
     """
     alpha = Alpha.coerce(a)
     c0, c1 = require_finite(corners[0]), require_finite(corners[1])
@@ -523,7 +522,7 @@ def count_zeros_rectangle(
         )
 
     def f(s: np.ndarray) -> np.ndarray:
-        values = eval_family(fam, s, alpha, cfg)
+        values = eval_family(fam, s, alpha, _SCAN_SETTINGS)
         finite = np.isfinite(values)
         if not finite.all():
             # a NaN increment never settles, so its segments would halve to _MAX_REFINE_DEPTH

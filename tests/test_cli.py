@@ -1,6 +1,7 @@
 """Front-end behavior: parsing, output formats, schema validity, exit codes,
 and byte-stability of repeated runs."""
 
+import csv
 import io
 import json
 import math
@@ -17,7 +18,7 @@ import pytest
 
 import zetazeros
 from zetazeros import DomainError
-from zetazeros.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
+from zetazeros.cli import _COLUMNS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
 from zetazeros.zeros import EVEN_TOUCH, SIMPLE
 
 
@@ -320,6 +321,30 @@ def test_scan_json_schema():
     assert payload["rows"][0]["multiplicity_class"] == "even-touch"
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "Z", "--a", "1/3", "--sigma", "2:3:0.5", "--t", "0:1:1"),
+    ("eval", "--family", "L", "--char-modulus", "4", "--char-index", "1", "--sigma", "2"),
+    ("scan", "--family", "Y", "--a", "0.3", "--from", "-6", "--to", "2"),
+    ("beta", "--family", "Z", "--a-points", "2"),
+    ("verify", "--suite", "closed-forms", "--a", "1/6", "--family", "Z"),
+    ("count", "--family", "P", "--a", "2/5", "--re-from", "0.55", "--re-to", "0.95", "--im-from", "1", "--im-to", "20"),
+], ids=("eval-Z", "eval-L", "scan", "beta", "verify", "count"))
+def test_csv_and_json_carry_the_same_rows(argv):
+    code, out_csv, _ = run_cli(*argv)
+    assert code == EXIT_OK
+    code, out_json, _ = run_cli(*argv, "--format", "json")
+    assert code == EXIT_OK
+    header, *rows = csv.reader(io.StringIO(out_csv))
+    payload = json.loads(out_json)
+    cols = _COLUMNS[argv[0]]
+    assert payload["command"] == argv[0]
+    assert tuple(header) == cols
+    assert rows and len(rows) == len(payload["rows"])
+    for row, record in zip(rows, payload["rows"]):
+        assert set(record) == set(cols)
+        assert row == [str(record[c]) for c in cols]
+
+
 def test_schema_classes_are_the_ones_scan_emits():
     rows = load_schema()["properties"]["rows"]["items"]["oneOf"]
     scan = next(row for row in rows if "multiplicity_class" in row["properties"])
@@ -370,10 +395,18 @@ def test_usage_errors_exit_one():
     ("eval", "--family", "Z", "--a", "0.3", "--sigma", "0.5", "--t", "1e308"),
     ("beta", "--family", "Z", "--a-points", "-1"),
     ("beta", "--family", "Z", "--a-points", "0"),
-], ids=("series-terms", "count-nan", "count-inf", "em-terms-1e8", "em-terms-1e308", "beta-a-points-1", "beta-a-points0"))
+    ("eval", "--family", "Z", "--a", "0.3", "--sigma", "1:2"),
+    ("eval", "--family", "Z", "--a", "0.3", "--sigma", "2:1:0.5"),
+    ("eval", "--family", "L", "--sigma", "2"),
+    ("eval", "--family", "L", "--char-modulus", "5", "--char-index", "4", "--sigma", "2"),
+    ("eval", "--family", "Z", "--sigma", "2"),
+    ("verify", "--suite", "nope"),
+], ids=("series-terms", "count-nan", "count-inf", "em-terms-1e8", "em-terms-1e308", "beta-a-points-1", "beta-a-points0",
+        "grid-two-parts", "grid-reversed", "l-no-modulus", "l-index-out-of-range", "z-no-a", "unknown-suite"))
 def test_refused_inputs_are_one_error_line(argv):
     # a periodic series of ~9e16 terms, rectangles with a non-finite corner,
-    # Euler-Maclaurin passes of ~4e8 and ~8e308 terms, and empty beta grids
+    # Euler-Maclaurin passes of ~4e8 and ~8e308 terms, empty beta grids,
+    # malformed grids, missing or out-of-range eval inputs and an unknown suite
     code, out, err = run_cli(*argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -92,6 +92,12 @@ def test_modulus_cap():
         characters_mod(101)
 
 
+@pytest.mark.parametrize("q", [0, -3])
+def test_modulus_below_one_is_a_domain_error(q):
+    with pytest.raises(DomainError):
+        characters_mod(q)
+
+
 def test_gauss_sums_exact_small_cases():
     assert gauss_sum(chi_minus4()) == pytest.approx(2j, abs=1e-14)
     assert gauss_sum(chi_minus3()) == pytest.approx(1j * math.sqrt(3.0), abs=1e-14)

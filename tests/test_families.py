@@ -282,6 +282,21 @@ def test_hurwitz_zeta_parses_text_a_like_the_families():
         hurwitz_zeta(2.0, "1/x")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Alpha(0.5, (2, 4)),
+    lambda: Alpha(0.3, (1, 3)),
+    lambda: Alpha.parse("1/0"),
+    lambda: eval_family(Family.Z, np.array([2.0, np.nan]), 0.3),
+], ids=("unreduced-fraction", "fraction-disagrees-with-value", "zero-denominator", "nan-point"))
+def test_refused_shifts_and_points_are_domain_errors(make):
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_integer_shift_one_is_exact():
+    assert Alpha.coerce(1).exact == (1, 1)
+
+
 @pytest.mark.parametrize("text", ["abc", "1/x", "0.3.1", "", "1/", "/3"])
 def test_malformed_alpha_text_is_a_domain_error(text):
     with pytest.raises(DomainError):

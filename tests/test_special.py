@@ -50,6 +50,16 @@ def test_bernoulli_numbers_classical_values():
     assert bernoulli_number(60).denominator == 56786730
 
 
+@pytest.mark.parametrize("make, error", [
+    (lambda: bernoulli_number(-1), DomainError),
+    (lambda: bernoulli_number(61), UnsupportedError),
+    (lambda: hurwitz_pair_diff(2.0, 1.5), DomainError),
+], ids=("bernoulli-negative-index", "bernoulli-past-the-table", "pair-difference-a-above-one"))
+def test_refused_kernel_inputs_raise_typed_errors(make, error):
+    with pytest.raises(error):
+        make()
+
+
 def test_bernoulli_poly_spec_examples():
     assert bernoulli_poly(0, 0.7) == 1.0
     assert bernoulli_poly(1, 0.5) == 0.0

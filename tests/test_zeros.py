@@ -16,6 +16,7 @@ from zetazeros import (
     BoundaryError,
     DomainError,
     Family,
+    PoleError,
     beta_zero,
     asymptotic_prediction,
     count_zeros_rectangle,
@@ -528,6 +529,16 @@ def test_rectangle_count_stops_at_its_first_value_that_is_not_finite(monkeypatch
 def test_rectangle_near_pole_rejected():
     with pytest.raises(DomainError):
         count_zeros_rectangle(Family.Z, 0.3, (complex(0.5, -0.5), complex(1.5, 0.5)), 128)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: scan_real_zeros(Family.Z, 0.3, -2.0, 1.0), PoleError),
+    # a corner on the trivial zero of Y(s, 0.3) at s = -1
+    (lambda: count_zeros_rectangle(Family.Y, 0.3, (-1 + 0j, 0.5 + 2j)), BoundaryError),
+], ids=("scan-ends-on-the-pole", "count-corner-on-a-zero"))
+def test_zero_layer_refusals_raise_typed_errors(make, error):
+    with pytest.raises(error):
+        make()
 
 
 def test_rectangle_boundary_through_zero_rejected():
