@@ -261,7 +261,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="zetazeros", description=__doc__)
+    # the raw formatter keeps the docstring's paragraphs and its exit status list as written
+    parser = _Parser(prog="zetazeros", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, need_family: bool = True, tol: bool = False):

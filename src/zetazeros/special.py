@@ -606,20 +606,13 @@ def riemann_zeta(s, cfg: EvalSettings = DEFAULT_SETTINGS):
 # Re s above which Li_s is summed as a series instead of through the functional equation.
 SERIES_SIGMA_THRESHOLD = 0.75
 
-_LI_ORDER = 18  # the Euler-transformed tail uses forward differences of order 0 .. 18
+_LI_ORDER = 18  # the tail sums Boole's terms of order 0 .. 18, and reads order 19 for its stopping rule
 _LI_GRID = 32  # partial sums run over whole multiples of 32 terms, so that rows line up alike in any block
 _LI_BLOCK_TERMS = 1 << 15  # terms per block of partial sums, and per chunk of a longer row
 _LI_NEGLIGIBLE = 0.05  # both routes end the series where what is left is below this times the target
 _LI_MAX_TERMS = 1 << 26  # a longer partial sum on either route (a near an integer) is refused: seconds of work
 
 _LI_OFFSETS = np.arange(_LI_ORDER + 1, dtype=float)
-# Row k: Delta^k a_N = sum_j (-1)^{k-j} C(k, j) a_{N+j}, every order in one product (complex,
-# so that einsum need not cast it).
-_FORWARD_DIFFERENCES = np.array(
-    [[(-1.0) ** (k - j) * math.comb(k, j) if j <= k else 0.0 for j in range(_LI_ORDER + 1)] for k in range(_LI_ORDER + 1)],
-    dtype=complex,
-)
-_FORWARD_DIFFERENCES.setflags(write=False)
 
 
 def _angles(n: np.ndarray, a: float) -> np.ndarray:
@@ -632,15 +625,21 @@ def _angles(n: np.ndarray, a: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _li_constants(a: float) -> Tuple[np.ndarray, np.ndarray]:
-    """z^k / (1-z)^{k+1} and |1-z|^{-(k+1)} for k = 0 .. _LI_ORDER, z = e^{2 pi i a}."""
-    one_minus_z = 1.0 - cmath.exp(2j * math.pi * a)
-    powers = -1.0 - _LI_OFFSETS
-    coef = np.exp(1j * _angles(_LI_OFFSETS, a)) * one_minus_z ** powers
-    scale = abs(one_minus_z) ** powers
-    coef.setflags(write=False)
-    scale.setflags(write=False)
-    return coef, scale
+def _li_constants(a: float) -> np.ndarray:
+    """c_0 .. c_{_LI_ORDER+1} of 1/(1 - z e^x) = sum_j c_j x^j, z = e^{2 pi i a}:
+    c_j = -B_{j+1}(0; z)/(j+1)! in Apostol's x/(z e^x - 1) = sum_n B_n(0; z) x^n/n!
+    (T. M. Apostol, On the Lerch zeta function, Pacific J. Math. 1 (1951)), formed as
+    c_0 = 1/(1-z), c_j = z/(1-z) sum_{i=1..j} c_{j-i}/i!, with 1 - z as
+    2 sin^2(pi a) - i sin(2 pi a), which keeps its relative accuracy as a -> 0."""
+    x = math.pi * (a - round(a))  # exact reduction to [-pi/2, pi/2]
+    one_minus_z = complex(2.0 * math.sin(x) ** 2, -math.sin(2.0 * x))
+    ratio = cmath.exp(2j * x) / one_minus_z
+    coef = [1.0 / one_minus_z]
+    for j in range(1, _LI_ORDER + 2):
+        coef.append(ratio * sum(coef[j - i] / math.factorial(i) for i in range(1, j + 1)))
+    out = np.array(coef)
+    out.setflags(write=False)
+    return out
 
 
 def _li_series(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
@@ -653,12 +652,13 @@ def _li_series(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> 
           sum_{n>N} n^{-sigma} <= N^{1-sigma}/(sigma-1) below 0.05 min(target, eps),
           so that the truncation is lost in the rounding (a caller may scale the
           value up by a functional-equation factor);
-      (c) the partial sum to N-1 plus the tail sum_{n>=N}, folded by repeated
-          summation by parts into sum_k z^{N+k} Delta^k(N^{-s}) / (1-z)^{k+1}
-          (and its conjugate for lam), each order gaining about |s|/(N |1-z|)
-          with N = max(32, 6(|s|+4)/|1-z|).  A point whose tail misses the
-          target gets up to two more attempts, each with twice N, that extend
-          its partial sum; the attempt with the smaller estimate wins.
+      (c) the partial sum to N-1 plus the tail sum_{n>=N}, summed by Boole's
+          formula as z^N sum_j c_j f^{(j)}(N), f(x) = x^{-s} (_li_euler_tail;
+          and its conjugate for lam), each order gaining about
+          |s+j|/(2 pi N dist(a, Z)) with N = max(32, 6(|s|+4)/|1-z|).  A point
+          whose tail misses the target (at small |s| or a target near eps)
+          gets up to two more attempts, each with twice N, that extend its
+          partial sum; the attempt with the smaller estimate wins.
     A point whose longest partial sum on its route would exceed _LI_MAX_TERMS
     terms raises UnsupportedError before anything is summed.
     Both estimates add eps times sum_n |terms| <= (1 + |lam|) (1 + int_1^L x^{-sigma} dx),
@@ -751,22 +751,28 @@ def _li_partial_sums(s: np.ndarray, first: List[int], last: List[int], a: float,
 
 
 def _li_euler_tail(s: np.ndarray, n: np.ndarray, a: float, lam: float, tol: float) -> Tuple[np.ndarray, np.ndarray]:
-    """sum_{m >= N} (z^m + lam conj(z)^m) m^{-s} per point, given N, from the
-    first _LI_ORDER + 1 terms of its Euler transform, and its error estimate:
-    (1 + |lam|) times that of one of the two series (their terms have the same
-    magnitudes)."""
-    coef, scale = _li_constants(a)
-    table = np.exp(-s[:, None] * np.log(n[:, None] + _LI_OFFSETS))  # a_{N+j}, a_m = m^{-s}
-    diffs = np.einsum("pj,kj->pk", table, _FORWARD_DIFFERENCES)  # Delta^k a_N, row by row
-    mag = np.abs(diffs)
-    mag *= scale
+    """sum_{m >= N} (z^m + lam conj(z)^m) m^{-s} per point, given N, by Boole's
+    summation with weight z^m: sum_{m >= N} z^m f(m) = z^N sum_j c_j f^{(j)}(N),
+    f^{(j)}(N) = (-1)^j (s)_j N^{-s-j} a running product from N^{-s}, c_j from
+    _li_constants (conj(c_j) for conj(z)).  _first_stop reads
+    max(|term_j|, |term_{j+1}|), since near a = 1/2 every other c_j nearly
+    vanishes.  Returns the tail and its error estimate: (1 + |lam|) times that
+    of one of the two series (their terms have the same magnitudes)."""
+    coef = _li_constants(a)
+    steps = np.empty((s.size, _LI_ORDER + 2), dtype=complex)
+    steps[:, 0] = np.exp(-s * np.log(n))  # N^{-s}
+    steps[:, 1:] = -(s[:, None] + _LI_OFFSETS) / n[:, None]  # f^{(j+1)}(N) / f^{(j)}(N)
+    derivs = np.multiply.accumulate(steps, axis=1)
+    terms = derivs * coef
+    mag = np.abs(terms)
+    mag = np.maximum(mag[:, :-1], mag[:, 1:])
     used, stop = _first_stop(mag, 0, _LI_NEGLIGIBLE * tol)
     rows = np.arange(s.size)
-    # z^{N+k} / (1-z)^{k+1} = z^N coef_k: the phase z^N comes out of the sum
     zn = np.exp(1j * _angles(n, a))
-    tail = zn * np.add.accumulate(diffs * coef, axis=1)[rows, used]
+    # out-of-place products throughout: numpy's in-place complex multiply rounds a one-point array differently
+    tail = zn * np.add.accumulate(terms[:, :-1], axis=1)[rows, used]
     if lam:
-        tail += lam * zn.conj() * np.add.accumulate(diffs * coef.conj(), axis=1)[rows, used]
+        tail = tail + lam * zn.conj() * np.add.accumulate(derivs[:, :-1] * coef[:-1].conj(), axis=1)[rows, used]
     return tail, (1.0 + abs(lam)) * mag[rows, stop]
 
 

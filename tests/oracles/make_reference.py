@@ -144,6 +144,21 @@ def main():
                     v = family(name, s, mp.mpf(a))
                     print(f"    ({name!r}, {a}, {sigma}, {t}): complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)}),")
 
+    print("# ROUTE_C in tests/test_families.py: Li_s(e^{2 pi i a}) and Li_s(e^{-2 pi i a}) at points of the")
+    print("# series' route (c), Hurwitz's formula at the doubles the test passes")
+    for a in (1e-3, 0.03, 0.2, 0.49):
+        for sigma, t in ((0.5, 14.0), (0.8, -25.0), (1.7, 310.0), (2.6, -800.0), (4.0, -90.0)):
+            s = mp.mpc(sigma, t)
+            za, zb = periodic(s, mp.mpf(a)), periodic(s, 1 - mp.mpf(a))
+            print(f"    ({a!r}, {sigma!r}, {t!r}): (complex({mp.nstr(za.real, 17)}, {mp.nstr(za.imag, 17)}),"
+                  f" complex({mp.nstr(zb.real, 17)}, {mp.nstr(zb.imag, 17)})),")
+    print("# O_AT_A_005 in tests/test_families.py: O(sigma, 0.05) on the real axis")
+    for sigma in (0.75, 0.8, 0.85, 0.9, 1.0, 1.05, 1.15, 1.2):
+        v = family("O", mp.mpf(sigma), mp.mpf(0.05))
+        print(f"    {sigma!r}: {mp.nstr(v.real, 17)},")
+    v = family("P", mp.mpc(2, 1), mp.mpf(1e-5))
+    print(f"P(2+1j, 1e-5) = complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)})")
+
     print("# LOG_GAMMA in tests/test_special.py: ten points per |t| band, even k right of Re s = 1/2 (Stirling's")
     print("# series), odd k left of it (the reflection), t of both signs; 25 digits of the principal log Gamma")
     for band, (lo, hi) in enumerate(((0, 1), (1, 14), (14, 30), (30, 100), (100, 300), (300, 800))):

@@ -13,7 +13,6 @@ and the companion assertions right next to them pin the corrected statements:
       real and is verified in the 0.55 < sigma < 0.95 strip.
 """
 
-import contextlib
 import math
 from fractions import Fraction
 
@@ -21,7 +20,6 @@ import numpy as np
 import pytest
 
 from zetazeros import (
-    AccuracyWarning,
     Alpha,
     Family,
     UnsupportedError,
@@ -39,13 +37,6 @@ from zetazeros import (
 from zetazeros.zeros import SIMPLE
 
 A_GRID_9 = [round(0.05 * k, 2) for k in range(1, 10)]  # 0.05 .. 0.45
-# P(1, 0.05) and O(sigma, 0.05) at these sigma: the small-a periodic series cannot certify its
-# target (ROADMAP item 4); the warnings are pinned so that any other one fails the strict run
-O_WARNS_AT_A_005 = (0.75, 0.8, 0.85, 0.9, 1.0, 1.05, 1.15, 1.2)
-
-
-def warns_if(known: bool):
-    return pytest.warns(AccuracyWarning) if known else contextlib.nullcontext()
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -189,9 +180,7 @@ def test_criterion_6_special_values():
     for a in np.linspace(0.05, 0.45, 9):
         a = float(a)
         want = -2.0 * math.log(2.0 * math.sin(math.pi * a))
-        with warns_if(a == 0.05):
-            value = eval_family(Family.P, 1.0, a)
-        ok = ok and abs(value - want) < 1e-10
+        ok = ok and abs(eval_family(Family.P, 1.0, a) - want) < 1e-12
     assert report("6 special-values", ok)
 
 
@@ -237,9 +226,8 @@ def test_criterion_9_sign_sweeps():
             s = complex(float(sg), 0.0)
             if eval_family(Family.Y, s, a).real <= 0.0:
                 violations += 1
-            with warns_if(a == 0.05 and round(float(sg), 2) in O_WARNS_AT_A_005):
-                if eval_family(Family.O, s, a).real <= 0.0:
-                    violations += 1
+            if eval_family(Family.O, s, a).real <= 0.0:
+                violations += 1
     for a in (0.25, 0.3, 0.35, 0.4, 0.45, 0.5):
         for sg in sigmas:
             if eval_family(Family.P, complex(float(sg), 0.0), a).real >= 0.0:

@@ -15,6 +15,7 @@ import pytest
 from zetazeros import (
     AccuracyWarning,
     Alpha,
+    EvalSettings,
     Family,
     PoleError,
     UnsupportedError,
@@ -226,13 +227,12 @@ def test_em_memory_is_bounded_by_the_term_cap():
 
 
 # At a = 0.05: route (a), the plain partial sum, at sigma = 17.3 and 9; route
-# (c), the partial sum plus the Euler-transformed tail, without a retry
-# (3+60i), with one (2+20i, 1.1) and with two (1.2+5i, 0.8-40i).
+# (c), the partial sum plus Boole's tail, at the other five.  At the default
+# target every tail certifies at the first N; at 1e-14 the point 1.1 retries once.
 MIXED_SERIES = np.array([17.3, 9.0 + 5.0j, 3.0 + 60.0j, 2.0 + 20.0j, 1.2 + 5.0j, 0.8 - 40.0j, 1.1])
 
 
-@pytest.mark.parametrize("lam", (0.0, 1.0, -1.0))
-def test_li_series_array_matches_point_by_point(lam, monkeypatch):
+def check_li_series_block(lam, tol, retries, monkeypatch):
     tails = []
     original = special._li_euler_tail
 
@@ -241,12 +241,25 @@ def test_li_series_array_matches_point_by_point(lam, monkeypatch):
         return original(s, *args)
 
     monkeypatch.setattr(special, "_li_euler_tail", recording)
-    cfg = special.DEFAULT_SETTINGS
+    cfg = EvalSettings(target_abs_tol=tol)
     values, errs = special._li_series(MIXED_SERIES, 0.05, cfg, lam)
-    assert tails[0] == 5 and len(tails) == 3  # two points take route (a), some need both retries
+    assert tails == [5] + retries
     alone = [special._li_series(MIXED_SERIES[i:i + 1], 0.05, cfg, lam) for i in range(MIXED_SERIES.size)]
     assert np.array_equal(np.concatenate([v for v, _ in alone]), values)
     assert np.array_equal(np.concatenate([e for _, e in alone]), errs)
+    reverse = special._li_series(MIXED_SERIES[::-1], 0.05, cfg, lam)
+    assert np.array_equal(reverse[0][::-1], values) and np.array_equal(reverse[1][::-1], errs)
+
+
+@pytest.mark.parametrize("lam", (0.0, 1.0, -1.0))
+def test_li_series_array_matches_point_by_point(lam, monkeypatch):
+    check_li_series_block(lam, 1e-12, [], monkeypatch)
+
+
+@pytest.mark.parametrize("lam", (0.0, 1.0, -1.0))
+def test_li_series_retry_matches_point_by_point(lam, monkeypatch):
+    # the fallback that extends a partial sum to 2N still runs where a tail misses the target
+    check_li_series_block(lam, 1e-14, [1], monkeypatch)
 
 
 @pytest.mark.parametrize("a", (0.3, 0.05))
@@ -306,13 +319,11 @@ def test_series_terms_stay_within_the_term_cap_and_the_rounded_spans(lam, monkey
 
 
 def test_series_memory_is_bounded_by_the_term_cap():
-    # s = 1.2 + 800i at a = 0.001 takes three attempts, summing to about 7.7e5,
-    # 1.5e6 and 3.1e6 terms; in chunks of _LI_BLOCK_TERMS no temporary grows with them.
+    # s = 1.2 + 800i at a = 0.001 sums about 7.7e5 terms; in chunks of
+    # _LI_BLOCK_TERMS no temporary grows with them.
     tracemalloc.start()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AccuracyWarning)
-            special._li_series(np.array([1.2 + 800.0j]), 0.001, special.DEFAULT_SETTINGS)
+        special._li_series(np.array([1.2 + 800.0j]), 0.001, special.DEFAULT_SETTINGS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

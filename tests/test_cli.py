@@ -144,6 +144,14 @@ def test_usage_errors_and_help_go_to_the_given_streams(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_help_keeps_the_exit_status_list_apart_from_the_prose():
+    code, out, err = run_cli("--help")
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    assert any(line.startswith("Exit status:") for line in lines)
+    assert "2 = verification failure or non-convergence." in lines
+
+
 def test_verify_suite_draws_the_same_points_alone_as_after_other_suites():
     rows = {}
     for suite in ("all", "relations"):
@@ -483,7 +491,7 @@ def test_run_leaves_the_callers_warning_filters_alone():
         assert run_cli("eval", "--family", "Z", "--a", "0.3", "--sigma", "2")[0] == EXIT_OK
         assert warnings.filters == before
         with pytest.raises(zetazeros.AccuracyWarning):
-            zetazeros.eval_family(zetazeros.Family.P, 2 + 1j, 1e-5)
+            zetazeros.l_function(zetazeros.characters_mod(12)[1], -15.0)
 
 
 def test_exact_a_with_a_huge_denominator_is_evaluated():

@@ -1,7 +1,6 @@
 """Tests for the composed families: evaluation paths, functional equations,
 exact special values, a-derivatives, and the sign/monotonicity invariants."""
 
-import contextlib
 import math
 import warnings
 
@@ -24,6 +23,7 @@ from zetazeros import (
     periodic_zeta,
     special_values,
 )
+from zetazeros import special
 from zetazeros.special import _li_functional_equation, _li_series
 
 
@@ -94,8 +94,8 @@ def test_p_path_switch_is_seamless():
 
 # Frozen mpmath values (Hurwitz's formula; tests/oracles/make_reference.py,
 # section SMALL_A) where the series routes meet small a: at a = 1e-4 the
-# Euler-transformed tail with its retries (sigma = 1.5, 3) and the plain
-# partial sum (sigma = 8), at a = 1e-6 the plain partial sum.
+# partial sum plus Boole's tail (sigma = 1.5, 3) and the plain partial sum
+# (sigma = 8), at a = 1e-6 the plain partial sum.
 SMALL_A = {
     ('periodic', 1e-4, 1.5, 0): complex(2.5495435366487886, 0.061914285273546881),
     ('P', 1e-4, 1.5, 0): complex(5.0990870732975771, 1.5443568590501468e-49),
@@ -134,11 +134,63 @@ SMALL_A = {
 def test_small_a_series_values(name, a, sigma, t):
     want = SMALL_A[(name, a, sigma, t)]
     s = complex(sigma, t)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", AccuracyWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
         got = periodic_zeta(s, a) if name == "periodic" else eval_family(Family[name], s, a)
-    warned = any(issubclass(w.category, AccuracyWarning) for w in caught)
-    assert warned or abs(got - want) <= 1e-10 * max(1.0, abs(want)), (got, want)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+
+# Frozen mpmath values (Hurwitz's formula; tests/oracles/make_reference.py,
+# section ROUTE_C): (Li_s(e^{2 pi i a}), Li_s(e^{-2 pi i a})) at points that
+# take route (c) of the periodic series, the partial sum plus Boole's tail.
+ROUTE_C = {
+    (0.001, 0.5, 14.0): (complex(14.225632360833775, 28.145205762427153), complex(0.018947645898632276, -0.096359007628391196)),
+    (0.001, 0.8, -25.0): (complex(0.32047572905433124, -0.098122749202724709), complex(2.2013519036790581, -1.9282265087923941)),
+    (0.001, 1.7, 310.0): (complex(0.92089539813150203, -0.5172989360744823), complex(0.91290269350594802, -0.51743141092816265)),
+    (0.001, 2.6, -800.0): (complex(1.0304609157183644, 0.11915781875895985), complex(1.0318319116651491, 0.10505425916770046)),
+    (0.001, 4.0, -90.0): (complex(1.0596945502250774, -0.036102864414873238), complex(1.0583182837715236, -0.050246485764114624)),
+    (0.03, 0.5, 14.0): (complex(0.33164356718132544, -6.0368979871662463), complex(-0.012009259559715637, 0.12912230452208914)),
+    (0.03, 0.8, -25.0): (complex(0.35459344495369446, -0.41662926989022248), complex(-0.17305964152600637, 1.1768090534058001)),
+    (0.03, 1.7, 310.0): (complex(1.3283533739177029, -0.41446773902078199), complex(0.75354878270449335, -0.57005256892878742)),
+    (0.03, 2.6, -800.0): (complex(0.97444635016001667, 0.32323384216380159), complex(1.0334506525142565, -0.090701241012387124)),
+    (0.03, 4.0, -90.0): (complex(1.0557344855550085, 0.17249860133730989), complex(1.0170135838621578, -0.24811297650346447)),
+    (0.2, 0.5, 14.0): (complex(3.127121229372122, 0.40227670785615273), complex(1.6421299314361675, -0.51585148302681394)),
+    (0.2, 0.8, -25.0): (complex(0.72151791823273768, 2.0687196703795442), complex(0.078029235922297327, -1.9966518748383197)),
+    (0.2, 1.7, 310.0): (complex(0.15378742133454079, 1.3458305842977118), complex(0.063822697904040574, -0.78524800205531603)),
+    (0.2, 2.6, -800.0): (complex(0.15593490214717949, 0.8555457735396734), complex(0.42061380754164265, -1.0513277087922011)),
+    (0.2, 4.0, -90.0): (complex(0.27270409125181357, 1.0140100635139206), complex(0.25983116239602144, -0.95056347769197721)),
+    (0.49, 0.5, 14.0): (complex(0.0081569586546023919, -0.039618112399662443), complex(-0.13016440426969372, 0.51376847016041964)),
+    (0.49, 0.8, -25.0): (complex(-0.30650233945928506, -0.52263268967788635), complex(-0.62561183510029673, -0.17846887473592221)),
+    (0.49, 1.7, 310.0): (complex(-1.0167441583710578, -0.061274570139381597), complex(-1.0712812594943499, -0.23440917016577335)),
+    (0.49, 2.6, -800.0): (complex(-1.0365725554050871, 0.29919755237603172), complex(-1.1131520202400504, 0.14378619704603759)),
+    (0.49, 4.0, -90.0): (complex(-0.94288076709202127, 0.036603876275366699), complex(-0.93825432268527274, -0.074409141220260841)),
+}
+
+
+@pytest.mark.parametrize("a", (1e-3, 0.03, 0.2, 0.49))
+@pytest.mark.parametrize("lam", (0.0, 1.0, -1.0))
+def test_route_c_certifies_with_one_tail(a, lam, monkeypatch):
+    # every point's first tail meets the default target, so the retries that
+    # extend the partial sum to 2N and 4N never run
+    tails = []
+    original = special._li_euler_tail
+
+    def recording(s, *args):
+        tails.append(s.size)
+        return original(s, *args)
+
+    monkeypatch.setattr(special, "_li_euler_tail", recording)
+    keys = [key for key in ROUTE_C if key[0] == a]
+    s = np.array([complex(sigma, t) for _, sigma, t in keys])
+    values, errs = _li_series(s, a, DEFAULT_SETTINGS, lam)
+    assert tails == [len(keys)]
+    assert (errs <= DEFAULT_SETTINGS.target_abs_tol).all()
+    for key, value, err in zip(keys, values.tolist(), errs.tolist()):
+        plus, minus = ROUTE_C[key]
+        want = plus + lam * minus
+        # 1e-14 for the phase rounding of the partial sum's terms, about eps |t| log n
+        # each, which the estimate leaves out: 9e-15 at a = 0.49, s = 0.5+14i
+        assert abs(value - want) <= err + 1e-14, (key, value, want, err)
 
 
 def test_series_too_close_to_an_integer_is_refused():
@@ -155,13 +207,14 @@ def test_series_too_close_to_an_integer_is_refused():
 
 def test_exact_a_with_a_huge_denominator_takes_the_series():
     # the exact pass over 10^5 bases would exceed the Euler-Maclaurin term
-    # cap, so the exact a gets the series value of the float a, warning alike
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", AccuracyWarning)
+    # cap, so the exact a gets the series value of the float a; the reference
+    # is tests/oracles/make_reference.py's P(2+1j, 1e-5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
         exact = eval_family(Family.P, 2 + 1j, "1/100000")
         approx = eval_family(Family.P, 2 + 1j, 1e-5)
     assert exact == approx
-    assert [w.category for w in caught] == [AccuracyWarning, AccuracyWarning]
+    assert abs(exact - complex(2.3007905948820448, -0.8751331738114205)) <= 1e-12
 
 # Frozen mpmath values (Hurwitz's formula; tests/oracles/make_reference.py,
 # section NEAR_ZERO) around s = 0, where the functional-equation route forms
@@ -361,9 +414,18 @@ def test_partial_a_pole():
         partial_a(Family.Z, 0.0, 0.3)
 
 
-# O(sigma, 0.05) at these sigma: the small-a periodic series cannot certify its target
-# (ROADMAP item 4); the warnings are pinned so that any other one fails the strict run
-O_WARNS_AT_A_005 = (0.75, 0.8, 0.85, 0.9, 1.0, 1.05, 1.15, 1.2)
+# Frozen mpmath values (tests/oracles/make_reference.py, section O_AT_A_005) of
+# O(sigma, 0.05) where the series' tail used to miss the target
+O_AT_A_005 = {
+    0.75: 3.5050885933499461,
+    0.8: 3.3568849263205448,
+    0.85: 3.2151051981346377,
+    0.9: 3.0796786526677444,
+    1.0: 2.8274333882308139,
+    1.05: 2.7103235196049395,
+    1.15: 2.4932607685031507,
+    1.2: 2.3929223301469864,
+}
 
 
 def test_positivity_y_and_o():
@@ -373,9 +435,9 @@ def test_positivity_y_and_o():
     for a in a_grid:
         for sigma in sigmas:
             assert eval_family(Family.Y, complex(sigma, 0.0), float(a)).real > 0.0
-            known = a == 0.05 and round(sigma, 2) in O_WARNS_AT_A_005
-            with pytest.warns(AccuracyWarning) if known else contextlib.nullcontext():
-                assert eval_family(Family.O, complex(sigma, 0.0), float(a)).real > 0.0
+            assert eval_family(Family.O, complex(sigma, 0.0), float(a)).real > 0.0
+    for sigma, want in O_AT_A_005.items():
+        assert abs(eval_family(Family.O, sigma, 0.05) - want) <= 1e-12 * want
 
 
 def test_negativity_p_for_large_a():
