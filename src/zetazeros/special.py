@@ -610,7 +610,7 @@ _LI_ORDER = 18  # the tail sums Boole's terms of order 0 .. 18, and reads order 
 _LI_GRID = 32  # partial sums run over whole multiples of 32 terms, so that rows line up alike in any block
 _LI_BLOCK_TERMS = 1 << 15  # terms per block of partial sums, and per chunk of a longer row
 _LI_NEGLIGIBLE = 0.05  # both routes end the series where what is left is below this times the target
-_LI_MAX_TERMS = 1 << 26  # a longer partial sum on either route (a near an integer) is refused: seconds of work
+_LI_MAX_TERMS = 1 << 26  # a larger N on either route (a near an integer) is refused: seconds of work
 
 _LI_OFFSETS = np.arange(_LI_ORDER + 1, dtype=float)
 
@@ -655,15 +655,14 @@ def _li_series(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> 
       (c) the partial sum to N-1 plus the tail sum_{n>=N}, summed by Boole's
           formula as z^N sum_j c_j f^{(j)}(N), f(x) = x^{-s} (_li_euler_tail;
           and its conjugate for lam), each order gaining about
-          |s+j|/(2 pi N dist(a, Z)) with N = max(32, 6(|s|+4)/|1-z|).  A point
-          whose tail misses the target (at small |s| or a target near eps)
-          gets up to two more attempts, each with twice N, that extend its
-          partial sum; the attempt with the smaller estimate wins.
-    A point whose longest partial sum on its route would exceed _LI_MAX_TERMS
-    terms raises UnsupportedError before anything is summed.
+          |s+j|/(2 pi N dist(a, Z)) with N = max(32, 6(|s|+8)/|1-z|): term j+1
+          is about (|s|+j)/(6(|s|+8)) times term j, so 19 orders meet the
+          default target at small |s| too, and each point takes one tail.
+    A point whose N on its route would exceed _LI_MAX_TERMS raises
+    UnsupportedError before anything is summed.
     Both estimates add eps times sum_n |terms| <= (1 + |lam|) (1 + int_1^L x^{-sigma} dx),
-    L the longest partial sum the point can take.  The partial sums of all
-    points run through _li_partial_sums, the tails of all route (c) points at once.
+    L the last n of the partial sum.  The partial sums of all points run
+    through _li_partial_sums, the tails of all route (c) points at once.
     """
     tol = cfg.target_abs_tol
     weight = 1.0 + abs(lam)
@@ -673,74 +672,62 @@ def _li_series(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> 
     euler, starts = [], []  # route (c): the points and their N
     for i, x in enumerate(s.tolist()):
         sigma = x.real
-        # clipped so that the float stays an int; either route past the clip is refused below
-        n_euler = max(32, math.ceil(min(6.0 * (abs(x) + 4.0) / gap, _LI_MAX_TERMS)))
+        # route (c)'s N, clipped so that the float stays an int; an N past the clip is refused below
+        n = max(32, math.ceil(min(6.0 * (abs(x) + 8.0) / gap, _LI_MAX_TERMS + 1)))
         # route (a) needs log N >= log(weight / ((sigma-1) negligible)) / (sigma-1)
         log_n = math.log(weight / ((sigma - 1.0) * negligible)) / (sigma - 1.0) if sigma > 1.0 else math.inf
-        if log_n <= math.log(n_euler):
-            n = longest = math.ceil(math.exp(log_n))
+        if log_n <= math.log(n):
+            n = math.ceil(math.exp(log_n))
             err = weight * n ** (1.0 - sigma) / (sigma - 1.0)
+            last.append(n)
         else:
-            n, longest, err = n_euler - 1, 4 * n_euler - 1, 0.0
+            err = 0.0
+            last.append(n - 1)
             euler.append(i)
-            starts.append(n_euler)
-        if longest > _LI_MAX_TERMS:
+            starts.append(n)
+        if n > _LI_MAX_TERMS:
             raise UnsupportedError(f"the periodic series at s = {x}, a = {a} needs more than {_LI_MAX_TERMS} terms")
-        log_longest = math.log(longest)
-        rise = (1.0 - sigma) * log_longest  # int_1^L x^{-sigma} dx = expm1(rise) / (1 - sigma)
-        last.append(n)
-        errs.append(err + _EPS * weight * (1.0 + (math.expm1(rise) / (1.0 - sigma) if rise else log_longest)))
-    values = _li_partial_sums(s, [0] * len(last), last, a, lam)
+        log_last = math.log(last[-1])
+        rise = (1.0 - sigma) * log_last  # int_1^L x^{-sigma} dx = expm1(rise) / (1 - sigma)
+        errs.append(err + _EPS * weight * (1.0 + (math.expm1(rise) / (1.0 - sigma) if rise else log_last)))
+    values = _li_partial_sums(s, last, a, lam)
     errs = np.array(errs)
     if euler:
         idx = slice(None) if len(euler) == len(last) else np.array(euler)
-        sub, n, partial = s[idx], np.array(starts), values[idx]
-        tail, err = _li_euler_tail(sub, n, a, lam, tol)
-        value = partial + tail
-        for _ in range(2):
-            if not err.max() > tol:
-                break
-            retry = np.flatnonzero(err > tol)
-            longer = 2 * n[retry]
-            partial[retry] += _li_partial_sums(sub[retry], (n[retry] - 1).tolist(), (longer - 1).tolist(), a, lam)
-            n[retry] = longer
-            tail, again = _li_euler_tail(sub[retry], longer, a, lam, tol)
-            better = again < err[retry]
-            value[retry[better]] = partial[retry[better]] + tail[better]
-            err[retry[better]] = again[better]
-        values[idx] = value
+        tail, err = _li_euler_tail(s[idx], np.array(starts), a, lam, tol)
+        values[idx] += tail
         errs[idx] += err
     return values, errs
 
 
-def _li_partial_sums(s: np.ndarray, first: List[int], last: List[int], a: float, lam: float) -> np.ndarray:
-    """sum_{first < n <= last} (z^n + lam conj(z)^n) n^{-s} per point.
+def _li_partial_sums(s: np.ndarray, last: List[int], a: float, lam: float) -> np.ndarray:
+    """sum_{n <= last} (z^n + lam conj(z)^n) n^{-s} per point.
 
-    Each range (first, last] is rounded out to multiples of _LI_GRID.  Points
+    Each range [1, last] is rounded up to a multiple of _LI_GRID.  Points
     whose rounded spans are equal are the rows of one array, in row blocks of
     at most _LI_BLOCK_TERMS terms (one row at least).  Each row is summed over
-    its whole rounded span, in chunks of _LI_BLOCK_TERMS terms from the span's
-    start, with the terms outside its own range masked to zero, and each row
-    is multiplied and reduced on its own (numpy's pairwise sum along the row).
-    So a point's bits depend on that point alone, never on its block.
+    its whole rounded span, in chunks of _LI_BLOCK_TERMS terms from 1, with
+    the terms past its own last masked to zero, and each row is multiplied
+    and reduced on its own (numpy's pairwise sum along the row).  So a
+    point's bits depend on that point alone, never on its block.
     """
-    spans: Dict[Tuple[int, int], List[int]] = {}
-    for i, (lo, hi) in enumerate(zip(first, last)):
-        spans.setdefault((lo // _LI_GRID * _LI_GRID, -(-hi // _LI_GRID) * _LI_GRID), []).append(i)
+    spans: Dict[int, List[int]] = {}
+    for i, hi in enumerate(last):
+        spans.setdefault(-(-hi // _LI_GRID) * _LI_GRID, []).append(i)
     out = np.empty(s.shape, dtype=complex)
-    for (lo, hi), rows in spans.items():
-        per_block = max(1, _LI_BLOCK_TERMS // min(hi - lo, _LI_BLOCK_TERMS))
+    for hi, rows in spans.items():
+        per_block = max(1, _LI_BLOCK_TERMS // min(hi, _LI_BLOCK_TERMS))
         for block in (rows[k:k + per_block] for k in range(0, len(rows), per_block)):
-            bounds = np.array([first[i] for i in block])[:, None], np.array([last[i] for i in block])[:, None]
+            bound = np.array([last[i] for i in block])[:, None]
             minus_s, total = -s[block], 0.0
-            for start in range(lo, hi, _LI_BLOCK_TERMS):
+            for start in range(0, hi, _LI_BLOCK_TERMS):
                 n = np.arange(start + 1, min(start + _LI_BLOCK_TERMS, hi) + 1, dtype=float)
                 exponent = np.multiply.outer(minus_s, np.log(n))
                 angle = _angles(n, a)
                 if not lam:
                     exponent.imag += angle  # z^n n^{-s} as one exponential
                 terms = np.exp(exponent, out=exponent)
-                np.copyto(terms, 0.0, where=(n <= bounds[0]) | (n > bounds[1]))
+                np.copyto(terms, 0.0, where=n > bound)
                 if lam:
                     weights = np.exp(1j * angle)
                     weights += lam * weights.conj()

@@ -26,7 +26,7 @@ from .core import (
     UnsupportedError,
     require_finite,
 )
-from .families import eval_family
+from .families import eval_family, special_values
 from .special import bernoulli_poly, bernoulli_poly_exact, gamma
 
 SIMPLE = "simple-sign-change"
@@ -92,8 +92,7 @@ def _bisect(
     steps, one more than bisection.  Each point is then kept width/4 inside
     its bracket: in floating point the regula-falsi point can land on the
     computed root step after step, and the clamp, which moves it toward the
-    midpoint, keeps the bound.  A NaN fhi (an end not evaluated) makes the
-    step the midpoint until that end has moved.
+    midpoint, keeps the bound.
     """
     # Python floats: beta refines a single bracket, and numpy bookkeeping of
     # the brackets made beta_zero 12-18% slower
@@ -111,14 +110,13 @@ def _bisect(
         xs = []
         for k in live:
             a, b, fa, fb = lo[k], hi[k], flo[k], fhi[k]
-            x = mid = 0.5 * (a + b)
-            if not math.isnan(fb):
-                xf = (a * fb - b * fa) / (fb - fa)
-                sigma = (mid > xf) - (mid < xf)
-                delta = kappa1[k] * (b - a) ** 2
-                xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
-                r = radius[k] - 0.5 * (b - a)
-                x = xt if abs(xt - mid) <= r else mid - sigma * r
+            mid = 0.5 * (a + b)
+            xf = (a * fb - b * fa) / (fb - fa)
+            sigma = (mid > xf) - (mid < xf)
+            delta = kappa1[k] * (b - a) ** 2
+            xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+            r = radius[k] - 0.5 * (b - a)
+            x = xt if abs(xt - mid) <= r else mid - sigma * r
             radius[k] *= 0.5
             xs.append(min(max(x, a + 0.25 * width), b - 0.25 * width))
         for k, x, fx in zip(live, xs, f(np.array(xs)).tolist()):
@@ -356,11 +354,12 @@ def beta_zero(fam: Family, a: AlphaLike) -> BetaCurvePoint:
     """Locate beta_P(a) as the sign change of the monotone kernel and return
     the requested family's curve point (beta_Z = 1 - beta_P).
 
-    The bracket is (0, 1) for a < 1/6, and for a > 1/6 the first [2^k, 2^(k+1)]
-    from [1, 2] up whose upper end is positive.  ITP steps (``_bisect``) refine
-    it to 1e-10 from the ends' values; P at the upper end 1 of the first
-    bracket is not evaluated, so there the first step is the midpoint.  P is
-    evaluated at the zero layer's fixed 1e-10 (_SCAN_SETTINGS).
+    The bracket is (0, 1) for a < 1/6, with the ends' values P(0+, a) = -1 and
+    the closed form P(1, a) = -2 log(2 sin pi a) > 0 (``special_values``), and
+    for a > 1/6 the first [2^k, 2^(k+1)] from [1, 2] up whose upper end is
+    positive, with P at 1 and 2 taken in one call.  ITP steps (``_bisect``)
+    refine it to 1e-10 from the ends' values.  P is evaluated at the zero
+    layer's fixed 1e-10 (_SCAN_SETTINGS).
 
     a = 1/6 exactly returns the boundary values beta_P = 1, beta_Z = 0.
     """
@@ -381,10 +380,10 @@ def beta_zero(fam: Family, a: AlphaLike) -> BetaCurvePoint:
         if av < 1.0 / 6.0:
             lo, hi = 1e-12, 1.0
             flo = -1.0  # P -> -1 at sigma = 0+
-            fhi = math.nan  # not evaluated: the series for P(1, a) warns at small a
+            fhi = special_values(alpha).p_at_1.real
         else:
             lo, hi = 1.0, 2.0
-            (flo,), (fhi,) = f(lo), f(hi)
+            flo, fhi = f(np.array([lo, hi])).tolist()
             while fhi <= 0.0:
                 lo, flo = hi, fhi
                 hi *= 2.0

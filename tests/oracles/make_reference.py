@@ -147,7 +147,7 @@ def main():
     print("# ROUTE_C in tests/test_families.py: Li_s(e^{2 pi i a}) and Li_s(e^{-2 pi i a}) at points of the")
     print("# series' route (c), Hurwitz's formula at the doubles the test passes")
     for a in (1e-3, 0.03, 0.2, 0.49):
-        for sigma, t in ((0.5, 14.0), (0.8, -25.0), (1.7, 310.0), (2.6, -800.0), (4.0, -90.0)):
+        for sigma, t in ((0.5, 14.0), (0.8, -25.0), (1.7, 310.0), (2.6, -800.0), (4.0, -90.0), (1.1, 0.0), (0.3, 2.0)):
             s = mp.mpc(sigma, t)
             za, zb = periodic(s, mp.mpf(a)), periodic(s, 1 - mp.mpf(a))
             print(f"    ({a!r}, {sigma!r}, {t!r}): (complex({mp.nstr(za.real, 17)}, {mp.nstr(za.imag, 17)}),"

@@ -227,12 +227,12 @@ def test_em_memory_is_bounded_by_the_term_cap():
 
 
 # At a = 0.05: route (a), the plain partial sum, at sigma = 17.3 and 9; route
-# (c), the partial sum plus Boole's tail, at the other five.  At the default
-# target every tail certifies at the first N; at 1e-14 the point 1.1 retries once.
+# (c), the partial sum plus Boole's tail, at the other five, which take one
+# tail call together.
 MIXED_SERIES = np.array([17.3, 9.0 + 5.0j, 3.0 + 60.0j, 2.0 + 20.0j, 1.2 + 5.0j, 0.8 - 40.0j, 1.1])
 
 
-def check_li_series_block(lam, tol, retries, monkeypatch):
+def check_li_series_block(lam, tol):
     tails = []
     original = special._li_euler_tail
 
@@ -240,10 +240,11 @@ def check_li_series_block(lam, tol, retries, monkeypatch):
         tails.append(s.size)
         return original(s, *args)
 
-    monkeypatch.setattr(special, "_li_euler_tail", recording)
     cfg = EvalSettings(target_abs_tol=tol)
-    values, errs = special._li_series(MIXED_SERIES, 0.05, cfg, lam)
-    assert tails == [5] + retries
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(special, "_li_euler_tail", recording)
+        values, errs = special._li_series(MIXED_SERIES, 0.05, cfg, lam)
+    assert tails == [5]
     alone = [special._li_series(MIXED_SERIES[i:i + 1], 0.05, cfg, lam) for i in range(MIXED_SERIES.size)]
     assert np.array_equal(np.concatenate([v for v, _ in alone]), values)
     assert np.array_equal(np.concatenate([e for _, e in alone]), errs)
@@ -252,14 +253,10 @@ def check_li_series_block(lam, tol, retries, monkeypatch):
 
 
 @pytest.mark.parametrize("lam", (0.0, 1.0, -1.0))
-def test_li_series_array_matches_point_by_point(lam, monkeypatch):
-    check_li_series_block(lam, 1e-12, [], monkeypatch)
-
-
-@pytest.mark.parametrize("lam", (0.0, 1.0, -1.0))
-def test_li_series_retry_matches_point_by_point(lam, monkeypatch):
-    # the fallback that extends a partial sum to 2N still runs where a tail misses the target
-    check_li_series_block(lam, 1e-14, [1], monkeypatch)
+def test_li_series_array_matches_point_by_point(lam):
+    # at 1e-14 too: from N = 6(|s|+4)/|1-z|, 19 orders would leave s = 1.1 short of it
+    for tol in (1e-12, 1e-14):
+        check_li_series_block(lam, tol)
 
 
 @pytest.mark.parametrize("a", (0.3, 0.05))
@@ -268,10 +265,9 @@ def test_plain_and_euler_routes_agree(a, lam):
     # For Re s > 1 both routes apply: the plain partial sum to 10^5 (tail below
     # 10^{-15} at sigma >= 4) against the partial sum to 1023 plus the tail from 1024.
     pts = np.array([4.0, 5.0 + 10.0j, 6.5 - 30.0j, 9.0 + 2.0j, 14.0 + 50.0j])
-    zeros = [0] * pts.size
-    plain = special._li_partial_sums(pts, zeros, [10**5] * pts.size, a, lam)
+    plain = special._li_partial_sums(pts, [10**5] * pts.size, a, lam)
     tail, err = special._li_euler_tail(pts, np.full(pts.size, 1024), a, lam, 1e-14)
-    euler = special._li_partial_sums(pts, zeros, [1023] * pts.size, a, lam) + tail
+    euler = special._li_partial_sums(pts, [1023] * pts.size, a, lam) + tail
     assert (err <= 1e-14).all()
     chosen = special._li_series(pts, a, special.DEFAULT_SETTINGS, lam)[0]
     for p, e, c in zip(plain.tolist(), euler.tolist(), chosen.tolist()):
@@ -296,24 +292,22 @@ class RecordingExp:
 
 @pytest.mark.parametrize("lam", (0.0, 1.0))
 def test_series_terms_stay_within_the_term_cap_and_the_rounded_spans(lam, monkeypatch):
-    # Sums from 0, like route (c)'s: 300 short ones, so that many rows share a
-    # span, and 100 of spread lengths; and 20 retry-like sums from N - 1 to
-    # 2N - 1, longer than a chunk.  Only the partial sums' terms are
+    # 300 short sums, so that many rows share a span, 100 of spread lengths,
+    # and 20 longer than a chunk.  Only the partial sums' terms are
     # exponentiated as 2-D arrays.
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.76, 3.0, 420) + 1j * rng.uniform(-60.0, 60.0, 420)
     short, spread = rng.integers(1, 100, 300), rng.integers(100, 3000, 100)
     long = rng.integers(3 * 10**4, 8 * 10**4, 20)
-    first = [0] * 400 + (long - 1).tolist()
     last = short.tolist() + spread.tolist() + (2 * long - 1).tolist()
     recorder = RecordingExp()
     monkeypatch.setattr(special, "np", recorder)
-    special._li_partial_sums(pts, first, last, 0.3, lam)
+    special._li_partial_sums(pts, last, 0.3, lam)
     terms = [shape for shape in recorder.shapes if len(shape) == 2]
     assert all(rows == 1 or rows * n <= special._LI_BLOCK_TERMS for rows, n in terms)
     assert all(n <= special._LI_BLOCK_TERMS for _, n in terms)
     grid = special._LI_GRID
-    spans = sum(-(-hi // grid) * grid - lo // grid * grid for lo, hi in zip(first, last))
+    spans = sum(-(-hi // grid) * grid for hi in last)
     assert sum(rows * n for rows, n in terms) <= spans
     assert max(rows for rows, _ in terms) > 32 and any(n == special._LI_BLOCK_TERMS for _, n in terms)
 

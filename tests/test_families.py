@@ -142,36 +142,44 @@ def test_small_a_series_values(name, a, sigma, t):
 
 # Frozen mpmath values (Hurwitz's formula; tests/oracles/make_reference.py,
 # section ROUTE_C): (Li_s(e^{2 pi i a}), Li_s(e^{-2 pi i a})) at points that
-# take route (c) of the periodic series, the partial sum plus Boole's tail.
+# take route (c) of the periodic series, the partial sum plus Boole's tail;
+# the last two of each a at small |s|, where the tail gains least per order.
 ROUTE_C = {
     (0.001, 0.5, 14.0): (complex(14.225632360833775, 28.145205762427153), complex(0.018947645898632276, -0.096359007628391196)),
     (0.001, 0.8, -25.0): (complex(0.32047572905433124, -0.098122749202724709), complex(2.2013519036790581, -1.9282265087923941)),
     (0.001, 1.7, 310.0): (complex(0.92089539813150203, -0.5172989360744823), complex(0.91290269350594802, -0.51743141092816265)),
     (0.001, 2.6, -800.0): (complex(1.0304609157183644, 0.11915781875895985), complex(1.0318319116651491, 0.10505425916770046)),
     (0.001, 4.0, -90.0): (complex(1.0596945502250774, -0.036102864414873238), complex(1.0583182837715236, -0.050246485764114624)),
+    (0.001, 1.1, 0.0): (complex(4.2272669473172143, 1.0030899567373035), complex(4.2272669473172143, -1.0030899567373035)),
+    (0.001, 0.3, 2.0): (complex(-77.757958600264268, -62.595540660787225), complex(0.37623082527665442, -0.097338147148271091)),
     (0.03, 0.5, 14.0): (complex(0.33164356718132544, -6.0368979871662463), complex(-0.012009259559715637, 0.12912230452208914)),
     (0.03, 0.8, -25.0): (complex(0.35459344495369446, -0.41662926989022248), complex(-0.17305964152600637, 1.1768090534058001)),
     (0.03, 1.7, 310.0): (complex(1.3283533739177029, -0.41446773902078199), complex(0.75354878270449335, -0.57005256892878742)),
     (0.03, 2.6, -800.0): (complex(0.97444635016001667, 0.32323384216380159), complex(1.0334506525142565, -0.090701241012387124)),
     (0.03, 4.0, -90.0): (complex(1.0557344855550085, 0.17249860133730989), complex(1.0170135838621578, -0.24811297650346447)),
+    (0.03, 1.1, 0.0): (complex(1.6536674905909908, 1.3011154411570322), complex(1.6536674905909908, -1.3011154411570322)),
+    (0.03, 0.3, 2.0): (complex(-3.0099293147403579, -8.8330969969892858), complex(0.35284740191027906, -0.30597820886056693)),
     (0.2, 0.5, 14.0): (complex(3.127121229372122, 0.40227670785615273), complex(1.6421299314361675, -0.51585148302681394)),
     (0.2, 0.8, -25.0): (complex(0.72151791823273768, 2.0687196703795442), complex(0.078029235922297327, -1.9966518748383197)),
     (0.2, 1.7, 310.0): (complex(0.15378742133454079, 1.3458305842977118), complex(0.063822697904040574, -0.78524800205531603)),
     (0.2, 2.6, -800.0): (complex(0.15593490214717949, 0.8555457735396734), complex(0.42061380754164265, -1.0513277087922011)),
     (0.2, 4.0, -90.0): (complex(0.27270409125181357, 1.0140100635139206), complex(0.25983116239602144, -0.95056347769197721)),
+    (0.2, 1.1, 0.0): (complex(-0.13332344845154679, 0.95367473070808956), complex(-0.13332344845154679, -0.95367473070808956)),
+    (0.2, 0.3, 2.0): (complex(-0.20845934401401606, 2.3185343868490442), complex(0.14636891049372646, -0.52048418817693647)),
     (0.49, 0.5, 14.0): (complex(0.0081569586546023919, -0.039618112399662443), complex(-0.13016440426969372, 0.51376847016041964)),
     (0.49, 0.8, -25.0): (complex(-0.30650233945928506, -0.52263268967788635), complex(-0.62561183510029673, -0.17846887473592221)),
     (0.49, 1.7, 310.0): (complex(-1.0167441583710578, -0.061274570139381597), complex(-1.0712812594943499, -0.23440917016577335)),
     (0.49, 2.6, -800.0): (complex(-1.0365725554050871, 0.29919755237603172), complex(-1.1131520202400504, 0.14378619704603759)),
     (0.49, 4.0, -90.0): (complex(-0.94288076709202127, 0.036603876275366699), complex(-0.93825432268527274, -0.074409141220260841)),
+    (0.49, 1.1, 0.0): (complex(-0.70826303254705278, 0.032814304047380599), complex(-0.70826303254705278, -0.032814304047380599)),
+    (0.49, 0.3, 2.0): (complex(-0.75935397461584177, -0.38783732502138546), complex(-0.68406218010743178, -0.44340100055558739)),
 }
 
 
 @pytest.mark.parametrize("a", (1e-3, 0.03, 0.2, 0.49))
 @pytest.mark.parametrize("lam", (0.0, 1.0, -1.0))
 def test_route_c_certifies_with_one_tail(a, lam, monkeypatch):
-    # every point's first tail meets the default target, so the retries that
-    # extend the partial sum to 2N and 4N never run
+    # one tail call for all points, and each meets the default target
     tails = []
     original = special._li_euler_tail
 

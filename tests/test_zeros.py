@@ -23,6 +23,7 @@ from zetazeros import (
     eval_family,
     interval_zero_criterion,
     scan_real_zeros,
+    special_values,
 )
 from zetazeros import zeros
 from zetazeros.zeros import EVEN_TOUCH, SIMPLE
@@ -150,14 +151,12 @@ def _scalar_itp(f, lo, hi, flo, fhi, width):
     radius = (width - 4.0 * math.ulp(max(abs(lo), abs(hi)))) * 2.0 ** math.ceil(math.log2((hi - lo) / width))
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        x = mid
-        if not math.isnan(fhi):
-            xf = (lo * fhi - hi * flo) / (fhi - flo)
-            sigma = (mid > xf) - (mid < xf)
-            delta = kappa1 * (hi - lo) ** 2
-            xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
-            r = radius - 0.5 * (hi - lo)
-            x = xt if abs(xt - mid) <= r else mid - sigma * r
+        xf = (lo * fhi - hi * flo) / (fhi - flo)
+        sigma = (mid > xf) - (mid < xf)
+        delta = kappa1 * (hi - lo) ** 2
+        xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+        r = radius - 0.5 * (hi - lo)
+        x = xt if abs(xt - mid) <= r else mid - sigma * r
         radius *= 0.5
         x = min(max(x, lo + 0.25 * width), hi - 0.25 * width)
         fx = f(x)
@@ -248,8 +247,6 @@ def test_array_refiners_match_the_scalar_loops_bracket_for_bracket():
         g = lambda x: np.abs(_cubic(x))
         want = [_scalar_brent(lambda x: float(g(x)), *b, width) for b in REFINE_BRACKETS]
         assert zeros._refine_touch(g, lo, hi, width).tolist() == want
-    # an end value left unknown (NaN) makes the first step the midpoint, here the zero
-    assert zeros._bisect(_cubic, 0.0, 1.0, -1.0, math.nan, 1e-10)[0].tolist() == [0.5 - 0.25e-10]
 
 
 @pytest.mark.parametrize("f, bracket", [(_cubic, b) for b in REFINE_BRACKETS[:4]] + [(_steep, (0.0, 1.0))])
@@ -318,6 +315,18 @@ def test_beta_refines_in_few_kernel_calls(monkeypatch, a):
     monkeypatch.setattr(zeros, "eval_family", counting)
     beta_zero(Family.P, a)
     assert len(calls) <= 12
+    # above 1/6 the first bracket's two ends take one call
+    assert a < 1.0 / 6.0 or calls[0] == 2
+
+
+def test_p_at_1_matches_the_closed_form_that_beta_takes_as_its_upper_end():
+    # below a = 1/6, beta_zero's bracket (0, 1) ends at P(1, a) = -2 log(2 sin pi a) > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        for a in np.geomspace(1e-4, 1.0 / 6.0, 60, endpoint=False).tolist():
+            want = special_values(a).p_at_1
+            assert want.real > 0.0
+            assert abs(eval_family(Family.P, 1.0, a) - want) <= 1e-10, a
 
 
 def test_scan_rejects_bad_interval():
