@@ -20,6 +20,12 @@ pass over zeta(1-s, a) and zeta(1-s, 1-a) with point weights, finite through
 s = 0; above it, one weighted Hurwitz sum for exact a = r/q, or one Dirichlet
 series with phases e^{2pi i an} + lam e^{-2pi i an}.
 
+Every route returns its values and their bounds and never warns.  The
+certification is in two places: special._zeta_sum (Z, Y, the rational sums
+and L) takes the reflection at its uncertified points left of Re s = 0 and
+then warns, and special._periodic (P, O and the periodic zeta) warns once for
+its functional-equation and series points.
+
 The evaluators work on arrays of points: each route gets the points that
 need it in one kernel call, and the factors of the functional equations
 (special._fe_factors, formed in log space) are taken point by point.

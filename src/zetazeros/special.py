@@ -19,7 +19,7 @@ import sys
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -408,11 +408,9 @@ def _first_stop(mag: np.ndarray, start: int, negligible: float) -> Tuple[np.ndar
 
 
 def _relative_bounds(rems: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # rem over the smallest magnitude the value can have, max(1, |value| - rem):
-    # a bound as large as its value says nothing about it.  inf for a value or
-    # bound that is not finite, which certifies nothing.
-    with np.errstate(invalid="ignore"):
-        out = rems / np.maximum(1.0, np.abs(values) - rems)
+    # rem over the smallest magnitude the value can have, max(1, |value| - rem): a bound as large as its
+    # value says nothing about it.  inf where either is not finite (inf - inf: _zeta_sum's errstate).
+    out = rems / np.maximum(1.0, np.abs(values) - rems)
     out[~(np.isfinite(rems) & np.isfinite(values))] = math.inf
     return out
 
@@ -427,63 +425,65 @@ def _warn_accuracy(rem: float, tol: float, s: complex) -> None:
     warnings.warn(w, stacklevel=3)
 
 
-def _settle(
-    pts: np.ndarray,
-    values: np.ndarray,
-    rems: np.ndarray,
-    cfg: EvalSettings,
-    reflect: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None,
-) -> None:
-    """Per point, in place: a value whose remainder does not certify the target
-    is replaced by its reflected value (Re s < 0 only; ``reflect(idx)`` gives
-    the values and bounds at the points idx, all in one call) when that route's
-    bound is the smaller relative to the smallest value it allows, and a point
-    still uncertified gets an AccuracyWarning.  A value or bound that is not
-    finite certifies nothing; a reflected one raises DomainError."""
+def _certified(values: np.ndarray, rems: np.ndarray, tol: float) -> np.ndarray:
+    # rem <= tol max(1, |value|) certifies; a value or bound that is not finite certifies nothing
+    return (rems <= tol * np.maximum(1.0, np.abs(values))) & np.isfinite(values)
+
+
+def _settle(pts: np.ndarray, values: np.ndarray, rems: np.ndarray, cfg: EvalSettings) -> None:
+    """An AccuracyWarning at each point, in order, whose bound does not certify its value.  The
+    kernels' routes return values and bounds and never warn; _zeta_sum and _periodic settle them."""
     tol = cfg.target_abs_tol
-    uncertified = ~(rems <= tol * np.maximum(1.0, np.abs(values)))
-    if not uncertified.any():
+    certified = _certified(values, rems, tol)
+    if certified.all():
         return
-    idx = np.flatnonzero(uncertified & (pts.real < 0.0)) if reflect is not None else ()
-    if len(idx):
-        refl, refl_rems = reflect(idx)
-        beyond = ~np.isfinite(refl)
-        if beyond.any():
-            raise DomainError(f"the value at s = {complex(pts[idx[beyond][0]])} is beyond the double range")
-        em_bounds = _relative_bounds(rems[idx], values[idx])
-        take = (_relative_bounds(refl_rems, refl) < em_bounds) | (em_bounds == math.inf)
-        values[idx[take]] = refl[take]
-        rems[idx[take]] = refl_rems[take]
-    for i in np.flatnonzero(uncertified).tolist():
-        value, rem = complex(values[i]), float(rems[i])
-        # hypot, unlike abs(), gives inf rather than raising for |value| > DBL_MAX
-        if not rem <= tol * max(1.0, math.hypot(value.real, value.imag)):
-            _warn_accuracy(rem, tol, complex(pts[i]))
+    for i in np.flatnonzero(~certified).tolist():
+        _warn_accuracy(float(rems[i]), tol, complex(pts[i]))
+
+
+def _scaled_pass(s: np.ndarray, bases, weights: np.ndarray, cfg: EvalSettings, entire: bool, scale: np.ndarray):
+    """scale sum_j w_j zeta(s, b_j) and its bound from one Euler-Maclaurin pass; an entire sum has
+    each pole part subtracted in the pass and added back as [b^{1-s} - 1]/(s-1)."""
+    values, rems = _hurwitz_combination(s, bases, weights, cfg, subtract_pole=entire)
+    if entire:
+        values += _weigh(_pole_quotient(1.0 - s, np.log(bases)), weights)
+    # out of place: numpy's in-place complex multiply rounds a one-point array differently from a longer one
+    return values * scale, rems * np.abs(scale)
 
 
 def _zeta_sum(s: np.ndarray, bases, weights, cfg: EvalSettings, q: int = 1) -> np.ndarray:
-    """q^{-s} sum_j w_j zeta(s, b_j) at a 1-D array of points, in one Euler-Maclaurin pass
-    certified on that value.  Weights that sum to zero (to rounding) make the sum entire: each
-    pole part is subtracted in the pass and added back as [b^{1-s} - 1]/(s-1).  A point with
-    Re s < 0 that the pass leaves uncertified may take _hurwitz_reflect's value instead."""
+    """q^{-s} sum_j w_j zeta(s, b_j) at a 1-D array of points, one Euler-Maclaurin pass certified on
+    that value (entire for weights that sum to zero).  Of the points it leaves uncertified: where the
+    smallest base's b^{-s} overflows, every base's first term leaves the pass, q^{-s} zeta(s, b) =
+    (qb)^{-s} + q^{-s} zeta(s, b + 1); at Re s < 0, _hurwitz_reflect's value is taken where its bound
+    is the smaller relative to the smallest value it allows.  Then one _settle call warns."""
     w_arr = np.asarray(weights, dtype=complex)
     entire = abs(sum(weights)) <= len(weights) * _EPS * sum(map(abs, weights))
-    values, rems = _hurwitz_combination(s, bases, w_arr, cfg, subtract_pole=entire)
-    if entire:
-        values += _weigh(_pole_quotient(1.0 - s, np.log(bases)), w_arr)
-
-    def reflected(idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        value, rem = _hurwitz_reflect(s[idx], bases, w_arr, cfg)
-        return value * scale[idx], rem * np.abs(scale[idx])
-
-    # values beyond the double range come out inf: _settle warns, or raises from a reflection
+    # values beyond the double range come out inf or NaN: _settle warns, or the reflection raises
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.exp(-math.log(q) * s)  # q^{-s}
-        # out of place: numpy's in-place complex multiply rounds a one-point
-        # array differently from a longer one
-        values = values * scale
-        rems = rems * np.abs(scale)
-        _settle(s, values, rems, cfg, reflected)
+        values, rems = _scaled_pass(s, bases, w_arr, cfg, entire, scale)
+        certified = _certified(values, rems, cfg.target_abs_tol)
+        if certified.all():
+            return values
+        far = np.flatnonzero(~certified & (s.real > 0.0) & (s.real * -math.log(min(bases)) >= _LOG_DBL_MAX))
+        if far.size:
+            value, rem = _scaled_pass(s[far], [b + 1.0 for b in bases], w_arr, cfg, entire, scale[far])
+            qb = q * np.asarray(bases)  # for q > 1 the bases are n/q: qb is the integer n, to rounding
+            direct = np.exp(-s[far, None] * np.log(np.rint(qb) if q > 1 else qb))  # (qb)^{-s}
+            values[far] = value + _weigh(direct, w_arr)
+            rems[far] = rem + _EPS * _weigh(np.abs(direct), np.abs(w_arr))
+        idx = np.flatnonzero(~certified & (s.real < 0.0))
+        if idx.size:
+            value, rem = _hurwitz_reflect(s[idx], bases, w_arr, cfg)
+            value, rem = value * scale[idx], rem * np.abs(scale[idx])
+            beyond = ~np.isfinite(value)
+            if beyond.any():
+                raise DomainError(f"the value at s = {complex(s[idx[beyond][0]])} is beyond the double range")
+            em_bounds = _relative_bounds(rems[idx], values[idx])
+            take = (_relative_bounds(rem, value) < em_bounds) | (em_bounds == math.inf)
+            values[idx[take]], rems[idx[take]] = value[take], rem[take]
+        _settle(s, values, rems, cfg)
     return values
 
 
@@ -778,19 +778,21 @@ def _exprel(z: complex) -> complex:
     return complex(np.expm1(z)) / z if z else 1.0 + 0.0j
 
 
-def _li_functional_equation(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> np.ndarray:
+def _li_functional_equation(
+    s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0
+) -> Tuple[np.ndarray, np.ndarray]:
     """Li_s(e^{2 pi i a}) + lam Li_s(e^{-2 pi i a}) at a 1-D array of points,
     through Li_s(e^{2 pi i a}) = c+ zeta(1-s, a) + c- zeta(1-s, 1-a) with
     c-+ = Gamma(1-s) (2pi)^{s-1} e^{-+ i pi (1-s)/2} from _fe_factors.
 
-    One Euler-Maclaurin pass over the bases (a, 1-a) at w = 1-s, with the point
-    weights W = (c+ + lam c-, c- + lam c+), gives the entire parts of the two
-    zeta(w, b), certified on the weighted sum.  Their pole parts add
-    -sum_j W_j b_j^s / s.  For |s| < 0.25, where that sum cancels against 1/s,
-    it is formed as sum_j W_j (1 - b_j^s)/s - (1 + lam)(c- + c+)/s, with
-    c- + c+ = 2 g sin(pi s/2) (g = Gamma(w) (2pi)^{-w}): every term is finite
-    at s = 0.  A point whose pole terms are beyond the double range raises
-    DomainError (deep left of 0 with small a, e.g. Re s = -200 at a = 0.001).
+    One Euler-Maclaurin pass over the bases (a, 1-a) at w = 1-s, with the point weights
+    W = (c+ + lam c-, c- + lam c+), gives the entire parts of the two zeta(w, b) and one
+    bound on the weighted sum.  Their pole parts add -sum_j W_j b_j^s / s.  For |s| < 0.25,
+    where that sum cancels against 1/s, it is formed as sum_j W_j (1 - b_j^s)/s -
+    (1 + lam)(c- + c+)/s, with c- + c+ = 2 g sin(pi s/2) (g = Gamma(w) (2pi)^{-w}): every
+    term is finite at s = 0.  Returns the arrays (value, bound) and never warns.  A point
+    whose pole terms are beyond the double range raises DomainError (deep left of 0 with
+    small a, e.g. Re s = -200 at a = 0.001).
     """
     la, lb = math.log(a), math.log(1.0 - a)
     weights, poles = [], []
@@ -811,46 +813,43 @@ def _li_functional_equation(s: np.ndarray, a: float, cfg: EvalSettings, lam: flo
         poles.append(pole)
     values, rems = _hurwitz_combination(1.0 - s, (a, 1.0 - a), weights, cfg, subtract_pole=True)
     values += poles
-    _settle(s, values, rems, cfg)
-    return values
+    return values, rems
 
 
 def _periodic(pts: np.ndarray, alpha: Alpha, cfg: EvalSettings, lam: float = 0.0) -> np.ndarray:
-    """Li_s(e^{2 pi i a}) + lam Li_s(e^{-2 pi i a}) at a 1-D array of points, one
-    call per route, each taking lam: for Re s <= SERIES_SIGMA_THRESHOLD the
-    functional equation through zeta(1-s, a) and zeta(1-s, 1-a) (s = 0
-    included); above it, for exact a = r/q, the weighted Hurwitz sum over
-    zeta(s, n/q) while q^{Re s} stays in double range and its Euler-Maclaurin
-    pass within _EM_MAX_TERMS; otherwise the series."""
+    """Li_s(e^{2 pi i a}) + lam Li_s(e^{-2 pi i a}) at a 1-D array of points, one call per route,
+    each taking lam: for Re s <= SERIES_SIGMA_THRESHOLD the functional equation through
+    zeta(1-s, a) and zeta(1-s, 1-a) (s = 0 included); above it, for exact a = r/q, the weighted
+    Hurwitz sum over zeta(s, n/q) while its pass stays within _EM_MAX_TERMS (it settles in
+    _zeta_sum); otherwise the series.  One _settle call checks the other two routes' bounds."""
     av = alpha.value
-    out = np.empty(pts.shape, dtype=complex)
+    values, rems = np.empty(pts.shape, dtype=complex), np.zeros(pts.shape)
     fe = pts.real <= SERIES_SIGMA_THRESHOLD
     rational = np.zeros(pts.shape, dtype=bool)
     if alpha.exact is not None:
-        q = alpha.exact[1]
-        # zeta(s, 1/q) ~ q^s must stay finite until q^{-s} scales it back, and
         # the pass over q bases must stay within the terms _hurwitz_combination allows
-        fits = np.array([q * (4 * _em_shift(x) + 1) <= _EM_MAX_TERMS for x in pts.tolist()], dtype=bool)
-        rational = ~fe & fits & (np.abs(pts - 1.0) > 5e-3) & (pts.real * math.log(q) < _LOG_DBL_MAX)
+        fits = np.array([alpha.exact[1] * (4 * _em_shift(x) + 1) <= _EM_MAX_TERMS for x in pts.tolist()], dtype=bool)
+        rational = ~fe & fits & (np.abs(pts - 1.0) > 5e-3)
+    if rational.any():
+        values[rational] = _li_rational(pts[rational], *alpha.exact, cfg, lam)
+        if rational.all():
+            return values
     series = ~(fe | rational)
     if fe.any():
-        out[fe] = _li_functional_equation(pts[fe], av, cfg, lam)
-    if rational.any():
-        out[rational] = _li_rational(pts[rational], *alpha.exact, cfg, lam)
+        values[fe], rems[fe] = _li_functional_equation(pts[fe], av, cfg, lam)
     if series.any():
-        values, errs = _li_series(pts[series], av, cfg, lam)
-        _settle(pts[series], values, errs, cfg)
-        out[series] = values
-    return out
+        values[series], rems[series] = _li_series(pts[series], av, cfg, lam)
+    _settle(pts, values, rems, cfg)
+    return values
 
 
 def periodic_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
     """Periodic zeta Li_s(e^{2 pi i a}) for 0 < a < 1, entire in s.
 
-    ``s`` is a number or an array of points; each route gets its points in one
-    call (see _periodic): the functional equation for Re s <= SERIES_SIGMA_THRESHOLD,
-    the exact decomposition into Hurwitz zetas zeta(s, n/q) for exact a = r/q,
-    otherwise the Dirichlet series (_li_series).
+    ``s`` is a number or an array of points; each route gets its points in one call (see
+    _periodic): the functional equation for Re s <= SERIES_SIGMA_THRESHOLD, the exact
+    decomposition into Hurwitz zetas zeta(s, n/q) for exact a = r/q at any larger Re s,
+    otherwise the Dirichlet series (_li_series).  An uncertified point gets an AccuracyWarning.
     """
     pts, shape = as_points(s)
     alpha = Alpha.coerce(a)

@@ -144,12 +144,22 @@ def test_uncertified_point_in_a_block_still_warns(monkeypatch):
 
 
 def test_value_that_is_not_finite_is_not_certified():
-    # zeta(300, 0.001) overflows a double; the NaN that comes out must carry a warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.warns(AccuracyWarning):
-            value = eval_family(Family.Y, np.array([300.0, 2.0]), 0.001)
+    # zeta(300, 0.001) overflows a double; the value that comes out must carry a warning,
+    # and no numpy RuntimeWarning may escape on the way
+    with pytest.warns(AccuracyWarning):
+        value = eval_family(Family.Y, np.array([300.0, 2.0]), 0.001)
     assert not np.isfinite(value[0]) and np.isfinite(value[1])
+
+
+def test_far_point_in_a_block_gets_its_bits_alone():
+    # at 300 + 40i the smallest base's power overflows and the sum takes (q b)^{-s} out
+    # of every base; 2 + i takes the plain pass.  Neither route depends on the block.
+    chi = characters_mod(12)[1]
+    pts = np.array([300.0 + 40.0j, 2.0 + 1.0j, 300.0 + 0.0j])
+    block = l_function(chi, pts)
+    for i in range(pts.size):
+        assert np.array_equal(block[i:i + 1], l_function(chi, pts[i:i + 1]))
+    assert np.array_equal(block[::-1], l_function(chi, pts[::-1]))
 
 
 # (bases, one row of weights): one base, a pair with opposite weights, and the

@@ -319,6 +319,12 @@ def test_linear_relation_residual_takes_every_r_in_one_call(q, direction):
         assert at_point[0].tolist() == [row[1, 2] for row in each[::-1]], (fam, q)
 
 
+def test_linear_relation_far_right():
+    # zeta(400, 1/12) ~ 12^400 overflows a double; the relation's rational sums take
+    # (q b)^{-s} out of every base and still close to double precision
+    assert linear_relation_residual(Family.P, 1, 12, 400.0) <= 1e-14
+
+
 def test_linear_relations_evaluate_each_family_value_once_per_pair_of_units(monkeypatch):
     import zetazeros.dirichlet as dirichlet
 

@@ -89,7 +89,7 @@ def test_p_path_switch_is_seamless():
             # strict agreement of the two strategies at one point
             s = np.array([complex(0.7, t)])
             series = _li_series(s, a, DEFAULT_SETTINGS)[0] + _li_series(s, 1.0 - a, DEFAULT_SETTINGS)[0]
-            assert _li_functional_equation(s, a, DEFAULT_SETTINGS, 1.0)[0] == pytest.approx(series[0], abs=1e-9)
+            assert _li_functional_equation(s, a, DEFAULT_SETTINGS, 1.0)[0][0] == pytest.approx(series[0], abs=1e-9)
 
 
 # Frozen mpmath values (Hurwitz's formula; tests/oracles/make_reference.py,

@@ -186,6 +186,18 @@ def test_l_function_takes_arrays():
     assert values[1, 1] == l_function(chi, -9.0 + 300.0j)
 
 
+@pytest.mark.parametrize("q", [3, 12, 49, 97])
+def test_l_function_far_right_is_one(q):
+    # zeta(s, 1/q) ~ q^s overflows a double at these sigma, where L(s, chi) =
+    # 1 + chi(2) 2^-s + ... is 1 to double precision.  49 * (1/49) != 1 in doubles:
+    # (q b)^{-s} must take q b = 1, or L(1e5, chi mod 49) is off by 1.1e-11.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for chi in characters_mod(q)[:2]:
+            for sigma in (300.0, 1000.0, 1e5):
+                assert abs(l_function(chi, sigma) - 1.0) <= 1e-15
+
+
 def test_l_function_beyond_the_double_range_raises():
     # L(-200, chi) for chi mod 7 is about 6e383 + 1.5e384 i
     with pytest.raises(DomainError):

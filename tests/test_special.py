@@ -6,7 +6,6 @@ Reference constants were produced by tests/oracles/make_reference.py
 """
 
 import cmath
-import contextlib
 import math
 import warnings
 from decimal import Decimal
@@ -322,25 +321,29 @@ def test_euler_maclaurin_round_off_counts_every_large_term():
         assert hurwitz_pair_diff(-13.0, 3 / 11, cfg).real == pytest.approx(0.0, abs=1e-12)
 
 
-def test_settle_measures_a_bound_against_the_smallest_value_it_allows():
+def test_settle_measures_a_bound_against_the_smallest_value_it_allows(monkeypatch):
     # The two routes of L(-15, chi mod 12 #1): an Euler-Maclaurin value 5.78e7
     # with bound 5.51e7 may be as small as 2.7e6, so its bound is 21 times
     # that, worse than the reflected 2.27 with bound 6.07 (rem / max(1, |v| -
     # rem) = 6.07).  Against |v| alone the order flips (0.95 against 2.7).
-    # Neither certifies, so it warns.
-    pts = np.array([-15.0 + 0.0j, -15.0 + 0.0j])
-    values = np.array([5.78e7 + 0.0j, 5.78e7 + 0.0j])
-    rems = np.array([5.51e7, 1e-6])
+    # Neither certifies, so it warns.  The second point's pass certifies.
+    pts = np.array([-15.0 + 0.0j, -16.0 + 0.0j])
     calls = []
 
-    def reflect(idx):
-        calls.append(idx.tolist())
-        return np.full(idx.size, 2.27 + 0.0j), np.full(idx.size, 6.07)
+    def combination(s, bases, weights, cfg, subtract_pole=False):
+        return np.array([5.78e7 + 0.0j, 5.78e7 + 0.0j]), np.array([5.51e7, 1e-6])
 
-    with pytest.warns(AccuracyWarning):
-        special._settle(pts, values, rems, DEFAULT_SETTINGS, reflect)
-    assert calls == [[0]]  # one call; the certified point is left alone
-    assert values.tolist() == [2.27 + 0.0j, 5.78e7 + 0.0j]
+    def reflect(s, bases, weights, cfg):
+        calls.append(s.tolist())
+        return np.full(s.size, 2.27 + 0.0j), np.full(s.size, 6.07)
+
+    monkeypatch.setattr(special, "_hurwitz_combination", combination)
+    monkeypatch.setattr(special, "_hurwitz_reflect", reflect)
+    with pytest.warns(AccuracyWarning) as caught:
+        values = special._zeta_sum(pts, (0.5,), (1.0,), DEFAULT_SETTINGS)
+    assert calls == [[-15.0 + 0.0j]]  # one call, at the uncertified point only
+    assert values.tolist() == [2.27 + 0.0j, 5.78e7 + 0.0j]  # its value is taken, the certified one kept
+    assert len(caught) == 1 and caught[0].message.at == -15.0
 
 
 def test_hurwitz_negative_integer_bernoulli_identity():
@@ -550,20 +553,37 @@ def test_periodic_domain():
 
 
 def test_periodic_series_vs_functional_equation():
-    # the two evaluation strategies agree across the overlap strip; the functional equation
-    # cannot certify draws 21 and 82 (sigma 2.75 and 2.49 at a = 0.1 and 0.3, ROADMAP item 4),
-    # and those two warnings are pinned so that any other one fails the strict run
+    # the two evaluation strategies agree across the overlap strip; the functional equation's
+    # bound cannot certify draws 21 and 82 (sigma 2.75 and 2.49 at a = 0.1 and 0.3, ROADMAP
+    # item 4) and certifies every other draw
     from zetazeros.special import _li_functional_equation, _li_series
     from zetazeros import DEFAULT_SETTINGS
 
+    tol = DEFAULT_SETTINGS.target_abs_tol
     rng = np.random.default_rng(105)
     for i in range(200):
         s = np.array([complex(rng.uniform(0.76, 3.0), rng.uniform(-20, 20))])
         a = float(rng.choice([0.1, 0.3, 0.45]))
         v1, _ = _li_series(s, a, DEFAULT_SETTINGS)
-        with pytest.warns(AccuracyWarning) if i in (21, 82) else contextlib.nullcontext():
-            v2 = _li_functional_equation(s, a, DEFAULT_SETTINGS)
+        v2, rem = _li_functional_equation(s, a, DEFAULT_SETTINGS)
+        assert (rem[0] <= tol * max(1.0, abs(v2[0]))) == (i not in (21, 82)), i
         assert abs(v1[0] - v2[0]) < 1e-8
+
+
+def test_periodic_settles_its_routes_in_one_call(monkeypatch):
+    # a = 2/7: a functional-equation point, a rational one and a series one
+    # (s = 1.001 is inside the rational route's exclusion around s = 1)
+    alpha = Alpha.parse("2/7")
+    pts = np.array([0.3 + 2.0j, 1.5 + 2.0j, 1.001 + 0.0j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        block = special._periodic(pts, alpha, DEFAULT_SETTINGS)
+        for i in range(pts.size):
+            assert np.array_equal(block[i:i + 1], special._periodic(pts[i:i + 1], alpha, DEFAULT_SETTINGS))
+    flagged = []
+    monkeypatch.setattr(special, "_warn_accuracy", lambda rem, tol, s: flagged.append(s))
+    special._periodic(pts, alpha, EvalSettings(target_abs_tol=1e-17))
+    assert sorted(flagged, key=abs) == sorted(pts.tolist(), key=abs)  # once per point, at its own s
 
 
 def test_periodic_rational_path_matches_series():
@@ -577,20 +597,20 @@ def test_periodic_rational_path_matches_series():
             assert abs(exact_path - float_path) < 1e-9
 
 
-def test_uncertified_rational_periodic_value_warns():
-    # zeta(300, 1/97) ~ 97^300 overflows before q^{-s} scales it back, so the
-    # rational kernel cannot certify its value and must say so.
+def test_rational_periodic_value_where_the_smallest_base_overflows():
+    # zeta(300, 1/97) ~ 97^300 overflows a double; taking (q b)^{-s} out of each
+    # base's sum leaves Li_300(z) = z + z^2 2^-300 + ... = e^{2 pi i/97}, certified
     from zetazeros.special import _li_rational
 
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.warns(AccuracyWarning):
-            _li_rational(np.array([300.0 + 0j]), 1, 97, DEFAULT_SETTINGS)
+        warnings.simplefilter("error")
+        value = _li_rational(np.array([300.0 + 0j]), 1, 97, DEFAULT_SETTINGS)
+    assert abs(value[0] - cmath.exp(2j * math.pi / 97)) <= 1e-14
 
 
 def test_rational_periodic_value_at_large_sigma():
-    # Li_s(z) = z + z^2 2^-s + ...: e^{2 pi i/97} to double precision.  Where
-    # 97^{Re s} leaves the double range (s = 300) periodic_zeta sums the series.
+    # Li_s(z) = z + z^2 2^-s + ...: e^{2 pi i/97} to double precision, from the
+    # rational route at s = 150 and at s = 300, where 97^{Re s} leaves the double range.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for s in (150.0, 300.0):
