@@ -190,9 +190,11 @@ def _fe_factors(w: complex) -> Tuple[complex, complex, complex]:
 _EM_SHIFT = 25  # directly summed terms at Re s >= 0 and |Im s| <= 25; |Im s| rounded up to 8k above
 _EM_K_START = 6  # the stopping rule may end the corrections after order k = 6 (B_12) at the earliest
 _EM_MAX_HALF_ORDER = 29  # B_58 is the last correction, B_60 bounds the remainder
-_EM_BLOCK_POINTS = 64  # points per block: numpy's per-call cost is shared, temporaries stay small
-_EM_BLOCK_TERMS = 1 << 15  # and points * (powers or corrections a point) within this, but one point at least
-_EM_MAX_TERMS = 1 << 23  # so a point whose longest pass, at shift 4m, holds more powers is refused: hundreds of MB
+_EM_ATTEMPTS = 3  # a point's first pass and up to two more, each with twice the shift of the one before
+_EM_MAX_TERMS = 1 << 23  # a point whose longest pass holds more powers is refused: hundreds of MB
+# terms per block, one point or row at least (an Euler-Maclaurin block's points * powers or corrections a
+# point, a periodic partial sums' block's rows * terms a row): numpy's per-call cost is shared, temporaries stay small
+_BLOCK_TERMS = 1 << 15
 _EPS = 2.220446049250313e-16
 
 # 0, then 2k-3 for k = 2 .. K: order 1 is s, and order k extends the Pochhammer
@@ -245,6 +247,12 @@ def _em_shift(s: complex) -> int:
     return max(2, math.ceil(min(1.35 * (t + 8.0) / _TWO_PI, _EM_MAX_TERMS)))
 
 
+def _em_fits(s: complex, width: int) -> bool:
+    """Whether the longest pass _hurwitz_combination may make at s over width bases, its
+    last retry at shift _em_shift(s) << (_EM_ATTEMPTS - 1), holds at most _EM_MAX_TERMS powers."""
+    return width * ((_em_shift(s) << (_EM_ATTEMPTS - 1)) + 1) <= _EM_MAX_TERMS
+
+
 def _pole_quotient(w: np.ndarray, span: np.ndarray) -> np.ndarray:
     """expm1(w x) / (-w) for each point w = 1 - s and each x in span, shape
     (points, len(span)), with its limit -x at s = 1: the pole part
@@ -277,14 +285,14 @@ def _hurwitz_combination(
 
     ``s`` is a 1-D array of points; the result is the arrays (value, rem).
     ``weights`` is one row (nb,) for every point or one row per point,
-    (points, nb).  Points are grouped by their shift m and run in blocks
-    of at most _EM_BLOCK_POINTS points.  A point's pass holds nb * (m+1) powers
-    (n+b)^{-s} and nb * K corrections, so a block holds at most _EM_BLOCK_TERMS
-    of the larger (one point at least).  A point whose remainder does not certify
-    the target gets up to two more passes, each with twice the shift, unless
-    round-off already dominates; the pass with the smallest remainder wins.
-    A point whose last such pass would hold more than _EM_MAX_TERMS powers
-    raises UnsupportedError before anything is summed.
+    (points, nb).  Points are grouped by their shift m and run in blocks.  A
+    point's pass holds nb * (m+1) powers (n+b)^{-s} and nb * K corrections, so
+    a block holds at most _BLOCK_TERMS of the larger (one point at least).  A
+    point whose remainder does not certify the target gets more passes, each
+    with twice the shift, _EM_ATTEMPTS in all, unless round-off already
+    dominates; the pass with the smallest remainder wins.  A point whose last
+    such pass would not fit (_em_fits) raises UnsupportedError before anything
+    is summed.
 
     With subtract_pole=True each term is zeta(s, b_j) - b_j^{1-s}/(s-1), an
     entire function; the integral term is then assembled through expm1 so the
@@ -299,17 +307,17 @@ def _hurwitz_combination(
     groups: Dict[int, List[int]] = {}
     for i, x in enumerate(s.tolist()):
         groups.setdefault(_em_shift(x), []).append(i)
-    worst = max(groups, default=0)  # its second retry, at shift 4m, is the longest pass
-    if width * (4 * worst + 1) > _EM_MAX_TERMS:
-        point = s[groups[worst][0]]
-        raise UnsupportedError(f"the Euler-Maclaurin sum at s = {point} needs more than {_EM_MAX_TERMS} terms")
+    if groups:
+        point = s[groups[max(groups)][0]]  # a point of the largest shift, whose last retry is the longest pass
+        if not _em_fits(point, width):
+            raise UnsupportedError(f"the Euler-Maclaurin sum at s = {point} needs more than {_EM_MAX_TERMS} terms")
     values = np.empty(s.shape, dtype=complex)
     rems = np.empty(s.shape)
 
     for m, members in groups.items():
         idx = np.array(members)
-        for attempt in range(3):
-            per_block = max(1, min(_EM_BLOCK_POINTS, _EM_BLOCK_TERMS // (width * max(m + 1, _EM_MAX_HALF_ORDER + 1))))
+        for attempt in range(_EM_ATTEMPTS):
+            per_block = max(1, _BLOCK_TERMS // (width * max(m + 1, _EM_MAX_HALF_ORDER + 1)))
             blocks = [
                 _em_once(s[block], base_key, w_rows[block] if len(w_rows) > 1 else w_rows, m, subtract_pole, tol)
                 for block in (idx[i:i + per_block] for i in range(0, idx.size, per_block))
@@ -608,7 +616,6 @@ SERIES_SIGMA_THRESHOLD = 0.75
 
 _LI_ORDER = 18  # the tail sums Boole's terms of order 0 .. 18, and reads order 19 for its stopping rule
 _LI_GRID = 32  # partial sums run over whole multiples of 32 terms, so that rows line up alike in any block
-_LI_BLOCK_TERMS = 1 << 15  # terms per block of partial sums, and per chunk of a longer row
 _LI_NEGLIGIBLE = 0.05  # both routes end the series where what is left is below this times the target
 _LI_MAX_TERMS = 1 << 26  # a larger N on either route (a near an integer) is refused: seconds of work
 
@@ -624,16 +631,21 @@ def _angles(n: np.ndarray, a: float) -> np.ndarray:
     return x
 
 
+def _one_minus_z(a: float) -> complex:
+    """1 - z, z = e^{2 pi i a}, as 2 sin^2(pi x) - i sin(2 pi x) with x = a - round(a) (an exact
+    reduction to [-1/2, 1/2]), which keeps its relative accuracy as a nears an integer."""
+    x = math.pi * (a - round(a))
+    return complex(2.0 * math.sin(x) ** 2, -math.sin(2.0 * x))
+
+
 @lru_cache(maxsize=256)
 def _li_constants(a: float) -> np.ndarray:
     """c_0 .. c_{_LI_ORDER+1} of 1/(1 - z e^x) = sum_j c_j x^j, z = e^{2 pi i a}:
     c_j = -B_{j+1}(0; z)/(j+1)! in Apostol's x/(z e^x - 1) = sum_n B_n(0; z) x^n/n!
     (T. M. Apostol, On the Lerch zeta function, Pacific J. Math. 1 (1951)), formed as
-    c_0 = 1/(1-z), c_j = z/(1-z) sum_{i=1..j} c_{j-i}/i!, with 1 - z as
-    2 sin^2(pi a) - i sin(2 pi a), which keeps its relative accuracy as a -> 0."""
-    x = math.pi * (a - round(a))  # exact reduction to [-pi/2, pi/2]
-    one_minus_z = complex(2.0 * math.sin(x) ** 2, -math.sin(2.0 * x))
-    ratio = cmath.exp(2j * x) / one_minus_z
+    c_0 = 1/(1-z), c_j = z/(1-z) sum_{i=1..j} c_{j-i}/i!, with 1 - z from _one_minus_z."""
+    one_minus_z = _one_minus_z(a)
+    ratio = cmath.exp(2j * math.pi * (a - round(a))) / one_minus_z
     coef = [1.0 / one_minus_z]
     for j in range(1, _LI_ORDER + 2):
         coef.append(ratio * sum(coef[j - i] / math.factorial(i) for i in range(1, j + 1)))
@@ -666,7 +678,7 @@ def _li_series(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> 
     """
     tol = cfg.target_abs_tol
     weight = 1.0 + abs(lam)
-    gap = abs(1.0 - cmath.exp(2j * math.pi * a))  # |1 - z|
+    gap = abs(_one_minus_z(a))
     negligible = _LI_NEGLIGIBLE * min(tol, _EPS)
     last, errs = [], []  # per point: the last n summed, the error estimate
     euler, starts = [], []  # route (c): the points and their N
@@ -705,8 +717,8 @@ def _li_partial_sums(s: np.ndarray, last: List[int], a: float, lam: float) -> np
 
     Each range [1, last] is rounded up to a multiple of _LI_GRID.  Points
     whose rounded spans are equal are the rows of one array, in row blocks of
-    at most _LI_BLOCK_TERMS terms (one row at least).  Each row is summed over
-    its whole rounded span, in chunks of _LI_BLOCK_TERMS terms from 1, with
+    at most _BLOCK_TERMS terms (one row at least).  Each row is summed over
+    its whole rounded span, in chunks of _BLOCK_TERMS terms from 1, with
     the terms past its own last masked to zero, and each row is multiplied
     and reduced on its own (numpy's pairwise sum along the row).  So a
     point's bits depend on that point alone, never on its block.
@@ -716,12 +728,12 @@ def _li_partial_sums(s: np.ndarray, last: List[int], a: float, lam: float) -> np
         spans.setdefault(-(-hi // _LI_GRID) * _LI_GRID, []).append(i)
     out = np.empty(s.shape, dtype=complex)
     for hi, rows in spans.items():
-        per_block = max(1, _LI_BLOCK_TERMS // min(hi, _LI_BLOCK_TERMS))
+        per_block = max(1, _BLOCK_TERMS // min(hi, _BLOCK_TERMS))
         for block in (rows[k:k + per_block] for k in range(0, len(rows), per_block)):
             bound = np.array([last[i] for i in block])[:, None]
             minus_s, total = -s[block], 0.0
-            for start in range(0, hi, _LI_BLOCK_TERMS):
-                n = np.arange(start + 1, min(start + _LI_BLOCK_TERMS, hi) + 1, dtype=float)
+            for start in range(0, hi, _BLOCK_TERMS):
+                n = np.arange(start + 1, min(start + _BLOCK_TERMS, hi) + 1, dtype=float)
                 exponent = np.multiply.outer(minus_s, np.log(n))
                 angle = _angles(n, a)
                 if not lam:
@@ -820,15 +832,14 @@ def _periodic(pts: np.ndarray, alpha: Alpha, cfg: EvalSettings, lam: float = 0.0
     """Li_s(e^{2 pi i a}) + lam Li_s(e^{-2 pi i a}) at a 1-D array of points, one call per route,
     each taking lam: for Re s <= SERIES_SIGMA_THRESHOLD the functional equation through
     zeta(1-s, a) and zeta(1-s, 1-a) (s = 0 included); above it, for exact a = r/q, the weighted
-    Hurwitz sum over zeta(s, n/q) while its pass stays within _EM_MAX_TERMS (it settles in
+    Hurwitz sum over zeta(s, n/q) where its pass over q bases fits (_em_fits; it settles in
     _zeta_sum); otherwise the series.  One _settle call checks the other two routes' bounds."""
     av = alpha.value
     values, rems = np.empty(pts.shape, dtype=complex), np.zeros(pts.shape)
     fe = pts.real <= SERIES_SIGMA_THRESHOLD
     rational = np.zeros(pts.shape, dtype=bool)
     if alpha.exact is not None:
-        # the pass over q bases must stay within the terms _hurwitz_combination allows
-        fits = np.array([alpha.exact[1] * (4 * _em_shift(x) + 1) <= _EM_MAX_TERMS for x in pts.tolist()], dtype=bool)
+        fits = np.array([_em_fits(x, alpha.exact[1]) for x in pts.tolist()], dtype=bool)
         rational = ~fe & fits & (np.abs(pts - 1.0) > 5e-3)
     if rational.any():
         values[rational] = _li_rational(pts[rational], *alpha.exact, cfg, lam)

@@ -214,8 +214,10 @@ def scan_real_zeros(
 ) -> List[ZeroRecord]:
     """Scan [lo, hi] for real zeros of the family section.
 
-    One path for every family: the section is Re f, or |f| for the complex
-    periodic zeta, whose zeros are then even touches.  A grid value below
+    One path for every family: the section is Re f wherever f is real on the
+    axis, and |f| for the periodic zeta at a != 1/2, whose zeros are then even
+    touches.  At a = 1/2 the periodic zeta Li_s(-1) = -eta(s) is real, and its
+    zeros at -2, -4, ... are simple sign changes.  A grid value below
     _GRID_ZERO_TOL is a zero, simple if f changes sign from step/4 to its
     left to step/4 to its right.  Sign changes are refined (ITP, from the grid
     values at both ends, or from that probe at an end on a grid zero) to
@@ -255,12 +257,14 @@ def scan_real_zeros(
     if has_pole and (lo == 1.0 or hi == 1.0):
         raise PoleError("scan endpoint sits on the s = 1 pole", 1.0 + 0.0j)
 
+    complex_section = fam is Family.PERIODIC and alpha.value != 0.5
+
     def f(x: np.ndarray) -> np.ndarray:
-        # Re f, or |f| for the complex periodic zeta: one path, its zeros even touches
+        # Re f, or |f| where f is complex on the axis: one path, the zeros of |f| even touches
         if not x.size:
             return x
         values = eval_family(fam, x, alpha, _SCAN_SETTINGS)
-        return np.abs(values) if fam is Family.PERIODIC else values.real
+        return np.abs(values) if complex_section else values.real
 
     n = max(2, int(round((hi - lo) / step)) + 1)
     xs = np.array([lo + (hi - lo) * i / (n - 1) for i in range(n)])

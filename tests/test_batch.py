@@ -189,15 +189,17 @@ def test_em_pass_is_the_same_alone_as_in_a_block(bases, weights, m, subtract_pol
                 assert np.array_equal(got[i:i + 1], want, equal_nan=True), (pts[i], got[i], want[0])
 
 
-def assert_em_blocks_within_the_caps(blocks):
-    # a point holds nb (m+1) powers and nb K corrections
+def em_blocks_within_the_cap(blocks):
+    """Asserts that each block holds at most the cap, a point nb (m+1) powers
+    and nb K corrections; returns whether some block of several points is full."""
     terms = special._EM_MAX_HALF_ORDER + 1
-    for size, nb, m in blocks:
-        assert size == 1 or (size <= special._EM_BLOCK_POINTS
-                             and size * nb * max(m + 1, terms) <= special._EM_BLOCK_TERMS), (size, nb, m)
+    most = [special._BLOCK_TERMS // (nb * max(m + 1, terms)) for _, nb, m in blocks]
+    for (size, nb, m), cap in zip(blocks, most):
+        assert size == 1 or size <= cap, (size, nb, m)
+    return any(size == cap > 1 for (size, _, _), cap in zip(blocks, most))
 
 
-def test_em_blocks_hold_at_most_the_point_and_term_caps(monkeypatch):
+def test_em_blocks_hold_at_most_the_term_cap(monkeypatch):
     blocks = []  # (points, bases, shift m) of every pass
     original = special._em_once
 
@@ -211,12 +213,11 @@ def test_em_blocks_hold_at_most_the_point_and_term_caps(monkeypatch):
         warnings.simplefilter("ignore", AccuracyWarning)
         eval_family(Family.Z, pts, Alpha.parse("2/7"))
         eval_family(Family.Y, pts, Alpha(0.31))
-    assert max(size for size, _, _ in blocks) == special._EM_BLOCK_POINTS
-    assert_em_blocks_within_the_caps(blocks)
+    em_blocks_within_the_cap(blocks)
     del blocks[:]
-    special._li_rational(pts[:300], 2, 9, special.DEFAULT_SETTINGS)  # nine bases n/9
+    special._li_rational(pts, 2, 9, special.DEFAULT_SETTINGS)  # nine bases n/9
     assert {nb for _, nb, _ in blocks} == {9}
-    assert_em_blocks_within_the_caps(blocks)
+    assert em_blocks_within_the_cap(blocks)  # the 514 points of shift 25 take full blocks of 121
 
 
 def test_em_memory_is_bounded_by_the_term_cap():
@@ -233,7 +234,7 @@ def test_em_memory_is_bounded_by_the_term_cap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * special._EM_BLOCK_TERMS * 16  # a few complex temporaries of the cap
+    assert peak <= 8 * special._BLOCK_TERMS * 16  # a few complex temporaries of the cap
 
 
 # At a = 0.05: route (a), the plain partial sum, at sigma = 17.3 and 9; route
@@ -314,24 +315,24 @@ def test_series_terms_stay_within_the_term_cap_and_the_rounded_spans(lam, monkey
     monkeypatch.setattr(special, "np", recorder)
     special._li_partial_sums(pts, last, 0.3, lam)
     terms = [shape for shape in recorder.shapes if len(shape) == 2]
-    assert all(rows == 1 or rows * n <= special._LI_BLOCK_TERMS for rows, n in terms)
-    assert all(n <= special._LI_BLOCK_TERMS for _, n in terms)
+    assert all(rows == 1 or rows * n <= special._BLOCK_TERMS for rows, n in terms)
+    assert all(n <= special._BLOCK_TERMS for _, n in terms)
     grid = special._LI_GRID
     spans = sum(-(-hi // grid) * grid for hi in last)
     assert sum(rows * n for rows, n in terms) <= spans
-    assert max(rows for rows, _ in terms) > 32 and any(n == special._LI_BLOCK_TERMS for _, n in terms)
+    assert max(rows for rows, _ in terms) > 32 and any(n == special._BLOCK_TERMS for _, n in terms)
 
 
 def test_series_memory_is_bounded_by_the_term_cap():
     # s = 1.2 + 800i at a = 0.001 sums about 7.7e5 terms; in chunks of
-    # _LI_BLOCK_TERMS no temporary grows with them.
+    # _BLOCK_TERMS no temporary grows with them.
     tracemalloc.start()
     try:
         special._li_series(np.array([1.2 + 800.0j]), 0.001, special.DEFAULT_SETTINGS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * special._LI_BLOCK_TERMS * 16  # a few complex temporaries of the cap
+    assert peak <= 8 * special._BLOCK_TERMS * 16  # a few complex temporaries of the cap
 
 
 @pytest.mark.parametrize("sigma, t", [(0.5, 4e6), (0.5, 1e8), (-1.0, 1e8), (0.5, 1e308), (-1.0, 1.7e308)])

@@ -295,6 +295,28 @@ def test_beta_exact_rational_vs_decimal():
     assert val == pytest.approx(1.0, abs=1e-3)
 
 
+def test_beta_json_schema():
+    schema = load_schema()
+    code, out, _ = run_cli("beta", "--family", "Z", "--a-from", "0.02", "--a-to", "0.2", "--a-points", "3",
+                           "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema)
+    assert payload["command"] == "beta" and len(payload["rows"]) == 3
+
+
+def test_schema_rows_are_the_cli_columns():
+    # schema.json is the second copy of _COLUMNS: its commands, and each command's row
+    # object with exactly that command's columns, in order
+    schema = load_schema()["properties"]
+    assert schema["command"]["enum"] == list(_COLUMNS)
+    rows = schema["rows"]["items"]["oneOf"]
+    assert [tuple(row["required"]) for row in rows] == list(_COLUMNS.values())
+    for row in rows:
+        assert list(row["properties"]) == row["required"]
+        assert row["additionalProperties"] is False
+
+
 def test_count_command():
     code, out, _ = run_cli(
         "count", "--family", "Z", "--a", "1/6",

@@ -63,14 +63,15 @@ def test_scan_periodic_finds_nothing():
     assert scan_real_zeros(Family.PERIODIC, 0.3, -10.0, 5.0) == []
 
 
-def test_scan_periodic_zeros_are_even_touches():
-    # Li_s(-1) = -eta(s) vanishes at the negative even integers; |f| is the
-    # section, so each zero is an even touch
-    recs = scan_real_zeros(Family.PERIODIC, 0.5, -12.01, 5.0)
-    assert [round(x) for x in locations(recs)] == [-10, -8, -6, -4, -2]
+@pytest.mark.parametrize("a", (0.5, "1/2"))
+def test_scan_periodic_zeros_at_one_half_are_simple(a):
+    # Li_s(-1) = -eta(s) is real on the axis and vanishes simply at the negative
+    # even integers: Re f is the section, so each zero is a sign change
+    recs = scan_real_zeros(Family.PERIODIC, a, -12.01, 5.0)
+    assert [round(x) for x in locations(recs)] == [-12, -10, -8, -6, -4, -2]
     for rec in recs:
-        assert rec.multiplicity_class == EVEN_TOUCH
-        assert abs(rec.location - round(rec.location)) < 1e-7
+        assert rec.multiplicity_class == SIMPLE
+        assert abs(rec.location - round(rec.location)) < 1e-10
 
 
 def test_scan_detects_double_zero_as_even_touch():
