@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -251,30 +251,22 @@ def chi_minus6() -> DirichletCharacter:
 # ---------------------------------------------------------------------------
 # Linear relations in both directions, from one coefficient per family.
 
-class _Relation(NamedTuple):
-    parity: int  # chi(-1) of the characters in the sum
-    unit: Optional[complex]  # c(chi, r) = unit chi(r) G(conj chi) (P, O), or q^s conj(chi)(r) (Z, Y: None)
-    trig: Optional[Callable[[float], float]]  # the trig function of the gcd(n, q) > 1 completion (P, O)
-
-
-_RELATIONS = {
-    Family.Z: _Relation(1, None, None),
-    Family.Y: _Relation(-1, None, None),
-    Family.P: _Relation(1, 1.0, math.cos),
-    Family.O: _Relation(-1, -1j, math.sin),
-}
+# The unit of each relation's coefficient: c(chi, r) = unit chi(r) G(conj chi) for P and O, and
+# q^s conj(chi)(r) for Z and Y (None).  The characters' parity chi(-1) and the trig function of
+# the gcd(n, q) > 1 completion (P: cos, O: sin) follow Family.odd_symmetric.
+_RELATIONS: Dict[Family, Optional[complex]] = {Family.Z: None, Family.Y: None, Family.P: 1.0, Family.O: -1j}
 
 
 def _coefficients(
-    rel: _Relation, chars: List[DirichletCharacter], q: int, pts: np.ndarray
+    unit: Optional[complex], chars: List[DirichletCharacter], q: int, pts: np.ndarray
 ) -> Tuple[Union[complex, np.ndarray], Callable[[int], List[complex]]]:
     """c(chi, n) for each chi in chars, as the factor they share (q^s at each point, or a
     constant) and a function of n that gives the factor of each chi."""
-    if rel.unit is None:
+    if unit is None:
         common = np.array([_power(q, x) for x in pts.tolist()], dtype=complex)
         return common, lambda n: [chi(n).conjugate() for chi in chars]
     gauss = [gauss_sum(chi.conj()) for chi in chars]
-    return rel.unit, lambda n: [chi(n) * g for chi, g in zip(chars, gauss)]
+    return unit, lambda n: [chi(n) * g for chi, g in zip(chars, gauss)]
 
 
 def _family_at_fractions(fam: Family, pts: np.ndarray, ns: List[int], q: int, cfg: EvalSettings) -> List[np.ndarray]:
@@ -325,41 +317,43 @@ def linear_relation_residual(
     call over all the points for every r; only the coefficients are formed
     point by point, and the q^s column and the Gauss sums once per call.
     """
-    rel = _RELATIONS.get(fam)
-    if rel is None:
+    if fam not in _RELATIONS:
         raise DomainError(f"linear relations cover Z, P, Y, O; got {fam}")
+    unit = _RELATIONS[fam]
     if direction not in ("family_from_l", "l_from_family"):
         raise DomainError(f"unknown direction {direction!r}")
     pts, shape = as_points(s)
     rs = np.ravel(r).tolist()
     if any(math.gcd(n, q) != 1 or not 0 < n < q for n in rs):
         raise DomainError("need 0 < r < q with gcd(r, q) = 1")
-    if rel.parity < 0 and not all(0 < 2 * n < q for n in rs):
+    parity = -1 if fam.odd_symmetric else 1  # chi(-1) of the characters in the sums
+    if parity < 0 and not all(0 < 2 * n < q for n in rs):
         raise DomainError("odd-family relations need 0 < 2r < q")
-    chars = [chi for chi in characters_mod(q) if chi.parity == rel.parity]
+    chars = [chi for chi in characters_mod(q) if chi.parity == parity]
     phi = euler_phi(q)
 
     if direction == "family_from_l":
         lhs = _family_at_fractions(fam, pts, rs, q, cfg)
-        common, parts_at = _coefficients(rel, chars, q, pts)
+        common, parts_at = _coefficients(unit, chars, q, pts)
         ls = [l_function(chi, pts, cfg) for chi in chars]
         shared = [n for n in range(1, q + 1) if math.gcd(n, q) > 1]
+        trig = math.sin if fam.odd_symmetric else math.cos  # of the completion over shared, for P and O
         rows = []
         for n, value in zip(rs, lhs):
             total = sum(2 * part * l for part, l in zip(parts_at(n), ls))  # accumulated in the order of chars
             # the shared factor scales the sum, in this order: it sets the rounding that verify prints
-            if rel.trig is None:
+            if unit is None:
                 rows.append(np.abs(value - common / phi * total))
                 continue
-            weights = [2.0 * rel.trig(2.0 * math.pi * ((n * m) % q) / q) for m in shared]
+            weights = [2.0 * trig(2.0 * math.pi * ((n * m) % q) / q) for m in shared]
             completion = _zeta_sum(pts, [m / q for m in shared], weights, cfg, q=q)
             rows.append(np.abs(value - (common * total / phi + completion)))
     else:
-        chars = [chi for chi in chars if rel.unit is None or chi.is_primitive]
+        chars = [chi for chi in chars if unit is None or chi.is_primitive]
         if not chars:
-            parity = "even" if rel.parity > 0 else "odd"
+            kind = "odd" if parity < 0 else "even"
             raise UnsupportedError(
-                f"no primitive {parity} character mod {q}: l_from_family has nothing to check for {fam.value}"
+                f"no primitive {kind} character mod {q}: l_from_family has nothing to check for {fam.value}"
             )
         # L(s, chi) of the principal character has its pole at s = 1 and leaves the max there: alone
         # (q = 2) it leaves residual 0 at those points, and beside other characters Z(1, n/q) raises
@@ -368,7 +362,7 @@ def linear_relation_residual(
         if live.any():
             sub = pts[live]
             units = [n for n in range(1, q) if math.gcd(n, q) == 1]
-            common, parts_at = _coefficients(rel, chars, q, sub)
+            common, parts_at = _coefficients(unit, chars, q, sub)
             rhs = 0.0
             for n, value in zip(units, _family_at_fractions(fam, sub, units, q, cfg)):  # (chars, points)
                 rhs = rhs + value / (np.array(parts_at(n))[:, None] * common)

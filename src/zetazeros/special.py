@@ -87,11 +87,10 @@ def bernoulli_poly_coeffs(n: int) -> Tuple[Fraction, ...]:
 
 
 def bernoulli_poly(n: int, x: float) -> float:
-    """B_n(x) by Horner's scheme on the exact rational coefficients."""
-    result = 0.0
-    for c in bernoulli_poly_coeffs(n):
-        result = result * x + float(c)
-    return result
+    """B_n(x) as the exact rational value at the float x, rounded once."""
+    if not math.isfinite(x):
+        raise DomainError(f"Bernoulli polynomials need a finite x, got {x!r}")
+    return float(bernoulli_poly_exact(n, Fraction(x)))
 
 
 def bernoulli_poly_exact(n: int, x: Fraction) -> Fraction:
@@ -778,7 +777,8 @@ def _li_euler_tail(s: np.ndarray, n: np.ndarray, a: float, lam: float, tol: floa
 def _li_rational(s: np.ndarray, r: int, q: int, cfg: EvalSettings, lam: float = 0.0) -> np.ndarray:
     """Exact finite form Li_s(e^{2 pi i r/q}) + lam Li_s(e^{-2 pi i r/q}) =
     q^{-s} sum_n (e^{2 pi i rn/q} + lam e^{-2 pi i rn/q}) zeta(s, n/q) at an array
-    of points, certified as one weighted sum."""
+    of points, certified as one weighted sum.  The weights sum to zero for q > 1, so the sum is
+    entire and s = 1 is a regular point of its pass."""
     bases = tuple((n + 1) / q for n in range(q))
     phases = (cmath.exp(2j * math.pi * ((r * (n + 1)) % q) / q) for n in range(q))
     weights = tuple(z + lam * z.conjugate() for z in phases)
@@ -832,15 +832,15 @@ def _periodic(pts: np.ndarray, alpha: Alpha, cfg: EvalSettings, lam: float = 0.0
     """Li_s(e^{2 pi i a}) + lam Li_s(e^{-2 pi i a}) at a 1-D array of points, one call per route,
     each taking lam: for Re s <= SERIES_SIGMA_THRESHOLD the functional equation through
     zeta(1-s, a) and zeta(1-s, 1-a) (s = 0 included); above it, for exact a = r/q, the weighted
-    Hurwitz sum over zeta(s, n/q) where its pass over q bases fits (_em_fits; it settles in
-    _zeta_sum); otherwise the series.  One _settle call checks the other two routes' bounds."""
+    Hurwitz sum over zeta(s, n/q), entire and so taken through s = 1, where its pass over q bases
+    fits (_em_fits; it settles in _zeta_sum); otherwise the series.  One _settle call checks the
+    other two routes' bounds."""
     av = alpha.value
     values, rems = np.empty(pts.shape, dtype=complex), np.zeros(pts.shape)
     fe = pts.real <= SERIES_SIGMA_THRESHOLD
     rational = np.zeros(pts.shape, dtype=bool)
     if alpha.exact is not None:
-        fits = np.array([_em_fits(x, alpha.exact[1]) for x in pts.tolist()], dtype=bool)
-        rational = ~fe & fits & (np.abs(pts - 1.0) > 5e-3)
+        rational = ~fe & np.array([_em_fits(x, alpha.exact[1]) for x in pts.tolist()], dtype=bool)
     if rational.any():
         values[rational] = _li_rational(pts[rational], *alpha.exact, cfg, lam)
         if rational.all():

@@ -27,7 +27,7 @@ from .core import (
     require_finite,
 )
 from .families import eval_family, special_values
-from .special import bernoulli_poly, bernoulli_poly_exact, gamma
+from .special import bernoulli_poly_exact, gamma
 
 SIMPLE = "simple-sign-change"
 EVEN_TOUCH = "even-touch"
@@ -408,8 +408,10 @@ def beta_zero(fam: Family, a: AlphaLike) -> BetaCurvePoint:
 def interval_zero_criterion(a: AlphaLike, n: int) -> bool:
     """Does zeta(sigma, a) have a real zero in the open interval (-n-1, -n)?
 
-    Decided by the sign product B_{n+1}(a) B_{n+2}(a) < 0 (exact rational
-    arithmetic when a is exact).  The criterion covers n >= -1: the endpoint
+    Decided by the sign product B_{n+1}(a) B_{n+2}(a) < 0 in exact rational
+    arithmetic, at r/q for an exact a and at the float's own binary value
+    otherwise, so a zero of B_n at a = 1/4, 1/2 or 3/4 is exactly zero
+    whichever way a is given.  The criterion covers n >= -1: the endpoint
     values are zeta(-m, a) = -B_{m+1}(a)/(m+1), with n = -1 giving (0, 1)
     where B_0 = 1 stands in for the sign of the pole limit at 1-.  For
     n <= -2 the interval lies in sigma > 1 where the series is positive, so
@@ -420,11 +422,8 @@ def interval_zero_criterion(a: AlphaLike, n: int) -> bool:
         return False
     if n + 2 > 60:
         raise UnsupportedError("Bernoulli table covers indices up to 60")
-    if alpha.exact is not None:
-        x = Fraction(*alpha.exact)
-        prod_sign = bernoulli_poly_exact(n + 1, x) * bernoulli_poly_exact(n + 2, x)
-        return prod_sign < 0
-    return bernoulli_poly(n + 1, alpha.value) * bernoulli_poly(n + 2, alpha.value) < 0.0
+    x = Fraction(*alpha.exact) if alpha.exact else Fraction(alpha.value)
+    return bernoulli_poly_exact(n + 1, x) * bernoulli_poly_exact(n + 2, x) < 0
 
 
 # ---------------------------------------------------------------------------

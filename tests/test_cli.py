@@ -307,7 +307,8 @@ def test_beta_json_schema():
 
 def test_schema_rows_are_the_cli_columns():
     # schema.json is the second copy of _COLUMNS: its commands, and each command's row
-    # object with exactly that command's columns, in order
+    # object with exactly that command's columns, in order; every column always holds a
+    # value, so none admits null
     schema = load_schema()["properties"]
     assert schema["command"]["enum"] == list(_COLUMNS)
     rows = schema["rows"]["items"]["oneOf"]
@@ -315,6 +316,10 @@ def test_schema_rows_are_the_cli_columns():
     for row in rows:
         assert list(row["properties"]) == row["required"]
         assert row["additionalProperties"] is False
+        for column in row["properties"].values():
+            kinds = column.get("type", [])
+            assert "null" not in (kinds if isinstance(kinds, list) else [kinds])
+            assert None not in column.get("enum", [])
 
 
 def test_count_command():

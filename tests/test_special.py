@@ -66,6 +66,17 @@ def test_bernoulli_poly_spec_examples():
     assert bernoulli_poly(2, 0.25) == pytest.approx(-1.0 / 48.0, abs=1e-15)
 
 
+def test_bernoulli_poly_is_the_exact_value_rounded_once():
+    # a float Horner loop lost 1.2e-4 relative at n = 40 and all digits by n = 50
+    xs = [0.25, 0.5, 0.75, 0.1, 1.0 / 3.0] + np.random.default_rng(29).uniform(-1.0, 2.0, 5).tolist()
+    for x in xs:
+        for n in range(61):
+            assert bernoulli_poly(n, x) == float(bernoulli_poly_exact(n, Fraction(x))), (n, x)
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            bernoulli_poly(3, x)
+
+
 def test_bernoulli_poly_exact_signs():
     assert bernoulli_poly_exact(2, Fraction(1, 4)) == Fraction(-1, 48)
     assert bernoulli_poly_exact(1, Fraction(1, 2)) == 0
@@ -571,19 +582,39 @@ def test_periodic_series_vs_functional_equation():
 
 
 def test_periodic_settles_its_routes_in_one_call(monkeypatch):
-    # a = 2/7: a functional-equation point, a rational one and a series one
-    # (s = 1.001 is inside the rational route's exclusion around s = 1)
-    alpha = Alpha.parse("2/7")
-    pts = np.array([0.3 + 2.0j, 1.5 + 2.0j, 1.001 + 0.0j])
+    # a = 499/1000: a functional-equation point, a rational one and a series one, each route
+    # called once (at 1.5+2200i the rational pass over 1000 bases does not fit, _em_fits)
+    alpha = Alpha.parse("499/1000")
+    pts = np.array([0.3 + 2.0j, 1.5 + 2.0j, 1.5 + 2200.0j])
+    calls = []
+    for name in ("_li_rational", "_li_series", "_li_functional_equation"):
+        route = getattr(special, name)
+        monkeypatch.setattr(special, name, lambda *args, _route=route, _name=name: calls.append(_name) or _route(*args))
     with warnings.catch_warnings():
         warnings.simplefilter("error", AccuracyWarning)
         block = special._periodic(pts, alpha, DEFAULT_SETTINGS)
+        assert sorted(calls) == ["_li_functional_equation", "_li_rational", "_li_series"]
         for i in range(pts.size):
             assert np.array_equal(block[i:i + 1], special._periodic(pts[i:i + 1], alpha, DEFAULT_SETTINGS))
     flagged = []
     monkeypatch.setattr(special, "_warn_accuracy", lambda rem, tol, s: flagged.append(s))
     special._periodic(pts, alpha, EvalSettings(target_abs_tol=1e-17))
     assert sorted(flagged, key=abs) == sorted(pts.tolist(), key=abs)  # once per point, at its own s
+
+
+def test_periodic_rational_route_runs_through_s_equal_one(monkeypatch):
+    # the weighted Hurwitz sum at a = r/q is entire: within 5e-3 of s = 1, and at s = 1 itself,
+    # every point takes the rational route, in one call, certified, and agrees with the series
+    pts = np.array([1.0, 1.001, 0.999, 1.005, 0.995, 1.0 + 0.003j, 1.004 - 0.002j, 0.9975 + 0.004j])
+    series, _ = special._li_series(pts, 2.0 / 7.0, DEFAULT_SETTINGS)
+    calls = []
+    route = special._li_rational
+    monkeypatch.setattr(special, "_li_rational", lambda *args: calls.append(args[0]) or route(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = special._periodic(pts, Alpha.parse("2/7"), DEFAULT_SETTINGS)
+    assert len(calls) == 1 and np.array_equal(calls[0], pts)
+    assert np.abs(values - series).max() <= 1e-13
 
 
 def test_periodic_rational_path_matches_series():

@@ -6,6 +6,7 @@ tests/oracles/make_reference.py (mpmath, 50-digit bisection).
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,11 +18,15 @@ from zetazeros import (
     DomainError,
     Family,
     PoleError,
+    UnsupportedError,
     beta_zero,
     asymptotic_prediction,
+    bernoulli_poly_exact,
     count_zeros_rectangle,
     eval_family,
     interval_zero_criterion,
+    monotone_kernel,
+    partial_a,
     scan_real_zeros,
     special_values,
 )
@@ -437,6 +442,20 @@ def test_interval_criterion_known_cases():
     assert scan_real_zeros(Family.HURWITZ, 0.3, 1.001, 1.999, 0.02) == []
 
 
+def test_interval_criterion_is_exact_for_float_a():
+    # a float a is an exact binary rational, and the criterion is decided at that rational: at
+    # a = 1/4, 1/2 and 3/4 a Bernoulli polynomial that vanishes there must read exactly zero
+    # (B_5(1/2) summed in floats is 1.4e-17, which made (-5, -4) at a = 0.5 look like it held a zero)
+    rng = np.random.default_rng(29)
+    for a in [0.25, 0.5, 0.75] + rng.uniform(0.0, 1.0, 8).tolist():
+        x = Fraction(a)
+        for n in range(-1, 59):
+            want = bernoulli_poly_exact(n + 1, x) * bernoulli_poly_exact(n + 2, x) < 0
+            assert interval_zero_criterion(a, n) == want, (a, n)
+    assert interval_zero_criterion(0.5, 4) is False
+    assert scan_real_zeros(Family.HURWITZ, 0.5, -5.0 + 1e-6, -4.0 - 1e-6, 0.02) == []
+
+
 def test_interval_criterion_agrees_with_scanner():
     # the substantive exercise: intervals (-n-1, -n) on the nonpositive axis
     eps = 1e-6
@@ -547,6 +566,33 @@ def test_rectangle_near_pole_rejected():
     (lambda: count_zeros_rectangle(Family.Y, 0.3, (-1 + 0j, 0.5 + 2j)), BoundaryError),
 ], ids=("scan-ends-on-the-pole", "count-corner-on-a-zero"))
 def test_zero_layer_refusals_raise_typed_errors(make, error):
+    with pytest.raises(error):
+        make()
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: count_zeros_rectangle(Family.Z, 0.3, (1 + 1j, 1 + 2j)), DomainError),
+    # Y(s, 1/2) vanishes identically
+    (lambda: count_zeros_rectangle(Family.Y, "1/2", (-1 + 1j, 1 + 2j)), BoundaryError),
+    # min |f| on this boundary is 7.9e-7, below the 1e-6 the count refuses
+    (lambda: count_zeros_rectangle(Family.Z, "1/4", (-16.05 - 0.05j, 0.9 + 0.05j)), BoundaryError),
+    (lambda: scan_real_zeros(Family.Z, 0.3, -1.0, 0.0, 0.0), DomainError),
+    (lambda: monotone_kernel(1.0, 0.3), DomainError),
+    (lambda: monotone_kernel(0.0, 0.2), DomainError),
+    (lambda: asymptotic_prediction(Family.Y, 0.1), DomainError),
+    (lambda: asymptotic_prediction(Family.Z, 0.3), DomainError),
+    (lambda: partial_a(Family.Y, 2.0, 0.3), DomainError),
+    (lambda: partial_a(Family.HURWITZ, 0.0, 0.3), PoleError),
+    (lambda: special_values("1"), DomainError),
+    (lambda: eval_family(Family.L_CHI, 2.0, 0.3), DomainError),
+    (lambda: interval_zero_criterion(0.3, 59), UnsupportedError),
+], ids=(
+    "count-degenerate-rectangle", "count-zero-on-the-boundary", "count-boundary-below-the-floor",
+    "scan-step-zero", "kernel-a-above-a-quarter", "kernel-sigma-zero", "prediction-family-y",
+    "prediction-a-above-a-quarter", "partial-a-family-y", "partial-a-hurwitz-pole", "special-values-a-one",
+    "eval-l-without-a-character", "criterion-past-the-table",
+))
+def test_refused_inputs_raise_their_typed_errors(make, error):
     with pytest.raises(error):
         make()
 
