@@ -94,10 +94,19 @@ def _emit(command: str, rows: List[tuple], fmt: str, out: io.TextIOBase) -> None
     writer.writerows(rows)
 
 
+def _shift(args: argparse.Namespace, fam: Family) -> Alpha:
+    """--a, which every family but riemann needs; riemann takes a = 1 without it."""
+    if args.a is not None:
+        return Alpha.parse(args.a)
+    if fam is Family.RIEMANN:
+        return Alpha(1.0)
+    raise DomainError("--a is required for this family")
+
+
 def _cmd_eval(args: argparse.Namespace, out: io.TextIOBase) -> int:
     cfg = _settings_from(args)
     fam = parse_family(args.family)
-    alpha = Alpha.parse(args.a) if args.a is not None else None
+    alpha = None if fam is Family.L_CHI else _shift(args, fam)  # L takes a character instead
     sigmas = _parse_grid(args.sigma)
     ts = _parse_grid(args.t)
     chi = None
@@ -108,8 +117,6 @@ def _cmd_eval(args: argparse.Namespace, out: io.TextIOBase) -> int:
         if not 0 <= args.char_index < len(chars):
             raise DomainError(f"char index out of range (phi(q) = {len(chars)})")
         chi = chars[args.char_index]
-    elif fam is not Family.RIEMANN and alpha is None:
-        raise DomainError("--a is required for this family")
     if len(sigmas) * len(ts) > MAX_GRID_POINTS:
         raise DomainError(f"the sigma x t grid has more than {MAX_GRID_POINTS} points")
     points = [complex(sigma, t) for sigma in sigmas for t in ts]
@@ -117,7 +124,7 @@ def _cmd_eval(args: argparse.Namespace, out: io.TextIOBase) -> int:
     if chi is not None:
         values = l_function(chi, grid, cfg).tolist()
     else:
-        values = eval_family(fam, grid, 1.0 if fam is Family.RIEMANN else alpha, cfg).tolist()
+        values = eval_family(fam, grid, alpha, cfg).tolist()
     rows = [(s.real, s.imag, v.real, v.imag) for s, v in zip(points, values)]
     _emit("eval", rows, args.format, out)
     return EXIT_OK
@@ -125,7 +132,7 @@ def _cmd_eval(args: argparse.Namespace, out: io.TextIOBase) -> int:
 
 def _cmd_scan(args: argparse.Namespace, out: io.TextIOBase) -> int:
     fam = parse_family(args.family)
-    alpha = Alpha.parse(args.a)
+    alpha = _shift(args, fam)
     records = scan_real_zeros(fam, alpha, args.lo, args.hi, args.step)
     rows = [(fam.name, str(alpha), rec.location, rec.multiplicity_class, rec.residual) for rec in records]
     _emit("scan", rows, args.format, out)
@@ -151,7 +158,7 @@ def _cmd_beta(args: argparse.Namespace, out: io.TextIOBase) -> int:
 
 def _cmd_count(args: argparse.Namespace, out: io.TextIOBase) -> int:
     fam = parse_family(args.family)
-    alpha = Alpha.parse(args.a)
+    alpha = _shift(args, fam)
     result = count_zeros_rectangle(
         fam,
         alpha,

@@ -495,11 +495,21 @@ def count_zeros_rectangle(
     returned once two consecutive passes give the same integer, in at most
     _MAX_PASSES passes.  The principal increments around a closed path sum to
     a multiple of 2 pi, so ``winding_error``, the distance of the winding
-    number from that integer, reports rounding only.  Boundaries closer than 1e-6 in |f| (or
-    rectangles within 0.01 of the Z pole at s = 1) are rejected, and so,
-    before anything is evaluated, are initial samples whose last pass would
-    exceed MAX_GRID_POINTS.  A non-finite value raises DomainError as soon
-    as it is evaluated.  ``samples_used`` is the number of segments of the
+    number from that integer, reports rounding only.
+
+    The first kernel call evaluates the path and the midpoints of all its
+    segments together: pass 1's first round halves every path segment, and
+    pass 0's first round halves some of them.  So a count that settles in
+    passes 0 and 1 with no further halving round makes one call.  A point's
+    bits do not depend on its block, so every result is that of one call per
+    round.  The path's values are checked first, pass 0's min |f| refusal
+    included, and a midpoint's only when a pass reads it.
+
+    Boundaries closer than 1e-6 in |f| (or rectangles within 0.01 of the Z
+    pole at s = 1) are rejected, and so, before anything is evaluated, are
+    initial samples whose last pass would exceed MAX_GRID_POINTS.  A value
+    that is not finite raises DomainError, and a zero BoundaryError, as soon
+    as a pass reads it.  ``samples_used`` is the number of segments of the
     last pass, which is the number of points evaluated: a closed path has as
     many points as segments.  Values are evaluated at the zero layer's fixed
     1e-10 (_SCAN_SETTINGS).
@@ -523,8 +533,7 @@ def count_zeros_rectangle(
             f"{initial_samples} initial samples would sample more than {MAX_GRID_POINTS} boundary points"
         )
 
-    def f(s: np.ndarray) -> np.ndarray:
-        values = eval_family(fam, s, alpha, _SCAN_SETTINGS)
+    def checked(s: np.ndarray, values: np.ndarray) -> np.ndarray:
         finite = np.isfinite(values)
         if not finite.all():
             # a NaN increment never settles, so its segments would halve to _MAX_REFINE_DEPTH
@@ -535,8 +544,21 @@ def count_zeros_rectangle(
 
     edges = _rectangle_edges(c0, c1, samples)
     za = np.array([start + (end - start) * i / n for start, end, n in edges for i in range(n)])
-    fa = f(za)
-    segments = (za, np.roll(za, -1), fa, np.roll(fa, -1), np.zeros(za.size, dtype=int))
+    # the path and the midpoints of its segments, the points of pass 1's first round, in one call
+    zb = np.roll(za, -1)
+    zm = 0.5 * (za + zb)
+    values = eval_family(fam, np.concatenate((za, zm)), alpha, _SCAN_SETTINGS)
+    fa = checked(za, values[:za.size])
+    prefetched = dict(zip(zm.tolist(), values[za.size:].tolist()))
+
+    def f(s: np.ndarray) -> np.ndarray:
+        # a round of midpoints reads them from the first call, and is checked as it reads them
+        keys = s.tolist()
+        if all(z in prefetched for z in keys):
+            return checked(s, np.array([prefetched[z] for z in keys], dtype=complex))
+        return checked(s, eval_family(fam, s, alpha, _SCAN_SETTINGS))
+
+    segments = (za, zb, fa, np.roll(fa, -1), np.zeros(za.size, dtype=int))
     prev_count: Optional[int] = None
     for k in range(_MAX_PASSES):
         winding, segments = _winding_pass(f, segments, k)

@@ -177,6 +177,22 @@ def main():
         x = round(0.25 + 19.75 * ((0.1 + 0.618034 * k) % 1.0), 4)
         print(f"    ({x!r}, {mp.nstr(mp.gamma(mp.mpf(x)), 25)!r}),")
 
+    print("# COMPLEX_ZEROS in tests/test_paper_results.py: the zeros of Z, Y and O at a = 2/5 right of Re s = 1")
+    print("# up to height 101, findroot at 30 digits from starting points that counts on small tiles located")
+    starts = {
+        "Z": ("1.0513+7.5471j", "1.0382+22.3711j", "1.0300+52.824j", "1.0182+68.780j"),
+        "Y": ("1.1833+77.506j",),
+        "O": ("1.5163+8.9207j", "1.2584+19.1315j", "1.3834+26.3095j", "1.0709+36.2855j", "1.4928+54.5339j",
+              "1.2115+64.5690j", "1.3209+71.8194j", "1.1803+82.0710j", "1.1021+89.6612j", "1.5397+99.8602j"),
+    }
+    with mp.workdps(30):
+        for name, points in starts.items():
+            print(f"    Family.{name}: [")
+            for z in points:
+                root = mp.findroot(lambda s: family(name, s, mp.mpf(2) / 5), mp.mpc(complex(z)))
+                print(f"        complex({mp.nstr(root.real, 17)}, {mp.nstr(root.imag, 17)}),")
+            print("    ],")
+
     print("# frozen values where reflection wins on relative bound")
     print(f"zeta(-120+3j, 0.3) = {mp.nstr(mp.zeta(mp.mpc(-120, 3), mp.mpf('0.3')), 17)}")
     print(f"zeta(-200, 0.3) = {mp.nstr(mp.zeta(-200, mp.mpf('0.3')), 17)}")

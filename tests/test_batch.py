@@ -424,9 +424,46 @@ def test_default_start_counts_as_512_samples_do(fam, a, corners):
     assert rc.samples_used < 512
 
 
+# Per CENSUS_TILES entry: (count, samples_used, repr(boundary_min_abs),
+# repr(winding_error)) as the count made them with one kernel call per
+# halving round, and the number of eval_family calls it makes now.  The path
+# and the midpoints pass 1 halves at are one call, which the first rounds of
+# passes 0 and 1 both read: a count that pass 0 does not refine makes one
+# call, and Z at 0.1432, whose pass 0 halves some path segments and then
+# some of their halves, makes four (six with a call per round).
+CENSUS_COUNTS = [
+    (1, 132, "0.4007560559593947", "0.0", 1),
+    (1, 132, "0.33100786593849996", "2.220446049250313e-16", 1),
+    (2, 132, "2.2703475371924293", "0.0", 1),
+    (2, 132, "0.8594382726860986", "0.0", 1),
+    (3, 132, "1.5506800937244631", "4.440892098500626e-16", 1),
+    (4, 136, "0.07102841759951872", "0.0", 4),
+    (2, 132, "1.1263889226592294", "0.0", 1),
+    (2, 132, "1.876337947425533", "0.0", 1),
+    (3, 132, "0.7699206106896148", "0.0", 1),
+    (6, 132, "2.603746655379412", "0.0", 1),
+]
+
+
+@pytest.mark.parametrize("tile, frozen", zip(CENSUS_TILES, CENSUS_COUNTS),
+                         ids=[f"{f.value}-{a}" for f, a, _ in CENSUS_TILES])
+def test_census_counts_keep_their_bytes_in_fewer_calls(monkeypatch, tile, frozen):
+    fam, a, corners = tile
+    calls = []
+    evaluate = zeros.eval_family
+
+    def record(*args):
+        calls.append(args[1].size)
+        return evaluate(*args)
+
+    monkeypatch.setattr(zeros, "eval_family", record)
+    rc = count_zeros_rectangle(fam, Alpha.parse(a), corners)
+    assert (rc.count, rc.samples_used, repr(rc.boundary_min_abs), repr(rc.winding_error), len(calls)) == frozen
+
+
 def test_count_takes_one_em_pass_per_shift_on_an_edge(monkeypatch):
-    # every point of [0.5, 1.5] x [30, 35] has the shift 32 or 40, so each
-    # evaluation a count makes is at most two passes, not one per unit of t
+    # every point of [0.5, 1.5] x [30, 35] has the shift 32 or 40, so the one
+    # evaluation this count makes is at most two passes, not one per unit of t
     em_calls, per_evaluation = [], []
     em_once, evaluate = special._em_once, zeros.eval_family
 
@@ -443,5 +480,6 @@ def test_count_takes_one_em_pass_per_shift_on_an_edge(monkeypatch):
     monkeypatch.setattr(special, "_em_once", record_pass)
     monkeypatch.setattr(zeros, "eval_family", record_evaluation)
     count_zeros_rectangle(Family.Z, Alpha(0.31), (0.5 + 30j, 1.5 + 35j))
-    assert len(per_evaluation) >= 2
+    # the path and the midpoints pass 1 reads are one evaluation
+    assert len(per_evaluation) == 1
     assert max(per_evaluation) <= 2, per_evaluation

@@ -332,6 +332,32 @@ def test_count_command():
     assert int(row.split(",")[6]) == 11
 
 
+def test_count_takes_a_equal_to_one_for_riemann():
+    # the zeros of zeta at 1/2 + 14.13i, 21.02i and 25.01i
+    code, out, err = run_cli("count", "--family", "riemann", "--re-from", "0.2", "--re-to", "0.8",
+                             "--im-from", "10", "--im-to", "30")
+    assert (code, err) == (EXIT_OK, "")
+    (row,) = list(csv.reader(io.StringIO(out)))[1:]
+    assert row[:7] == ["RIEMANN", "1.0", "0.2", "10.0", "0.8", "30.0", "3"]
+
+
+def test_scan_takes_a_equal_to_one_for_riemann():
+    code, out, err = run_cli("scan", "--family", "riemann", "--from", "-5", "--to", "-1")
+    assert (code, err) == (EXIT_OK, "")
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [(fam, a, round(float(loc), 9), kind) for fam, a, loc, kind, _ in rows] == [
+        ("RIEMANN", "1.0", -4.0, SIMPLE), ("RIEMANN", "1.0", -2.0, SIMPLE)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--family", "Z", "--re-from", "0.2", "--re-to", "0.8", "--im-from", "10", "--im-to", "30"),
+    ("scan", "--family", "Z", "--from", "-5", "--to", "-1"),
+], ids=("count", "scan"))
+def test_zero_layer_commands_need_a_for_the_composed_families(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, out, err) == (EXIT_USAGE, "", "error: --a is required for this family\n")
+
+
 def test_count_json_schema():
     schema = load_schema()
     code, out, _ = run_cli(

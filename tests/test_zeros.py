@@ -5,6 +5,7 @@ tests/oracles/make_reference.py (mpmath, 50-digit bisection).
 """
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -553,6 +554,30 @@ def test_rectangle_count_stops_at_its_first_value_that_is_not_finite(monkeypatch
         with pytest.raises(DomainError, match="not finite"):
             count_zeros_rectangle(Family.Z, 0.3, corners)
     assert len(calls) == 1
+
+
+# A synthetic family f(s) = s on the square (-1-1j, 1+1j), its value scaled
+# by a factor at a few points: path points lie at multiples of 1/8 on the
+# edges, midpoints of the first path at odd multiples of 1/16.  The first
+# path's checks come first, pass 0's min |f| refusal included; a midpoint is
+# checked when a pass reads it, and the first one not finite in the pass's
+# order is named.
+@pytest.mark.parametrize("factors, error, match", [
+    ({-1 - 1j: 1e-7 / math.sqrt(2.0), -0.9375 - 1j: math.nan}, BoundaryError, r"min \|f\| on the boundary is 1e-07"),
+    ({-0.9375 - 1j: math.nan}, DomainError, re.escape("not finite at s = (-0.9375-1j)")),
+    ({0.0625 + 1j: 0.0}, BoundaryError, "zero on the rectangle boundary"),
+    ({-1 + 0.0625j: math.nan, 1 + 0.0625j: math.nan}, DomainError, re.escape("not finite at s = (1+0.0625j)")),
+], ids=("small-path-value-before-nan-midpoint", "nan-midpoint", "zero-midpoint", "first-of-two-nan-midpoints"))
+def test_count_errors_keep_their_precedence(monkeypatch, factors, error, match):
+    def synthetic(fam, s, *args):
+        values = np.array(s, dtype=complex)
+        for z, factor in factors.items():
+            values[s == z] *= factor
+        return values
+
+    monkeypatch.setattr(zeros, "eval_family", synthetic)
+    with pytest.raises(error, match=match):
+        count_zeros_rectangle(Family.P, 0.3, (-1 - 1j, 1 + 1j))
 
 
 def test_rectangle_near_pole_rejected():
