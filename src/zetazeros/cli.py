@@ -121,11 +121,11 @@ def _cmd_eval(args: argparse.Namespace, out: io.TextIOBase) -> int:
         raise DomainError(f"the sigma x t grid has more than {MAX_GRID_POINTS} points")
     points = [complex(sigma, t) for sigma in sigmas for t in ts]
     grid = np.array(points)  # the whole grid in one call
-    if chi is not None:
-        values = l_function(chi, grid, cfg).tolist()
-    else:
-        values = eval_family(fam, grid, alpha, cfg).tolist()
-    rows = [(s.real, s.imag, v.real, v.imag) for s, v in zip(points, values)]
+    values = l_function(chi, grid, cfg) if chi is not None else eval_family(fam, grid, alpha, cfg)
+    finite = np.isfinite(values)
+    if not finite.all():  # refused, as count refuses it, rather than printed as inf or nan
+        raise DomainError(f"{fam.value}(s, {alpha or 'chi'}) is not finite at s = {grid[~finite][0]}")
+    rows = [(s.real, s.imag, v.real, v.imag) for s, v in zip(points, values.tolist())]
     _emit("eval", rows, args.format, out)
     return EXIT_OK
 
@@ -177,9 +177,6 @@ def _cmd_count(args: argparse.Namespace, out: io.TextIOBase) -> int:
 # ---------------------------------------------------------------------------
 # verify suites
 
-_COMPOSED = (Family.Z, Family.P, Family.Y, Family.O, Family.X)
-
-
 def _draw_points(rng: np.random.Generator, sigma, t) -> np.ndarray:
     """20 points drawn uniformly from the sigma x t box, less those within 0.05 of s = 1."""
     points = [complex(rng.uniform(*sigma), rng.uniform(*t)) for _ in range(20)]
@@ -189,7 +186,7 @@ def _draw_points(rng: np.random.Generator, sigma, t) -> np.ndarray:
 def _verify_functional_equations(alpha: Alpha, fam: Optional[Family], cfg: EvalSettings, rng: np.random.Generator):
     # a family with no functional equation pair (hurwitz, periodic, riemann, L) is skipped, as in closed-forms
     tol = 1e-8
-    for f in [fam] if fam else _COMPOSED:
+    for f in [fam] if fam else [g for g in Family if g.is_composed]:
         if not f.is_composed:
             continue
         lhs, rhs = functional_equation_pair(f, _draw_points(rng, (0.05, 10.0), (-30.0, 30.0)), alpha, cfg)
@@ -200,7 +197,7 @@ def _verify_functional_equations(alpha: Alpha, fam: Optional[Family], cfg: EvalS
 def _verify_closed_forms(alpha: Alpha, fam: Optional[Family], cfg: EvalSettings, rng: np.random.Generator):
     # a family with no closed form at alpha is skipped; its table says so before any evaluation
     tol = 1e-8
-    for f in [fam] if fam else _COMPOSED:
+    for f in [fam] if fam else [g for g in Family if g.is_composed]:
         if not _closed_form_covers(f, alpha):
             continue
         direct, closed = closed_form_identity(f, alpha, _draw_points(rng, (0.1, 6.0), (-20.0, 20.0)), cfg)

@@ -1,33 +1,33 @@
 """The composed families Z, P, Y, O, X, their functional equations, exact
 special values and the a-derivative identities.
 
-Evaluation routes (0 < a <= 1/2 throughout):
+eval_family dispatches every family it evaluates through one table,
+_EVALUATORS, which maps the family to its kernel call on a 1-D array of
+points (0 < a <= 1/2 for the composed families; Y, O and X are 0 at a = 1/2):
 
-  Z(s,a) = zeta(s,a) + zeta(s,1-a)               simple pole at s = 1
-  Y(s,a) = zeta(s,a) - zeta(s,1-a)               entire; Z and Y each take one
-           paired Euler-Maclaurin pass, certified on the sum; below Re s = 0
-           special._hurwitz_reflect pairs the bases a and 1-a into one series
-           at 1-s times the cosine or sine factor, c- + c+ or c- - c+
-  P(s,a) = Li_s(e^{2pi i a}) + Li_s(e^{2pi i(1-a)})   entire
-  O(s,a) = -i (Li_s(e^{2pi i a}) - Li_s(e^{2pi i(1-a)}))  entire
-  X(s,a) = Y(s,a) + O(s,a)
+  Z(s,a) = zeta(s,a) + zeta(s,1-a)         _zeta_sum, weights (1, 1); pole at s = 1
+  Y(s,a) = zeta(s,a) - zeta(s,1-a)         _zeta_sum, weights (1, -1); entire
+  P(s,a) = Li_s(e^{2pi i a}) + Li_s(e^{-2pi i a})        _periodic, lam = 1
+  O(s,a) = -i (Li_s(e^{2pi i a}) - Li_s(e^{-2pi i a}))   -i _periodic, lam = -1
+  X(s,a) = Y(s,a) + O(s,a)                 the Y row plus the O row
+  hurwitz, periodic, riemann               hurwitz_zeta, periodic_zeta, riemann_zeta
 
-P and O are Li_s(e^{2pi i a}) + lam Li_s(e^{-2pi i a}) with lam = 1 and -1
-(times -i), and the periodic zeta is lam = 0: all three take the routes of
-special._periodic, one call per route, each formed with lam (never as two
-periodic zetas): for Re s <= special.SERIES_SIGMA_THRESHOLD one Euler-Maclaurin
-pass over zeta(1-s, a) and zeta(1-s, 1-a) with point weights, finite through
-s = 0; above it, one weighted Hurwitz sum for exact a = r/q, or one Dirichlet
-series with phases e^{2pi i an} + lam e^{-2pi i an}.
+Z and Y each take one paired Euler-Maclaurin pass, certified on the sum;
+below Re s = 0 special._hurwitz_reflect pairs the bases a and 1-a into one
+series at 1-s times the cosine or sine factor, c- + c+ or c- - c+.  P, O and
+the periodic zeta (lam = 0) take the routes of special._periodic, one call
+per route, each formed with lam (never as two periodic zetas): for
+Re s <= special.SERIES_SIGMA_THRESHOLD one Euler-Maclaurin pass over
+zeta(1-s, a) and zeta(1-s, 1-a) with point weights, finite through s = 0;
+above it, one weighted Hurwitz sum for exact a = r/q, or one Dirichlet series
+with phases e^{2pi i an} + lam e^{-2pi i an}.
 
 Every route returns its values and their bounds and never warns.  The
-certification is in two places: special._zeta_sum (Z, Y, the rational sums
-and L) takes the reflection at its uncertified points left of Re s = 0 and
-then warns, and special._periodic (P, O and the periodic zeta) warns once for
-its functional-equation and series points.
-
-The evaluators work on arrays of points: each route gets the points that
-need it in one kernel call, and the factors of the functional equations
+certification is in two places: special._zeta_sum (Z, Y, the Hurwitz and
+Riemann zetas, the rational sums and L) takes the reflection at its
+uncertified points left of Re s = 0 and then warns, and special._periodic
+(P, O and the periodic zeta) warns once for its functional-equation and
+series points.  The factors of the functional equations
 (special._fe_factors, formed in log space) are taken point by point.
 """
 
@@ -56,7 +56,6 @@ from .special import (
     _periodic,
     _zeta_sum,
     gamma,  # noqa: F401  (unused here; perfbench's tracer test patches families.gamma)
-    hurwitz_pair_diff,
     hurwitz_zeta,
     periodic_zeta,
     riemann_zeta,
@@ -81,40 +80,27 @@ def _check_composed_alpha(a: Alpha) -> Alpha:
     return a
 
 
-# Each evaluator takes a 1-D complex array of points and returns their values.
-
-def z_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
-    if (s == 1.0).any():
+def _zeta_pair(s: np.ndarray, a: Alpha, cfg: EvalSettings, sign: float) -> np.ndarray:
+    """zeta(s, a) + sign zeta(s, 1-a): Z for sign = 1, Y for sign = -1, one paired pass."""
+    if sign > 0.0 and (s == 1.0).any():
         raise PoleError(
             "Z(s, a) has a simple pole at s = 1 (limit +inf from the right, -inf from the left)",
             1.0 + 0.0j,
             limits=(-math.inf, math.inf),
         )
-    return _zeta_sum(s, (a.value, 1.0 - a.value), (1.0, 1.0), cfg)
+    return _zeta_sum(s, (a.value, 1.0 - a.value), (1.0, sign), cfg)
 
 
-def y_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
-    return hurwitz_pair_diff(s, a.value, cfg)
-
-
-def p_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
-    return _periodic(s, a, cfg, 1.0)
-
-
-def o_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
-    return -1j * _periodic(s, a, cfg, -1.0)
-
-
-def x_family(s: np.ndarray, a: Alpha, cfg: EvalSettings = DEFAULT_SETTINGS) -> np.ndarray:
-    return y_family(s, a, cfg) + o_family(s, a, cfg)
-
-
+# every evaluable family -> its kernel call on a 1-D complex array of points
 _EVALUATORS: Dict[Family, Callable[[np.ndarray, Alpha, EvalSettings], np.ndarray]] = {
-    Family.Z: z_family,
-    Family.P: p_family,
-    Family.Y: y_family,
-    Family.O: o_family,
-    Family.X: x_family,
+    Family.Z: lambda s, a, cfg: _zeta_pair(s, a, cfg, 1.0),
+    Family.Y: lambda s, a, cfg: _zeta_pair(s, a, cfg, -1.0),
+    Family.P: lambda s, a, cfg: _periodic(s, a, cfg, 1.0),
+    Family.O: lambda s, a, cfg: -1j * _periodic(s, a, cfg, -1.0),
+    Family.X: lambda s, a, cfg: _EVALUATORS[Family.Y](s, a, cfg) + _EVALUATORS[Family.O](s, a, cfg),
+    Family.HURWITZ: hurwitz_zeta,
+    Family.PERIODIC: periodic_zeta,
+    Family.RIEMANN: lambda s, a, cfg: riemann_zeta(s, cfg),
 }
 
 
@@ -129,20 +115,15 @@ def eval_family(fam: Family, s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTIN
     """
     pts, shape = as_points(s)
     alpha = Alpha.coerce(a)
+    row = _EVALUATORS.get(fam)
+    if row is None:
+        raise DomainError(f"eval_family cannot evaluate {fam}; L-functions require a character")
     if fam.is_composed:
         _check_composed_alpha(alpha)
-        # Y, O and X flip sign under a -> 1 - a, so at a = 1/2 they vanish identically
-        odd_at_half = fam.odd_symmetric and alpha.value == 0.5
-        values = np.zeros(pts.shape, dtype=complex) if odd_at_half else _EVALUATORS[fam](pts, alpha, cfg)
-    elif fam is Family.HURWITZ:
-        values = hurwitz_zeta(pts, alpha, cfg)
-    elif fam is Family.PERIODIC:
-        values = periodic_zeta(pts, alpha, cfg)
-    elif fam is Family.RIEMANN:
-        values = riemann_zeta(pts, cfg)
-    else:
-        raise DomainError(f"eval_family cannot evaluate {fam}; L-functions require a character")
-    return from_points(values, shape)
+    # Y, O and X flip sign under a -> 1 - a, so at a = 1/2 they vanish identically
+    if fam.odd_symmetric and alpha.value == 0.5:
+        return from_points(np.zeros(pts.shape, dtype=complex), shape)
+    return from_points(row(pts, alpha, cfg), shape)
 
 
 # family -> partner for family(1-s) = 2 Gamma(s) (2pi)^{-s} trig(pi s/2) partner(s), where trig is
@@ -178,7 +159,7 @@ def functional_equation_pair(fam: Family, s, a: AlphaLike, cfg: EvalSettings = D
         raise DomainError(f"functional equation pairs cover Z, P, Y, O, X; got {fam}")
     alpha = _check_composed_alpha(Alpha.coerce(a))
     lhs = eval_family(fam, 1.0 - pts, alpha, cfg)
-    c_minus, c_plus = _fe_factor_columns(pts)
+    c_minus, c_plus, _ = _fe_factor_columns(pts)
     factor = 1j * (c_minus - c_plus) if fam.odd_symmetric else c_minus + c_plus
     partner = eval_family(FUNCTIONAL_EQUATION_TABLE[fam], pts, alpha, cfg)
     return from_points(lhs, shape), from_points(factor * partner, shape)

@@ -520,10 +520,12 @@ def hurwitz_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
     return from_points(_zeta_sum(pts, (av,), (1.0,), cfg), shape)
 
 
-def _fe_factor_columns(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """c- and c+ of _fe_factors at each point of w."""
+def _fe_factor_columns(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c- and c+ of _fe_factors at each point of w, and the relative rounding each carries,
+    eps (1 + pi |w|/2): that of its exponent's -+ i pi w/2.  Where cos or sin(pi w/2) vanishes,
+    c- +- c+ is that rounding alone."""
     factors = np.array([_fe_factors(x) for x in w.tolist()]).reshape(-1, 3)
-    return factors[:, 0], factors[:, 2]
+    return factors[:, 0], factors[:, 2], _EPS * (1.0 + 0.5 * math.pi * np.abs(w))
 
 
 def _hurwitz_reflect(s: np.ndarray, bases, weights: np.ndarray, cfg: EvalSettings) -> Tuple[np.ndarray, np.ndarray]:
@@ -535,11 +537,11 @@ def _hurwitz_reflect(s: np.ndarray, bases, weights: np.ndarray, cfg: EvalSetting
     are not exact negatives, and 1 - 11/12 != 1/12 in doubles) joins it as (w_j +- w_k)/2 times
     zeta(s, b_j) +- zeta(s, 1 - b_j): one _pair_diff_reflect call, one series.  Any other base
     takes c- Li_w(e^{2 pi i b}) + c+ Li_w(e^{-2 pi i b}): two series, or one at b = 1/2 and at
-    b = 1, where both are the same (zeta(w) at b = 1).  Its bound adds eps (1 + pi |w|/2)
-    (|c- Li| + |c+ Li|), as the pair kernel does: the rounding of c-+, all that is left where
+    b = 1, where both are the same (zeta(w) at b = 1).  Its bound adds the rounding of c-+ from
+    _fe_factor_columns times |c- Li| + |c+ Li|, as the pair kernel does: all that is left where
     the sum cancels, as at zeta(-2n, 1/2) = 0."""
     w = 1.0 - s
-    c_minus, c_plus = _fe_factor_columns(w)
+    c_minus, c_plus, rounding = _fe_factor_columns(w)
     value, rem = np.zeros(s.shape, dtype=complex), np.zeros(s.shape)
     bases, weights = list(bases), weights.tolist()
     for j, weight in enumerate(weights):
@@ -554,7 +556,7 @@ def _hurwitz_reflect(s: np.ndarray, bases, weights: np.ndarray, cfg: EvalSetting
         for k, sign in [(k, sign) for k in left for sign in (1.0, -1.0)]:
             if abs(b + bases[k] - 1.0) <= 4.0 * _EPS and abs(weights[k] - sign * weight) <= 4.0 * _EPS * abs(weight):
                 left.remove(k)
-                pair, err = _pair_diff_reflect(s, b, sign, c_minus, c_plus, cfg)
+                pair, err = _pair_diff_reflect(s, b, sign, c_minus, c_plus, rounding, cfg)
                 scale = 0.5 * (weight + sign * weights[k])
                 value += scale * pair
                 rem += abs(scale) * err
@@ -563,7 +565,7 @@ def _hurwitz_reflect(s: np.ndarray, bases, weights: np.ndarray, cfg: EvalSetting
             la, ea = _hurwitz_combination(w, (1.0,), (1.0,), cfg) if b == 1.0 else _li_series(w, b, cfg)
             lb, eb = (la, ea) if b in (0.5, 1.0) else _li_series(w, 1.0 - b, cfg)
             am, ap = np.abs(c_minus), np.abs(c_plus)
-            noise = _EPS * (1.0 + 0.5 * math.pi * np.abs(w)) * (am * np.abs(la) + ap * np.abs(lb))
+            noise = rounding * (am * np.abs(la) + ap * np.abs(lb))
             value += weight * (c_minus * la + c_plus * lb)
             rem += abs(weight) * (am * ea + ap * eb + noise)
     return value, rem
@@ -587,18 +589,17 @@ def hurwitz_pair_diff(s, a: float, cfg: EvalSettings = DEFAULT_SETTINGS):
 
 
 def _pair_diff_reflect(
-    s: np.ndarray, a: float, sign: float, c_minus: np.ndarray, c_plus: np.ndarray, cfg: EvalSettings
+    s: np.ndarray, a: float, sign: float, c_minus: np.ndarray, c_plus: np.ndarray, rounding: np.ndarray,
+    cfg: EvalSettings,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """zeta(s,a) + sign zeta(s,1-a), sign = +-1, and its bound at an array of points
     with Re s < 0, through (c- + sign c+) (Li_w(e^{2pi i a}) + sign Li_w(e^{-2pi i a}))
-    with w = 1 - s and the caller's c-+ from _fe_factor_columns(w): one series call
-    with lam = sign; both series converge absolutely and nothing cancels but the factor."""
-    w = 1.0 - s
+    with w = 1 - s and the caller's c-+ and their rounding from _fe_factor_columns(w): one
+    series call with lam = sign; both series converge absolutely and nothing cancels but the
+    factor, whose bound is that rounding times |c-| + |c+|."""
     factor = c_minus + sign * c_plus  # 2 Gamma(w) (2pi)^{-w} cos(pi w/2), or -2i ... sin(pi w/2)
-    li, err = _li_series(w, a, cfg, sign)
-    # c-+ each carry the rounding of their exponent's -+ i pi w/2, about eps pi |w|/2: where
-    # cos or sin(pi w/2) vanishes, that rounding is all that is left of the factor
-    noise = _EPS * (1.0 + 0.5 * math.pi * np.abs(w)) * (np.abs(c_minus) + np.abs(c_plus))
+    li, err = _li_series(1.0 - s, a, cfg, sign)
+    noise = rounding * (np.abs(c_minus) + np.abs(c_plus))
     return factor * li, np.abs(factor) * err + noise * np.abs(li)
 
 
@@ -802,7 +803,8 @@ def _li_functional_equation(
     bound on the weighted sum.  Their pole parts add -sum_j W_j b_j^s / s.  For |s| < 0.25,
     where that sum cancels against 1/s, it is formed as sum_j W_j (1 - b_j^s)/s -
     (1 + lam)(c- + c+)/s, with c- + c+ = 2 g sin(pi s/2) (g = Gamma(w) (2pi)^{-w}): every
-    term is finite at s = 0.  Returns the arrays (value, bound) and never warns.  A point
+    term is finite at s = 0.  Returns the arrays (value, bound) and never warns; the bound
+    charges no rounding of c-+, unlike the reflections' (_fe_factor_columns).  A point
     whose pole terms are beyond the double range raises DomainError (deep left of 0 with
     small a, e.g. Re s = -200 at a = 0.001).
     """

@@ -440,7 +440,7 @@ def _rectangle_edges(c0: complex, c1: complex, samples: int) -> List[Tuple[compl
     x0, x1 = min(c0.real, c1.real), max(c0.real, c1.real)
     y0, y1 = min(c0.imag, c1.imag), max(c0.imag, c1.imag)
     width, height = x1 - x0, y1 - y0
-    per_unit = max(samples, 8) / max(2.0 * (width + height), 1e-12)
+    per_unit = samples / max(2.0 * (width + height), 1e-12)
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1), complex(x0, y0)]
     return [
         (start, end, max(2, int(math.ceil(abs(end - start) * per_unit))))
@@ -525,13 +525,14 @@ def count_zeros_rectangle(
             raise DomainError("rectangle must keep distance >= 0.01 from the pole at s = 1")
 
     samples = max(int(initial_samples), 64)
+    too_many = f"{initial_samples} initial samples would sample more than {MAX_GRID_POINTS} boundary points"
     # the path has at least `samples` segments, so a larger request is refused
     # before its edges are sized (and before a huge int meets float arithmetic)
-    first = samples if samples > MAX_GRID_POINTS else sum(n for *_, n in _rectangle_edges(c0, c1, samples))
-    if (first << (_MAX_PASSES - 1)) + 1 > MAX_GRID_POINTS:
-        raise DomainError(
-            f"{initial_samples} initial samples would sample more than {MAX_GRID_POINTS} boundary points"
-        )
+    if samples > MAX_GRID_POINTS:
+        raise DomainError(too_many)
+    edges = _rectangle_edges(c0, c1, samples)
+    if (sum(n for *_, n in edges) << (_MAX_PASSES - 1)) + 1 > MAX_GRID_POINTS:
+        raise DomainError(too_many)
 
     def checked(s: np.ndarray, values: np.ndarray) -> np.ndarray:
         finite = np.isfinite(values)
@@ -542,7 +543,6 @@ def count_zeros_rectangle(
             raise BoundaryError("zero on the rectangle boundary; reposition the rectangle")
         return values
 
-    edges = _rectangle_edges(c0, c1, samples)
     za = np.array([start + (end - start) * i / n for start, end, n in edges for i in range(n)])
     # the path and the midpoints of its segments, the points of pass 1's first round, in one call
     zb = np.roll(za, -1)

@@ -484,6 +484,20 @@ def test_count_stops_at_a_value_that_is_not_finite():
     assert err.splitlines()[-1].startswith("error: ") and "not finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "hurwitz", "--a", "1e-300", "--sigma", "2"),
+    ("eval", "--family", "Y", "--a", "0.001", "--sigma", "300", "--t", "0:1:1", "--format", "json"),
+], ids=("hurwitz", "Y-json"))
+def test_eval_stops_at_a_value_that_is_not_finite(argv):
+    # hurwitz(2, 1e-300) and Y(300, 0.001) come out inf and nan, with an AccuracyWarning;
+    # eval refuses them as count does, instead of printing them
+    with warnings.catch_warnings(record=True):
+        code, out, err = run_cli(*argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert errors == [err.splitlines()[-1]] and "not finite at s = (" in errors[0]
+
+
 def test_zero_denominator_is_a_usage_error():
     package_root = os.path.dirname(os.path.dirname(zetazeros.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))

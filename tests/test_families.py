@@ -17,10 +17,12 @@ from zetazeros import (
     UnsupportedError,
     eval_family,
     functional_equation_pair,
+    hurwitz_pair_diff,
     hurwitz_zeta,
     monotone_kernel,
     partial_a,
     periodic_zeta,
+    riemann_zeta,
     special_values,
 )
 from zetazeros import special
@@ -50,6 +52,29 @@ def test_p_and_o_series_route_is_the_plain_periodic_sum():
             p, o = eval_family(Family.P, s, a), eval_family(Family.O, s, a)
             assert abs(p - (plus + minus)) <= 1e-14 * max(1.0, abs(p))
             assert abs(o + 1j * (plus - minus)) <= 1e-14 * max(1.0, abs(o))
+
+
+# each row of eval_family's table and the direct call it stands for, at a = 0.3
+DIRECT_CALLS = {
+    Family.Z: lambda s: special._zeta_sum(s, (0.3, 1.0 - 0.3), (1.0, 1.0), DEFAULT_SETTINGS),
+    Family.Y: lambda s: hurwitz_pair_diff(s, 0.3),
+    Family.P: lambda s: special._periodic(s, Alpha(0.3), DEFAULT_SETTINGS, 1.0),
+    Family.O: lambda s: -1j * special._periodic(s, Alpha(0.3), DEFAULT_SETTINGS, -1.0),
+    Family.X: lambda s: hurwitz_pair_diff(s, 0.3) - 1j * special._periodic(s, Alpha(0.3), DEFAULT_SETTINGS, -1.0),
+    Family.HURWITZ: lambda s: hurwitz_zeta(s, 0.3),
+    Family.PERIODIC: lambda s: periodic_zeta(s, 0.3),
+    Family.RIEMANN: lambda s: riemann_zeta(s),
+}
+
+
+@pytest.mark.parametrize("fam", list(DIRECT_CALLS), ids=lambda f: f.value)
+def test_each_family_is_its_direct_call_bit_for_bit(fam):
+    # a block on both sides of Re s = 0 and of the series threshold, away from s = 1; no other
+    # row's direct call gives these bits, so two swapped rows fail here
+    s = np.array([complex(sigma, t) for sigma in (-3.0, 0.3, 1.5) for t in (0.0, 7.0)])
+    value = eval_family(fam, s, 0.3)
+    assert np.array_equal(value, DIRECT_CALLS[fam](s))
+    assert not any(np.array_equal(value, call(s)) for other, call in DIRECT_CALLS.items() if other is not fam)
 
 
 def test_spec_point_values():
