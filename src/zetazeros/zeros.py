@@ -77,6 +77,27 @@ class RectangleCount:
     winding_error: float
 
 
+def _interpolate(points, a: float, b: float, fa: float, fb: float) -> float:
+    """The estimate of a bracket [a, b]'s zero from its latest points,
+    oldest first: inverse quadratic interpolation through the last three,
+    else the secant through the last two, whichever first lies inside (a, b),
+    else regula falsi between the ends.  A denominator that is 0 or a value
+    that overflows fails the inside test, so nothing raises."""
+    (x0, f0), (x1, f1) = points[-1], points[-2]
+    if len(points) > 2:
+        x2, f2 = points[-3]
+        d1, d2 = (f1 - f0) * (f1 - f2), (f2 - f0) * (f2 - f1)
+        if d1 != 0.0 and d2 != 0.0:
+            x = x0 + (x1 - x0) * (f0 * f2 / d1) + (x2 - x0) * (f0 * f1 / d2)
+            if a < x < b:
+                return x
+    if f0 != f1:
+        x = x0 + (x1 - x0) * (f0 / (f0 - f1))
+        if a < x < b:
+            return x
+    return (a * fb - b * fa) / (fb - fa)
+
+
 def _bisect(
     f: Callable[[np.ndarray], np.ndarray], lo, hi, flo, fhi, width: float
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -85,41 +106,49 @@ def _bisect(
     bracket as x -/+ width/4.  Each step evaluates one new point of every
     wider bracket in one call of f; the ends themselves are never evaluated.
 
-    The step is ITP (interpolate, truncate, project: Oliveira & Takahashi,
-    ACM TOMS 47(1), 2020) with kappa1 = 0.2/w0, kappa2 = 2 and n0 = 1: the
-    regula-falsi point, nudged toward the midpoint and projected into the
-    radius that finishes a bracket of width w0 within ceil(log2(w0/width)) + 1
-    steps, one more than bisection.  Each point is then kept width/4 inside
-    its bracket: in floating point the regula-falsi point can land on the
-    computed root step after step, and the clamp, which moves it toward the
-    midpoint, keeps the bound.
+    The estimate is inverse quadratic interpolation through the bracket's
+    three latest points, with the secant and then regula falsi as fallbacks
+    inside the bracket (``_interpolate``; Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4).  The first step, from the ends alone,
+    is regula falsi truncated toward the midpoint by 0.05 w0, ITP's kappa1 =
+    0.05/w0 and kappa2 = 2 (Oliveira & Takahashi, ACM TOMS 47(1), 2020).
+    Every estimate is projected, as in ITP with n0 = 1, into the radius about
+    the midpoint that finishes a bracket of width w0 within
+    ceil(log2(w0/width)) + 1 steps, one more than bisection, and then kept
+    width/4 inside its bracket.  So an estimate within width/4 of an end is
+    placed width/4 from it, which closes the bracket once that end is within
+    width/4 of the zero, and no point lands on an end in floating point.
     """
     # Python floats: beta refines a single bracket, and numpy bookkeeping of
     # the brackets made beta_zero 12-18% slower
     lo, hi, flo, fhi = (np.array(x, dtype=float, ndmin=1).tolist() for x in (lo, hi, flo, fhi))
     live = [k for k in range(len(lo)) if hi[k] - lo[k] > width]
-    # ITP's kappa1 and its radius eps 2^(n_max - j) at step j = 0; 2 eps is the
-    # width less the rounding of a step's points, which would cost an extra step
-    kappa1 = {k: 0.2 / (hi[k] - lo[k]) for k in live}
+    # ITP's radius eps 2^(n_max - j) at step j = 0; 2 eps is the width less
+    # the rounding of a step's points, which would cost an extra step
     radius = {
         k: (width - 4.0 * math.ulp(max(abs(lo[k]), abs(hi[k]))))
         * 2.0 ** math.ceil(math.log2((hi[k] - lo[k]) / width))
         for k in live
     }
+    points = {k: [(lo[k], flo[k]), (hi[k], fhi[k])] for k in live}  # each bracket's last three, oldest first
+    first = True
     while live:
         xs = []
         for k in live:
-            a, b, fa, fb = lo[k], hi[k], flo[k], fhi[k]
+            a, b = lo[k], hi[k]
             mid = 0.5 * (a + b)
-            xf = (a * fb - b * fa) / (fb - fa)
-            sigma = (mid > xf) - (mid < xf)
-            delta = kappa1[k] * (b - a) ** 2
-            xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+            x = _interpolate(points[k], a, b, flo[k], fhi[k])
+            sigma = (mid > x) - (mid < x)
+            if first:
+                delta = 0.05 * (b - a)
+                x = x + sigma * delta if delta <= abs(mid - x) else mid
             r = radius[k] - 0.5 * (b - a)
-            x = xt if abs(xt - mid) <= r else mid - sigma * r
+            x = x if abs(x - mid) <= r else mid - sigma * r
             radius[k] *= 0.5
             xs.append(min(max(x, a + 0.25 * width), b - 0.25 * width))
+        first = False
         for k, x, fx in zip(live, xs, f(np.array(xs)).tolist()):
+            points[k] = points[k][-2:] + [(x, fx)]
             if fx == 0.0:
                 lo[k], hi[k] = x - 0.25 * width, x + 0.25 * width
             elif (fx < 0.0) == (flo[k] < 0.0):
@@ -219,22 +248,29 @@ def scan_real_zeros(
     touches.  At a = 1/2 the periodic zeta Li_s(-1) = -eta(s) is real, and its
     zeros at -2, -4, ... are simple sign changes.  A grid value below
     _GRID_ZERO_TOL is a zero, simple if f changes sign from step/4 to its
-    left to step/4 to its right.  Sign changes are refined (ITP, from the grid
-    values at both ends, or from that probe at an end on a grid zero) to
-    brackets narrower than 1e-10 and reported as simple; local |f| minima
-    with no sign change on either side are refined by Brent's minimiser to
-    1e-8 and reported as even touches if |f| there is below _TOUCH_TOL (this
-    is what catches double zeros).  The three exclude each other, so nothing
-    is merged; two zeros within one grid interval show as one even touch at
-    most.
+    left to step/4 to its right.  Sign changes are refined by ``_bisect``
+    (interpolation inside ITP's projection, from the grid values at both
+    ends, or from that probe at an end on a grid zero; about 5 kernel calls
+    for all of them) to brackets at most 1e-10 wide, and reported as simple
+    at their midpoints; local |f| minima with no sign change on either side
+    are refined by Brent's minimiser to 1e-8 and reported as even touches if
+    |f| there is below _TOUCH_TOL (this is what catches double zeros).  The
+    three exclude each other, so nothing is merged; two zeros within one grid
+    interval show as one even touch at most.
 
     A reported location is within its bracket of a zero of the *computed*
     section, evaluated at the zero layer's fixed 1e-10 (_SCAN_SETTINGS): the
-    true zero can be up to about 1e-10/|f'| away.  Z'(-10, 0.250124) = 4.8e-5,
-    and the scan of Z over [-16.0596, 0.8663] there reports -9.99999999130 for -10.
+    true zero can be up to about 1e-10/|f'| away.  Z'(-12, 0.250124) =
+    -1.1e-4, and the scan of Z over [-16.0596, 0.8663] there reports
+    -12.0000000329 for -12: the computed section is rounding noise, within
+    1.3e-11 of 0, over about 1e-7 there, and which of its sign changes the
+    refinement closes in on depends on its steps.
 
     An interval containing the s = 1 pole (Z, Hurwitz, Riemann) is split
-    around it and a warning is emitted.
+    into [lo, 1 - gap] and [1 + gap, hi], gap = max(step/4, 1e-6), with a
+    warning; only the sides that are not empty are scanned, so an interval
+    inside the gap reports nothing.  An endpoint on the pole raises
+    PoleError.
     """
     if not lo < hi:
         raise DomainError("need lo < hi")
@@ -252,8 +288,9 @@ def scan_real_zeros(
             stacklevel=2,
         )
         gap = max(step / 4.0, 1e-6)
-        below = scan_real_zeros(fam, alpha, lo, 1.0 - gap, step)
-        return below + scan_real_zeros(fam, alpha, 1.0 + gap, hi, step)
+        sides = ((lo, 1.0 - gap), (1.0 + gap, hi))
+        return [rec for side_lo, side_hi in sides if side_lo < side_hi
+                for rec in scan_real_zeros(fam, alpha, side_lo, side_hi, step)]
     if has_pole and (lo == 1.0 or hi == 1.0):
         raise PoleError("scan endpoint sits on the s = 1 pole", 1.0 + 0.0j)
 
@@ -361,9 +398,11 @@ def beta_zero(fam: Family, a: AlphaLike) -> BetaCurvePoint:
     The bracket is (0, 1) for a < 1/6, with the ends' values P(0+, a) = -1 and
     the closed form P(1, a) = -2 log(2 sin pi a) > 0 (``special_values``), and
     for a > 1/6 the first [2^k, 2^(k+1)] from [1, 2] up whose upper end is
-    positive, with P at 1 and 2 taken in one call.  ITP steps (``_bisect``)
-    refine it to 1e-10 from the ends' values.  P is evaluated at the zero
-    layer's fixed 1e-10 (_SCAN_SETTINGS).
+    positive, with P at 1 and 2 taken in one call.  ``_bisect`` refines it to
+    1e-10 from the ends' values, one point a call: inverse quadratic
+    interpolation inside ITP's projection, 5-7 calls at a = 0.01-0.24 where
+    ITP took 8-9.  P is evaluated at the zero layer's fixed 1e-10
+    (_SCAN_SETTINGS).
 
     a = 1/6 exactly returns the boundary values beta_P = 1, beta_Z = 0.
     """
