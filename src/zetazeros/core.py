@@ -175,8 +175,9 @@ def as_points(s) -> Tuple[np.ndarray, Tuple[int, ...]]:
     """A number or an array of numbers as a flat complex array of finite
     points, plus the shape to hand results back in (``()`` for a number)."""
     pts = np.asarray(s, dtype=complex)
-    if not np.isfinite(pts).all():
-        raise DomainError(f"point must be finite, got {s!r}")
+    finite = np.isfinite(pts)
+    if not finite.all():  # the first point that is not finite, not the whole array
+        raise DomainError(f"point must be finite, got {complex(pts[~finite][0])!r}")
     return pts.reshape(-1), pts.shape
 
 

@@ -186,9 +186,10 @@ def _fe_factors(w: complex) -> Tuple[complex, complex, complex]:
 # array of a pass is laid out (points, bases, terms), so that the long axis,
 # the direct terms or the correction orders, is the contiguous one.
 
-_EM_SHIFT = 25  # directly summed terms at Re s >= 0 and |Im s| <= 25; |Im s| rounded up to 8k above
+_EM_SHIFT = 12  # the fewest directly summed terms at Re s >= 0; (|Im s| + 12)/pi rounded up to 4k above
 _EM_K_START = 6  # the stopping rule may end the corrections after order k = 6 (B_12) at the earliest
 _EM_MAX_HALF_ORDER = 29  # B_58 is the last correction, B_60 bounds the remainder
+_EM_FIRST_ORDERS = 18  # a block at Re s >= 0 tries the orders k <= 18 first, and all K only if a point needs more
 _EM_ATTEMPTS = 3  # a point's first pass and up to two more, each with twice the shift of the one before
 _EM_MAX_TERMS = 1 << 23  # a point whose longest pass holds more powers is refused: hundreds of MB
 # terms per block, one point or row at least (an Euler-Maclaurin block's points * powers or corrections a
@@ -236,10 +237,13 @@ def _em_constants(key: Tuple[float, ...], m: int) -> _EMConstants:
 def _em_shift(s: complex) -> int:
     t = abs(s.imag)
     if s.real >= 0.0:
-        # At least |t|, so that the corrections fall fast; a multiple of 8, so
+        # The corrections fall by about (|s| / (2 pi (m + b)))^2 an order
+        # (Johansson, arXiv:1309.2877), so m near (|t| + 12)/pi gains a factor
+        # 4 or more an order; to |t| = 800 that is 1.3 times or more the
+        # smallest m whose first pass certifies 1e-12.  A multiple of 4, so
         # that the points of a count's edge share a few passes, not one per
         # unit of t.  A function of the point alone, as a block needs.
-        return _EM_SHIFT if t <= _EM_SHIFT else 8 * math.ceil(t / 8)
+        return max(_EM_SHIFT, 4 * math.ceil((t + 12.0) / (4.0 * math.pi)))
     # Negative real part: (n+b)^{-s} grows with n, so keep the direct block
     # tiny and lean on higher-order corrections instead.
     # clipped so that the float stays an int; a shift past the clip is refused
@@ -375,29 +379,39 @@ def _em_once(
         value += np.add.reduce(powers[:, :, :m], axis=2)
         value += 0.5 * p
 
-        # Bernoulli corrections for every order k = 1 .. K at once:
-        # term_kj = B_{2k}/(2k)! * s(s+1)...(s+2k-2) * (m+b_j)^{-s-2k+1}, and its
-        # size |poch_k| |p_j| |corr_kj| from real factors, largest over the bases.
-        poch = s[:, None] + _POCH_OFFSETS
-        steps = poch[:, 1:]
-        steps *= steps + 1.0
-        np.multiply.accumulate(poch, axis=1, out=poch)
-        per_base = poch[:, None, :] * (p[:, :, None] * c.corr)  # (points, nb, K)
-        mag = np.maximum.reduce(sizes[:, :, m, None] * c.corr_abs, axis=1)
-        mag *= np.abs(poch) * np.add.reduce(w_abs, axis=1)[:, None]
+        # Bernoulli corrections of orders k = 1 .. K:
+        # term_k = B_{2k}/(2k)! * s(s+1)...(s+2k-2) * sum_j w_j (m+b_j)^{-s-2k+1}, and its
+        # size |poch_k| |p_j| |corr_kj| sum_j |w_j| from real factors, largest over the bases.
+        # At Re s >= 0 the series stops within _EM_FIRST_ORDERS orders for most points, so a
+        # block forms those first and all K only if some point has not stopped by then; at
+        # Re s < 0 the corrections may grow before they fall, and a block forms all K at once.
+        # Every product and sum below runs along the orders from k = 1, so the orders a
+        # stage shares with all K round alike: a point's bits do not depend on its block.
+        scale = np.add.reduce(w_abs, axis=1)[:, None]
+        stages = (_EM_FIRST_ORDERS, _EM_MAX_HALF_ORDER) if (s.real >= 0.0).all() else (_EM_MAX_HALF_ORDER,)
+        for orders in stages:
+            poch = s[:, None] + _POCH_OFFSETS[:orders]
+            steps = poch[:, 1:]
+            steps *= steps + 1.0
+            np.multiply.accumulate(poch, axis=1, out=poch)
+            mag = np.maximum.reduce(sizes[:, :, m, None] * c.corr_abs[:, :orders], axis=1)
+            mag *= np.abs(poch) * scale
+            # A term counts as negligible from order _EM_K_START on, so order 1 is
+            # always used.  A Pochhammer product that hit an exact zero (the expansion
+            # terminated) zeroes every later term: the series ends there with rem = 0.
+            used, stop = _first_stop(mag, _EM_K_START - 1, 1e-3 * tol)
+            if (used < orders - 1).all():
+                break  # each point stopped before the last order formed, as it would with all K
 
-        # A term counts as negligible from order _EM_K_START on, so order 1 is
-        # always used.  A Pochhammer product that hit an exact zero (the expansion
-        # terminated) zeroes every later term: the series ends there with rem = 0.
-        used, stop = _first_stop(mag, _EM_K_START - 1, 1e-3 * tol)
-        sums = np.add.accumulate(per_base, axis=2)
+        # The weighted sum over the bases comes first, (points, nb) by (nb, orders); einsum,
+        # as in _weigh, then the Pochhammer products, out of place.
+        terms = poch * np.einsum("pj,jk->pk", w * p, c.corr[:, :orders])
         rows = np.arange(s.size)
-        value += sums[rows, :, used]
         rem = mag[rows, stop]
         # At Re s < 0 the corrections can grow before they fall and cancel, so
         # every order used counts toward the round-off, not only the first.
         round_rem = (rounding + np.add.accumulate(mag, axis=1)[rows, used]) * _EPS
-    return _weigh(value, w), rem, round_rem
+    return _weigh(value, w) + np.add.accumulate(terms, axis=1)[rows, used], rem, round_rem
 
 
 def _first_stop(mag: np.ndarray, start: int, negligible: float) -> Tuple[np.ndarray, np.ndarray]:

@@ -115,6 +115,13 @@ def main():
                 v = family(name, s, mp.mpf("0.3"))
                 print(f"    ({name!r}, {sigma}, {t}): complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)}),")
 
+    print("# SIGMA_ZERO in tests/test_far_field.py: a = 0.3 on Re s = 0, the line where an Euler-Maclaurin")
+    print("# pass at Re s >= 0 needs the largest shift for its height")
+    for t in (20, 40, 60, 100, 200, 400, 800):
+        for name in ("hurwitz", "Z"):
+            v = family(name, mp.mpc(0, t), mp.mpf("0.3"))
+            print(f"    ({name!r}, {t}): complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)}),")
+
     print("# L_MAP in tests/test_l_functions.py: characters 1 and last, Hurwitz sums at r/q")
     from zetazeros.dirichlet import characters_mod
 
@@ -156,8 +163,8 @@ def main():
     for sigma in (0.75, 0.8, 0.85, 0.9, 1.0, 1.05, 1.15, 1.2):
         v = family("O", mp.mpf(sigma), mp.mpf(0.05))
         print(f"    {sigma!r}: {mp.nstr(v.real, 17)},")
-    v = family("P", mp.mpc(2, 1), mp.mpf(1e-5))
-    print(f"P(2+1j, 1e-5) = complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)})")
+    v = family("P", mp.mpc(2, 1), mp.mpf(5e-6))
+    print(f"P(2+1j, 5e-6) = complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)})")
 
     print("# LOG_GAMMA in tests/test_special.py: ten points per |t| band, even k right of Re s = 1/2 (Stirling's")
     print("# series), odd k left of it (the reflection), t of both signs; 25 digits of the principal log Gamma")

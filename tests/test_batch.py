@@ -426,22 +426,23 @@ def test_default_start_counts_as_512_samples_do(fam, a, corners):
 
 # Per CENSUS_TILES entry: (count, samples_used, repr(boundary_min_abs),
 # repr(winding_error)) as the count made them with one kernel call per
-# halving round, and the number of eval_family calls it makes now.  The path
+# halving round (the two reprs as Euler-Maclaurin passes of shift about
+# (|t| + 12)/pi round them), and the number of eval_family calls it makes now.  The path
 # and the midpoints pass 1 halves at are one call, which the first rounds of
 # passes 0 and 1 both read: a count that pass 0 does not refine makes one
 # call, and Z at 0.1432, whose pass 0 halves some path segments and then
 # some of their halves, makes four (six with a call per round).
 CENSUS_COUNTS = [
-    (1, 132, "0.4007560559593947", "0.0", 1),
-    (1, 132, "0.33100786593849996", "2.220446049250313e-16", 1),
-    (2, 132, "2.2703475371924293", "0.0", 1),
+    (1, 132, "0.40075605595939456", "0.0", 1),
+    (1, 132, "0.33100786593849996", "0.0", 1),
+    (2, 132, "2.2703475371924338", "0.0", 1),
     (2, 132, "0.8594382726860986", "0.0", 1),
-    (3, 132, "1.5506800937244631", "4.440892098500626e-16", 1),
-    (4, 136, "0.07102841759951872", "0.0", 4),
-    (2, 132, "1.1263889226592294", "0.0", 1),
-    (2, 132, "1.876337947425533", "0.0", 1),
-    (3, 132, "0.7699206106896148", "0.0", 1),
-    (6, 132, "2.603746655379412", "0.0", 1),
+    (3, 132, "1.5506800937244618", "0.0", 1),
+    (4, 136, "0.07102841759950566", "8.881784197001252e-16", 4),
+    (2, 132, "1.126388922659229", "0.0", 1),
+    (2, 132, "1.8763379474255304", "4.440892098500626e-16", 1),
+    (3, 132, "0.769920610689618", "0.0", 1),
+    (6, 132, "2.6037466553794473", "0.0", 1),
 ]
 
 
@@ -462,7 +463,7 @@ def test_census_counts_keep_their_bytes_in_fewer_calls(monkeypatch, tile, frozen
 
 
 def test_count_takes_one_em_pass_per_shift_on_an_edge(monkeypatch):
-    # every point of [0.5, 1.5] x [30, 35] has the shift 32 or 40, so the one
+    # every point of [0.5, 1.5] x [30, 35] has the shift 16, so the one
     # evaluation this count makes is at most two passes, not one per unit of t
     em_calls, per_evaluation = [], []
     em_once, evaluate = special._em_once, zeros.eval_family
@@ -483,3 +484,59 @@ def test_count_takes_one_em_pass_per_shift_on_an_edge(monkeypatch):
     # the path and the midpoints pass 1 reads are one evaluation
     assert len(per_evaluation) == 1
     assert max(per_evaluation) <= 2, per_evaluation
+
+
+def right_half_points(rng, n):
+    """sigma in [0, 20] and |t| <= 800, most of them low: the far-field workload's range at Re s >= 0."""
+    t = 800.0 * rng.uniform(-1.0, 1.0, n) * rng.uniform(0.0, 1.0, n)
+    return rng.uniform(0.0, 20.0, n) + 1j * t
+
+
+@pytest.mark.parametrize("bases, weights", EM_BASES[1:], ids=lambda x: str(len(x)))
+@pytest.mark.parametrize("tol", (1e-10, 1e-12))
+def test_em_pass_at_re_s_nonnegative_certifies_at_its_first_shift(monkeypatch, bases, weights, tol):
+    # the shift at Re s >= 0 is about (|t| + 12)/pi, 12 at the least, a quarter of
+    # |t| and less higher up, and still certifies every point on its first pass:
+    # no point is passed twice
+    passes = []
+    original = special._em_once
+
+    def recording(s, base_key, w, m, *args):
+        passes.append((s, m))
+        return original(s, base_key, w, m, *args)
+
+    monkeypatch.setattr(special, "_em_once", recording)
+    pts = right_half_points(np.random.default_rng(35), 120)
+    values, rems = special._hurwitz_combination(pts, bases, weights, EvalSettings(target_abs_tol=tol), True)
+    assert special._certified(values, rems, tol).all()
+    seen = np.concatenate([s for s, _ in passes])
+    assert seen.size == pts.size and set(seen.tolist()) == set(pts.tolist())
+    for s, m in passes:
+        assert (m <= np.maximum(12.0, (np.abs(s.imag) + 12.0) / np.pi + 4.0)).all(), (m, s)
+
+
+def test_em_orders_past_the_first_stage_round_as_all_of_them(monkeypatch):
+    # a block at Re s >= 0 forms _EM_FIRST_ORDERS orders, and all K only if a point
+    # needs more; the orders both share round alike, so staged and unstaged passes
+    # give the same bits, alone, in a block and in a reversed block
+    stages = []
+    first_stop = special._first_stop
+    monkeypatch.setattr(special, "_first_stop", lambda mag, *args: stages.append(mag.shape[1]) or first_stop(mag, *args))
+    rng = np.random.default_rng(36)
+    pts = np.concatenate((right_half_points(rng, 40), census_points(rng, 20)))
+    bases, weights = EM_BASES[2]
+    cfg = EvalSettings(target_abs_tol=1e-12)
+
+    def forms():
+        block = special._hurwitz_combination(pts, bases, weights, cfg, True)
+        reverse = special._hurwitz_combination(pts[::-1], bases, weights, cfg, True)
+        alone = [special._hurwitz_combination(pts[i:i + 1], bases, weights, cfg, True) for i in range(pts.size)]
+        return block, [x[::-1] for x in reverse], [np.concatenate(x) for x in zip(*alone)]
+
+    staged = forms()
+    assert {special._EM_FIRST_ORDERS, special._EM_MAX_HALF_ORDER} <= set(stages)
+    monkeypatch.setattr(special, "_EM_FIRST_ORDERS", special._EM_MAX_HALF_ORDER)
+    unstaged = forms()
+    for got in staged + unstaged:
+        for x, y in zip(got, staged[0]):
+            assert np.array_equal(x, y)

@@ -498,6 +498,13 @@ def test_eval_stops_at_a_value_that_is_not_finite(argv):
     assert errors == [err.splitlines()[-1]] and "not finite at s = (" in errors[0]
 
 
+@pytest.mark.parametrize("sigma, t, point", [("2", "nan", "(2+nanj)"), ("1:3:1", "1e309", "(1+infj)")], ids=("nan", "inf"))
+def test_eval_names_the_point_that_is_not_finite(sigma, t, point):
+    # the error names the first point that is not finite, not the repr of the whole grid
+    code, out, err = run_cli("eval", "--family", "Z", "--a", "0.3", f"--sigma={sigma}", f"--t={t}")
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: point must be finite, got {point}\n")
+
+
 def test_zero_denominator_is_a_usage_error():
     package_root = os.path.dirname(os.path.dirname(zetazeros.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))

@@ -1,6 +1,8 @@
 """The far field of the functional-equation routes: |Im s| from 455 to 800,
 where e^{pi |t|/2} and Gamma(1-s) leave the double range on their own and
-only their log-space product (special._fe_factors) stays finite.
+only their log-space product (special._fe_factors) stays finite; and the
+line Re s = 0 up to |Im s| = 800, where an Euler-Maclaurin pass is sized
+closest to its target.
 
 Expected values are mpmath numbers frozen from tests/oracles/make_reference.py
 (50 digits; Li through Hurwitz's formula in zeta(1-s, .), since mp.polylog is
@@ -101,3 +103,31 @@ def test_band_at_sigma_minus_3_1_is_finite(t):
     for fam in FAMILIES.values():
         for a in (0.3, "3/10"):
             assert cmath.isfinite(eval_family(fam, complex(-3.1, t), a))
+
+
+# (family, t): value at s = i t, a = 3/10.  On Re s = 0 an Euler-Maclaurin pass at
+# Re s >= 0 needs its largest shift for its height, about (|t| + 12)/pi
+SIGMA_ZERO = {
+    ('hurwitz', 20): complex(0.062897023686773014, 1.9950426524825719),
+    ('Z', 20): complex(1.7654713421068687, 2.4574944502487304),
+    ('hurwitz', 40): complex(-4.3655082680568505, 0.58190550651929129),
+    ('Z', 40): complex(-3.2121085130174102, -0.55288464433040762),
+    ('hurwitz', 60): complex(0.92042641281027807, -1.8810938993749785),
+    ('Z', 60): complex(-4.1649393912395365, 0.71833826384227873),
+    ('hurwitz', 100): complex(-2.0027373030892537, -5.183255401542101),
+    ('Z', 100): complex(-6.3433857123266975, -0.94682308613787025),
+    ('hurwitz', 200): complex(-6.9345528114212962, -0.82865650750771905),
+    ('Z', 200): complex(-7.9306723665839224, 3.8352243960443124),
+    ('hurwitz', 400): complex(7.1548660411718449, 4.2014934152894585),
+    ('Z', 400): complex(7.765928704717628, 3.2793574925250509),
+    ('hurwitz', 800): complex(12.396093649918016, -0.24142999365496211),
+    ('Z', 800): complex(8.1795061051584986, -0.048985986054592969),
+}
+
+
+@pytest.mark.parametrize("key", list(SIGMA_ZERO), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_sigma_zero_matches_mpmath(key):
+    name, t = key
+    expected = SIGMA_ZERO[key]
+    value = eval_family(FAMILIES[name], complex(0.0, t), 0.3)
+    assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected)), value

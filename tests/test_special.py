@@ -583,9 +583,9 @@ def test_periodic_series_vs_functional_equation():
 
 def test_periodic_settles_its_routes_in_one_call(monkeypatch):
     # a = 499/1000: a functional-equation point, a rational one and a series one, each route
-    # called once (at 1.5+2200i the rational pass over 1000 bases does not fit, _em_fits)
+    # called once (at 1.5+7000i the rational pass over 1000 bases does not fit, _em_fits)
     alpha = Alpha.parse("499/1000")
-    pts = np.array([0.3 + 2.0j, 1.5 + 2.0j, 1.5 + 2200.0j])
+    pts = np.array([0.3 + 2.0j, 1.5 + 2.0j, 1.5 + 7000.0j])
     calls = []
     for name in ("_li_rational", "_li_series", "_li_functional_equation"):
         route = getattr(special, name)
