@@ -36,6 +36,11 @@ EVEN_TOUCH = "even-touch"
 # zero layer: scan grids and brackets, beta brackets and rectangle boundaries.
 # The zero layer takes no settings of its own.
 _SCAN_SETTINGS = EvalSettings(target_abs_tol=1e-10)
+# A scan's grid is read for signs, grid zeros and |f| minima only: it is
+# evaluated at this target, and the values its decisions turn on again at
+# _SCAN_SETTINGS (see scan_real_zeros).
+_GRID_SETTINGS = EvalSettings(target_abs_tol=1e-6)
+_PARTS = {Family.X: (Family.Y, Family.O)}  # a family certified on its parts, not on their sum
 _MAX_PASSES = 8  # winding passes of a rectangle count, each with twice the samples of the one before
 
 _DEFAULT_STEP = 0.05
@@ -234,6 +239,15 @@ def _refine_touch(g: Callable[[np.ndarray], np.ndarray], lo, hi, width: float) -
     return 0.5 * (np.array(a) + np.array(b))
 
 
+def _require_isolated_zeros(fam: Family, alpha: Alpha) -> None:
+    # Y, O and X flip sign under a -> 1 - a, so at a = 1/2 they vanish identically (eval_family's test)
+    if fam.odd_symmetric and alpha.value == 0.5:
+        raise DomainError(
+            f"{fam.value}(s, 1/2) = 0 for every s, since {fam.value}(s, a) = -{fam.value}(s, 1 - a); "
+            "it has no zeros to scan or count"
+        )
+
+
 def scan_real_zeros(
     fam: Family,
     a: AlphaLike,
@@ -258,6 +272,17 @@ def scan_real_zeros(
     three exclude each other, so nothing is merged; two zeros within one grid
     interval show as one even touch at most.
 
+    The grid is read for signs, grid zeros and |f| minima only, so it is
+    evaluated at _GRID_SETTINGS' 1e-6, where a point's value v is certified
+    to e = 1e-6 max(1, |v|) (for X, the sum of that bound over its Y and O
+    parts).  One call at _SCAN_SETTINGS then reads again every grid value a
+    decision turns on: both ends of each sign change, each point with
+    |v| <= 2e + _GRID_ZERO_TOL with its neighbours and its step/4 probes,
+    and both points of each neighbouring pair whose |v| differ by at most
+    2(e_i + e_j).  The margin 2e covers the 1e-10 value's own bound too, so
+    every decision is the one the grid at 1e-10 would make, and every value
+    refined from or reported is a 1e-10 value.
+
     A reported location is within its bracket of a zero of the *computed*
     section, evaluated at the zero layer's fixed 1e-10 (_SCAN_SETTINGS): the
     true zero can be up to about 1e-10/|f'| away.  Z'(-12, 0.250124) =
@@ -266,11 +291,13 @@ def scan_real_zeros(
     1.3e-11 of 0, over about 1e-7 there, and which of its sign changes the
     refinement closes in on depends on its steps.
 
-    An interval containing the s = 1 pole (Z, Hurwitz, Riemann) is split
-    into [lo, 1 - gap] and [1 + gap, hi], gap = max(step/4, 1e-6), with a
-    warning; only the sides that are not empty are scanned, so an interval
+    An interval containing the s = 1 pole (Z, Hurwitz, Riemann) is scanned
+    as [lo, 1 - gap] and [1 + gap, hi], gap = max(step/4, 1e-6), with a
+    warning: each side that is not empty has its own grid and is classified
+    on its own, the two sides share every kernel call, and an interval
     inside the gap reports nothing.  An endpoint on the pole raises
-    PoleError.
+    PoleError.  Y, O and X at a = 1/2 vanish identically and raise
+    DomainError.
     """
     if not lo < hi:
         raise DomainError("need lo < hi")
@@ -279,8 +306,10 @@ def scan_real_zeros(
     if not (hi - lo) / step <= MAX_GRID_POINTS - 1:
         raise DomainError(f"scan grid over [{lo}, {hi}] with step {step} has more than {MAX_GRID_POINTS} points")
     alpha = Alpha.coerce(a)
+    _require_isolated_zeros(fam, alpha)
 
     has_pole = fam in _POLE_AT_ONE
+    sides = [(lo, hi)]
     if has_pole and lo < 1.0 < hi:
         warnings.warn(
             f"scan interval [{lo}, {hi}] contains the s = 1 pole; splitting around it",
@@ -288,32 +317,61 @@ def scan_real_zeros(
             stacklevel=2,
         )
         gap = max(step / 4.0, 1e-6)
-        sides = ((lo, 1.0 - gap), (1.0 + gap, hi))
-        return [rec for side_lo, side_hi in sides if side_lo < side_hi
-                for rec in scan_real_zeros(fam, alpha, side_lo, side_hi, step)]
-    if has_pole and (lo == 1.0 or hi == 1.0):
+        sides = [side for side in ((lo, 1.0 - gap), (1.0 + gap, hi)) if side[0] < side[1]]
+    elif has_pole and (lo == 1.0 or hi == 1.0):
         raise PoleError("scan endpoint sits on the s = 1 pole", 1.0 + 0.0j)
+    if not sides:
+        return []
 
     complex_section = fam is Family.PERIODIC and alpha.value != 0.5
 
-    def f(x: np.ndarray) -> np.ndarray:
+    def section(values: np.ndarray) -> np.ndarray:
         # Re f, or |f| where f is complex on the axis: one path, the zeros of |f| even touches
-        if not x.size:
-            return x
-        values = eval_family(fam, x, alpha, _SCAN_SETTINGS)
         return np.abs(values) if complex_section else values.real
 
-    n = max(2, int(round((hi - lo) / step)) + 1)
-    xs = np.array([lo + (hi - lo) * i / (n - 1) for i in range(n)])
-    vals = f(xs)  # the whole grid in one call
+    def f(x: np.ndarray) -> np.ndarray:
+        if not x.size:
+            return x
+        return section(eval_family(fam, x, alpha, _SCAN_SETTINGS))
+
+    grids = []
+    for side_lo, side_hi in sides:
+        n = max(2, int(round((side_hi - side_lo) / step)) + 1)
+        grids.append([side_lo + (side_hi - side_lo) * i / (n - 1) for i in range(n)])
+    xs = np.array([x for grid in grids for x in grid])
+    # pairs[i]: the grid interval (i, i + 1) lies on one side, so that nothing pairs the sides
+    pairs = np.ones(xs.size - 1, dtype=bool)
+    if len(grids) == 2:
+        pairs[len(grids[0]) - 1] = False
+    inner = np.zeros(xs.size, dtype=bool)  # the points with a neighbour on either side on their own side
+    inner[1:-1] = pairs[:-1] & pairs[1:]
+
+    # the loose grid in one call, or in one per part for X, which is certified on its Y and O parts
+    parts = [eval_family(part, xs, alpha, _GRID_SETTINGS) for part in _PARTS.get(fam, (fam,))]
+    loose = section(sum(parts))
+    bound = _GRID_SETTINGS.target_abs_tol * sum(np.maximum(1.0, np.abs(part)) for part in parts)
+    loose_mags = np.abs(loose)
+    # its sign, or whether it is a grid zero, is open (and so is all of a value that is not finite)
+    near = ~(loose_mags > 2.0 * bound + _GRID_ZERO_TOL)
+    # a pair whose sign change, or the order of whose |f|, is open: both its ends are read
+    both = pairs & (near[:-1] | near[1:] | (loose[:-1] * loose[1:] < 0.0)
+                    | (np.abs(np.diff(loose_mags)) <= 2.0 * (bound[:-1] + bound[1:])))
+    read = near.copy()
+    read[:-1] |= both
+    read[1:] |= both
+
+    # the values read at 1e-10 and the step/4 probes of every point that may be a grid zero, in one call
+    idx, maybe = np.flatnonzero(read), np.flatnonzero(near)
+    tight = f(np.concatenate((xs[idx], xs[maybe] - 0.25 * step, xs[maybe] + 0.25 * step)))
+    vals = loose.copy()
+    vals[idx] = tight[:idx.size]
     mags = np.abs(vals)
-    inner = mags[1:-1]
     small = mags < _GRID_ZERO_TOL  # a grid value this small has no sign
-    crossed = vals[:-1] * vals[1:] < 0.0
+    crossed = pairs & (vals[:-1] * vals[1:] < 0.0)
 
     # a grid point on a zero is classified by f a quarter step to either side
     at = np.flatnonzero(small)
-    left, right = f(np.concatenate((xs[at] - 0.25 * step, xs[at] + 0.25 * step))).reshape(2, -1)
+    left, right = tight[idx.size:].reshape(2, -1)[:, small[maybe]]
     simple = (left == 0.0) | (right == 0.0) | ((left < 0.0) != (right < 0.0))
     records = [
         ZeroRecord(x0, SIMPLE if is_simple else EVEN_TOUCH, (x0 - 0.5 * step, x0 + 0.5 * step), resid)
@@ -324,14 +382,21 @@ def scan_real_zeros(
     # grid points, or a grid zero's probe a quarter step inside the interval,
     # so that a second zero beside a grid zero is found.  A local |f| minimum
     # is refined as a candidate touch only with no sign change on either
-    # side: next to one, the refined sign change is the zero.
+    # side: next to one, the refined sign change is the zero.  Right of the
+    # pole every Dirichlet term (n + a)^-s of Z, Hurwitz and Riemann is
+    # positive and the first is at least 1, so |f| > 1 there, a minimum can
+    # never be a touch, and none is refined.
     lx, lf = xs.copy(), vals.copy()  # each grid point as an interval's left end
     rx, rf = xs.copy(), vals.copy()  # and as its right end
     lx[at] += 0.25 * step
     rx[at] -= 0.25 * step
     lf[at], rf[at] = right, left
-    signs = np.flatnonzero(lf[:-1] * rf[1:] < 0.0)
-    dips = 1 + np.flatnonzero(~small[1:-1] & ~crossed[:-1] & ~crossed[1:] & (inner < mags[:-2]) & (inner <= mags[2:]))
+    signs = np.flatnonzero(pairs & (lf[:-1] * rf[1:] < 0.0))
+    dip = inner & ~small
+    dip[1:-1] &= ~crossed[:-1] & ~crossed[1:] & (mags[1:-1] < mags[:-2]) & (mags[1:-1] <= mags[2:])
+    if has_pole:
+        dip &= xs < 1.0
+    dips = np.flatnonzero(dip)
     blo, bhi = _bisect(f, lx[signs], rx[signs + 1], lf[signs], rf[signs + 1], _BRACKET_WIDTH)
     touches = _refine_touch(lambda x: np.abs(f(x)), xs[dips - 1], xs[dips + 1], 1e-8)
     locs = np.concatenate((0.5 * (blo + bhi), touches))
@@ -551,9 +616,11 @@ def count_zeros_rectangle(
     as a pass reads it.  ``samples_used`` is the number of segments of the
     last pass, which is the number of points evaluated: a closed path has as
     many points as segments.  Values are evaluated at the zero layer's fixed
-    1e-10 (_SCAN_SETTINGS).
+    1e-10 (_SCAN_SETTINGS).  Y, O and X at a = 1/2 vanish identically and
+    raise DomainError.
     """
     alpha = Alpha.coerce(a)
+    _require_isolated_zeros(fam, alpha)
     c0, c1 = require_finite(corners[0]), require_finite(corners[1])
     x0, x1 = min(c0.real, c1.real), max(c0.real, c1.real)
     y0, y1 = min(c0.imag, c1.imag), max(c0.imag, c1.imag)

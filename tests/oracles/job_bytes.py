@@ -20,7 +20,12 @@ job's bytes depend on the jobs run before it.
 
 ``diff`` prints the changed jobs, counted by workload and subcommand, and
 exits 1 if any job changed.  A warning's header line in stderr is compared
-without its path and line number, which any edit of the file moves.
+without its path and line number, which any edit of the file moves.  A
+changed job whose exit code, stderr and warnings are the same, and whose
+stdout differs only in the numbers it prints (the same rows and the same
+non-numeric fields), is marked "numbers only" with the largest relative move
+|new - old| / max(|old|, |new|) of a printed number; the summary counts
+both kinds.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import json
 import re
 import sys
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -92,12 +98,30 @@ def _fields(record):
     return out
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _number_move(a, b) -> Optional[float]:
+    """The largest relative move of a number printed by a job whose fields ``a`` and ``b`` differ in
+    the numbers of their stdout alone, 0 if no number moved, else None."""
+    if any(a[f] != b[f] for f in a if f != "stdout"):
+        return None
+    if _NUMBER.split(a["stdout"]) != _NUMBER.split(b["stdout"]):
+        return None
+    move = 0.0
+    for x, y in zip(map(float, _NUMBER.findall(a["stdout"])), map(float, _NUMBER.findall(b["stdout"]))):
+        if x != y:
+            move = max(move, abs(y - x) / max(abs(x), abs(y)))
+    return move
+
+
 def diff(args) -> int:
     with open(args.before) as fh:
         before = json.load(fh)
     with open(args.after) as fh:
         after = json.load(fh)
     changed = collections.Counter()
+    moves = []  # the largest relative move of each job whose printed numbers alone moved
     key = lambda r: (r["workload"], r["seed"], r["pass"], r["index"])  # noqa: E731
     old = {key(r): r for r in before["jobs"]}
     new = {key(r): r for r in after["jobs"]}
@@ -108,14 +132,20 @@ def diff(args) -> int:
             if fa == fb:
                 continue
             fields = [f for f in fa if fa[f] != fb[f]]
+            move = _number_move(fa, fb)
         else:
-            fields = ["missing before" if a is None else "missing after"]
+            fields, move = ["missing before" if a is None else "missing after"], None
+        if move is not None:
+            moves.append(move)
+            fields.append(f"numbers only, largest relative move {move:.3g}")
         record = b or a
         changed[record["workload"], record["kind"]] += 1
         print(f"{k[0]} seed {k[1]} pass {k[2]} job {k[3]} ({', '.join(fields)}): {' '.join(record['argv'])}")
     for (workload, kind), n in sorted(changed.items()):
         print(f"  {workload:10s} {kind:8s} {n} changed")
-    print(f"{sum(changed.values())} of {len(set(old) | set(new))} jobs changed")
+    total = sum(changed.values())
+    print(f"{total} of {len(set(old) | set(new))} jobs changed: {len(moves)} in printed numbers only"
+          + (f" (largest relative move {max(moves):.3g})" if moves else "") + f", {total - len(moves)} otherwise")
     return 1 if changed else 0
 
 

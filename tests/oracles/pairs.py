@@ -15,8 +15,11 @@ last line of each run's stdout is its JSON result.
 
 Per metric it prints both medians, the change's relative move, the
 interquartile range of the parent's runs, in how many pairs the change was
-better by the metric's ``better`` direction, and whether the change's median
-is worse than the parent's by more than the metric's relative ``bound``.
+better by the metric's ``better`` direction, whether the change's median
+is worse than the parent's by more than the metric's relative ``bound``,
+and whether a claimed gain in the metric would be met: the change wins at
+least 9/10 of the pairs, and its median beats the parent's by more than
+the parent's interquartile range.
 Then the ``failed`` count of every run, per side.  BENCHMARK.json is read
 from this checkout.  Nothing is written: the runs' output is parsed from
 their stdout.  The exit code is 1 if a run exits nonzero or prints no
@@ -77,7 +80,7 @@ def main(argv=None) -> int:
     print(f"{args.workload}, seed {args.seed}: {args.pairs} alternating pairs of {args.seconds:g} s runs, "
           f"parent {sides['parent']}")
     print(f"  {'metric':12s} {'better':6s} {'parent':>12s} {'change':>12s} {'move':>8s} {'parent IQR':>11s} "
-          f"{'wins':>6s} {'bound':>6s}  worse than bound")
+          f"{'wins':>6s} {'bound':>6s}  {'worse than bound':16s}  claim met")
     for m in spec:
         name, higher = m["name"], m["better"] == "higher"
         parent, change = ([r["metrics"][name]["value"] for r in results[side]] for side in ("parent", "change"))
@@ -85,8 +88,10 @@ def main(argv=None) -> int:
         move = (mc - mp) / mp
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
         worse = (-move if higher else move) > m["bound"]
-        print(f"  {name:12s} {m['better']:6s} {mp:12.6g} {mc:12.6g} {move:+8.2%} {quartile_spread(parent):11.4g} "
-              f"{wins:3d}/{args.pairs:<2d} {m['bound']:6.0%}  {'YES' if worse else 'no'}")
+        iqr = quartile_spread(parent)
+        met = 10 * wins >= 9 * args.pairs and ((mc - mp) if higher else (mp - mc)) > iqr
+        print(f"  {name:12s} {m['better']:6s} {mp:12.6g} {mc:12.6g} {move:+8.2%} {iqr:11.4g} "
+              f"{wins:3d}/{args.pairs:<2d} {m['bound']:6.0%}  {'YES' if worse else 'no':16s}  {'yes' if met else 'no'}")
     for side in ("parent", "change"):
         print(f"  failed, {side}: {[r['failed'] for r in results[side]]}")
     return 0

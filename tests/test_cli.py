@@ -53,6 +53,84 @@ def test_scan_emits_five_zero_rows():
     assert all(line.split(",")[3] == "simple-sign-change" for line in lines[1:])
 
 
+# the CSV these scans printed when the whole grid was evaluated at 1e-10: one
+# scan per family, two across the pole, and one with a grid zero (-2) beside
+# a zero; a scan that reads its grid at a looser target must keep every byte
+FROZEN_SCANS = [
+    (("Z", "0.2311296502521382", "-3.0", "-1.5"), (
+        "family,a,location,multiplicity_class,residual\n"
+        "Z,0.2311296502521382,-2.022889316794351,simple-sign-change,1.4210854715202004e-14\n"
+        "Z,0.2311296502521382,-2.0,simple-sign-change,1.6653345369377348e-15\n"
+    )),
+    (("Z", "1/6", "-2.5", "1.8"), (
+        "family,a,location,multiplicity_class,residual\n"
+        "Z,1/6,-1.9999999999875946,simple-sign-change,2.531308496145357e-13\n"
+        "Z,1/6,2.4351841865880242e-08,even-touch,5.759856438530017e-15\n"
+    )),
+    (("hurwitz", "7/11", "-6", "2.5"), (
+        "family,a,location,multiplicity_class,residual\n"
+        "HURWITZ,7/11,-4.536230340004577,simple-sign-change,2.1316282072803006e-14\n"
+        "HURWITZ,7/11,-2.5120609189183725,simple-sign-change,1.7763568394002505e-14\n"
+        "HURWITZ,7/11,-0.4288654352086044,simple-sign-change,1.864198032053288e-12\n"
+    )),
+    (("P", "0.0871", "-5", "1"), (
+        "family,a,location,multiplicity_class,residual\n"
+        "P,0.0871,-4.0,simple-sign-change,2.9936912878446537e-13\n"
+        "P,0.0871,-2.0,simple-sign-change,4.490399166443697e-15\n"
+        "P,0.0871,0.302925284599905,simple-sign-change,1.2743806010462322e-11\n"
+    )),
+    (("Y", "3/10", "-8", "2"), (
+        "family,a,location,multiplicity_class,residual\n"
+        "Y,3/10,-7.0,simple-sign-change,5.699607452669397e-14\n"
+        "Y,3/10,-5.0,simple-sign-change,7.038813976123492e-14\n"
+        "Y,3/10,-3.0,simple-sign-change,1.6653345369377348e-16\n"
+        "Y,3/10,-1.0,simple-sign-change,2.220446049250313e-16\n"
+    )),
+    (("O", "0.35", "-7", "1"), (
+        "family,a,location,multiplicity_class,residual\n"
+        "O,0.35,-7.0,simple-sign-change,8.963450091093693e-15\n"
+        "O,0.35,-5.0,simple-sign-change,7.607406153971185e-16\n"
+        "O,0.35,-3.0,simple-sign-change,1.1544854423938662e-16\n"
+        "O,0.35,-1.0,simple-sign-change,3.7528830370565405e-17\n"
+    )),
+    (("X", "0.2071", "-7", "1"), (
+        "family,a,location,multiplicity_class,residual\n"
+        "X,0.2071,-7.0,simple-sign-change,5.628344040296096e-13\n"
+        "X,0.2071,-5.0,simple-sign-change,3.3173260969877907e-14\n"
+        "X,0.2071,-3.0,simple-sign-change,1.5323793257528648e-15\n"
+        "X,0.2071,-1.0,simple-sign-change,1.0261637990978204e-15\n"
+    )),
+    (("periodic", "1/2", "-6.01", "2"), (
+        "family,a,location,multiplicity_class,residual\n"
+        "PERIODIC,1/2,-6.0000000000125,simple-sign-change,9.366089822791938e-12\n"
+        "PERIODIC,1/2,-4.000000000011143,simple-sign-change,2.7578156099895565e-12\n"
+        "PERIODIC,1/2,-1.9999999999922846,simple-sign-change,1.6445823278719293e-12\n"
+    )),
+]
+
+
+@pytest.mark.parametrize("argv, want", FROZEN_SCANS, ids=[" ".join(argv) for argv, _ in FROZEN_SCANS])
+def test_scan_prints_its_frozen_bytes(argv, want):
+    fam, a, lo, hi = argv
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the pole warning of the scans across s = 1
+        code, out, err = run_cli("scan", "--family", fam, "--a", a, "--from", lo, "--to", hi)
+    assert (code, out, err) == (EXIT_OK, "".join(want), "")
+
+
+@pytest.mark.parametrize("family", ["Y", "O", "X"])
+@pytest.mark.parametrize("a", ["0.5", "1/2"])
+def test_odd_families_at_one_half_are_a_domain_error(family, a):
+    # Y, O and X vanish identically at a = 1/2: no zeros to scan, no boundary to count on
+    scan = ("scan", "--family", family, "--a", a, "--from", "-3", "--to", "0")
+    count = ("count", "--family", family, "--a", a, "--re-from", "-1", "--re-to", "1", "--im-from", "1", "--im-to", "2")
+    for argv in (scan, count):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: {family}(s, 1/2) = 0 for every s, since {family}(s, a) = -{family}(s, 1 - a); " \
+            "it has no zeros to scan or count\n"
+
+
 def test_eval_point_value():
     code, out, _ = run_cli("eval", "--family", "P", "--a", "0.2", "--sigma", "0", "--t", "0")
     assert code == EXIT_OK

@@ -374,18 +374,134 @@ def test_touch_refiner_is_no_slower_than_golden_section():
 
 
 def test_scan_refines_all_brackets_in_array_calls(monkeypatch):
-    calls = []
-    original = zeros.eval_family
+    calls = []  # (settings, is an array) of each kernel call, and "refine" where refinement starts
+    original_eval, original_bisect = zeros.eval_family, zeros._bisect
 
-    def counting(fam, s, *args):
-        calls.append(isinstance(s, np.ndarray))
-        return original(fam, s, *args)
+    def counting(fam, s, a, cfg):
+        calls.append((cfg, isinstance(s, np.ndarray)))
+        return original_eval(fam, s, a, cfg)
+
+    def marking(*args):
+        calls.append("refine")
+        return original_bisect(*args)
 
     monkeypatch.setattr(zeros, "eval_family", counting)
+    monkeypatch.setattr(zeros, "_bisect", marking)
     recs = scan_real_zeros(Family.Y, Alpha.parse("3/10"), -16.0907, 3.0221)
     assert len(recs) == 8
-    # the grid, five refinement rounds and the residuals (ITP took nine rounds)
-    assert len(calls) <= 7 and all(calls)
+    start = calls.index("refine")
+    grid, read, rounds, residuals = calls[:1], calls[1:start], calls[start + 1:-1], calls[-1:]
+    # the loose grid, at most one call that reads grid values at 1e-10, five
+    # refinement rounds (ITP took nine) and the residuals: 8 calls
+    assert grid == [(zeros._GRID_SETTINGS, True)]
+    assert len(read) <= 1 and len(rounds) <= 5
+    assert all(call == (zeros._SCAN_SETTINGS, True) for call in read + rounds + residuals)
+    assert len(calls) - 1 == 8
+
+
+def _scan_settings_calls(monkeypatch):
+    """Record the points of each kernel call a scan makes, by settings."""
+    calls = {zeros._GRID_SETTINGS: [], zeros._SCAN_SETTINGS: []}
+    original = zeros.eval_family
+
+    def recording(fam, s, a, cfg):
+        calls[cfg].append(s.tolist())
+        return original(fam, s, a, cfg)
+
+    monkeypatch.setattr(zeros, "eval_family", recording)
+    return calls
+
+
+def test_scan_rereads_a_grid_value_within_twice_its_bound(monkeypatch):
+    # every loose grid value moved by its whole bound e = 1e-6 max(1, |v|), toward 0 at even points
+    # and away from it at odd ones: the grid zeros at -3 and -1 read with the wrong sign, and
+    # nothing changes
+    a, lo, hi = Alpha.parse("3/10"), -4.0, 0.5
+    want = scan_real_zeros(Family.Y, a, lo, hi)
+    flipped = []
+    original = zeros.eval_family
+
+    def moved(fam, s, alpha, cfg):
+        values = original(fam, s, alpha, cfg)
+        if cfg is not zeros._GRID_SETTINGS:
+            return values
+        toward = np.copysign(1.0, values.real) * (-1.0) ** np.arange(values.size)
+        out = values - toward * 1e-6 * np.maximum(1.0, np.abs(values))
+        flipped.extend(s[(out.real < 0.0) != (values.real < 0.0)].real.tolist())
+        return out
+
+    monkeypatch.setattr(zeros, "eval_family", moved)
+    calls = _scan_settings_calls(monkeypatch)
+    assert scan_real_zeros(Family.Y, a, lo, hi) == want
+    assert sorted(round(x) for x in flipped) == [-3, -1]
+    assert len(calls[zeros._SCAN_SETTINGS][0]) < len(calls[zeros._GRID_SETTINGS][0])
+    assert set(flipped) <= set(calls[zeros._SCAN_SETTINGS][0])
+
+
+def test_scan_rereads_a_pair_whose_order_is_within_its_bounds(monkeypatch):
+    # f = (s - x0)^2 touches 0 between the grid points 0.5 and 0.55 of [0, 1], a hair nearer 0.55:
+    # the two |f| differ by 1e-7, and the loose grid, each value moved by its bound 1e-6 the other
+    # way, says 0.5 is the lower; the touch is still refined from the dip at 0.55
+    x0 = 0.525 + 1e-6
+
+    def section(fam, s, a, cfg):
+        values = ((s - x0) ** 2).astype(complex)
+        if cfg is zeros._GRID_SETTINGS:
+            values[10:12] += (-1e-6, 1e-6)
+        return values
+
+    monkeypatch.setattr(zeros, "eval_family", lambda fam, s, a, cfg: ((s - x0) ** 2).astype(complex))
+    want = scan_real_zeros(Family.Y, 0.3, 0.0, 1.0)
+    assert [(rec.multiplicity_class, rec.bracket) for rec in want] == [(EVEN_TOUCH, (0.5, 0.6))]
+    monkeypatch.setattr(zeros, "eval_family", section)
+    assert scan_real_zeros(Family.Y, 0.3, 0.0, 1.0) == want
+
+
+@pytest.mark.parametrize("fam, a, lo, hi", [
+    (Family.Z, "1/6", -2.5, 1.8),
+    (Family.Z, 0.01, -1.0, 4.0),
+    (Family.HURWITZ, "7/11", -6.0, 2.5),
+    (Family.RIEMANN, 1, -7.0, 3.0),
+])
+def test_scan_across_the_pole_is_the_union_of_its_sides_in_one_pass(monkeypatch, fam, a, lo, hi):
+    gap = zeros._DEFAULT_STEP / 4.0
+    sides = scan_real_zeros(fam, a, lo, 1.0 - gap) + scan_real_zeros(fam, a, 1.0 + gap, hi)
+    calls = _scan_settings_calls(monkeypatch)
+    with pytest.warns(UserWarning, match="pole") as caught:
+        assert scan_real_zeros(fam, a, lo, hi) == sides
+    assert len(caught) == 1
+    assert len(calls[zeros._GRID_SETTINGS]) == 1
+    assert min(calls[zeros._GRID_SETTINGS][0]) == lo and max(calls[zeros._GRID_SETTINGS][0]) == hi
+
+
+@pytest.mark.parametrize("fam, a", [(Family.Z, 0.3), (Family.Z, "1/6"), (Family.HURWITZ, 0.3)])
+def test_scan_refines_no_touch_right_of_the_pole(monkeypatch, fam, a):
+    # |f| has a minimum on [1.05, 4] (a^-s grows, the other terms fall), yet no touch bracket lies there
+    xs = np.linspace(1.05, 4.0, 60)
+    mags = np.abs(eval_family(fam, xs, a))
+    assert (mags[1:-1] < mags[:-2]).any() and (mags[1:-1] < mags[2:]).any() and mags.min() > 1.0
+    brackets = []
+    original = zeros._refine_touch
+
+    def recording(g, lo, hi, width):
+        brackets.extend(zip(lo.tolist(), hi.tolist()))
+        return original(g, lo, hi, width)
+
+    monkeypatch.setattr(zeros, "_refine_touch", recording)
+    assert scan_real_zeros(fam, a, 1.05, 4.0) == []
+    with pytest.warns(UserWarning, match="pole"):
+        scan_real_zeros(fam, a, -3.0, 4.0)
+    assert all(hi < 1.0 for lo, hi in brackets)
+
+
+@pytest.mark.parametrize("fam", [Family.Y, Family.O, Family.X])
+@pytest.mark.parametrize("a", [0.5, "1/2"])
+def test_odd_families_at_one_half_have_no_zeros_to_scan_or_count(fam, a):
+    # Y, O and X flip sign under a -> 1 - a, so at a = 1/2 they vanish identically
+    with pytest.raises(DomainError, match=f"{fam.value}\\(s, 1/2\\) = 0 for every s"):
+        scan_real_zeros(fam, a, -3.0, 0.0)
+    with pytest.raises(DomainError, match=f"{fam.value}\\(s, 1/2\\) = 0 for every s"):
+        count_zeros_rectangle(fam, a, (-1 + 1j, 1 + 2j))
 
 
 @pytest.mark.parametrize("a", [0.01, 0.08, 0.15, 0.2, 0.24])
@@ -675,8 +791,8 @@ def test_zero_layer_refusals_raise_typed_errors(make, error):
 
 @pytest.mark.parametrize("make, error", [
     (lambda: count_zeros_rectangle(Family.Z, 0.3, (1 + 1j, 1 + 2j)), DomainError),
-    # Y(s, 1/2) vanishes identically
-    (lambda: count_zeros_rectangle(Family.Y, "1/2", (-1 + 1j, 1 + 2j)), BoundaryError),
+    # the right edge passes through the trivial zero of Y(s, 0.3) at s = -1
+    (lambda: count_zeros_rectangle(Family.Y, 0.3, (-1.5 - 1j, -1 + 1j)), BoundaryError),
     # min |f| on this boundary is 7.9e-7, below the 1e-6 the count refuses
     (lambda: count_zeros_rectangle(Family.Z, "1/4", (-16.05 - 0.05j, 0.9 + 0.05j)), BoundaryError),
     (lambda: scan_real_zeros(Family.Z, 0.3, -1.0, 0.0, 0.0), DomainError),
