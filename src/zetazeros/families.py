@@ -20,7 +20,8 @@ per route, each formed with lam (never as two periodic zetas): for
 Re s <= special.SERIES_SIGMA_THRESHOLD one Euler-Maclaurin pass over
 zeta(1-s, a) and zeta(1-s, 1-a) with point weights, finite through s = 0;
 above it, one weighted Hurwitz sum for exact a = r/q, or one Dirichlet series
-with phases e^{2pi i an} + lam e^{-2pi i an}.
+with phases e^{2pi i an} + lam e^{-2pi i an} (near a = 0 its expansion in
+zeta(s - k), special._li_expansion).
 
 Every route returns its values and their bounds and never warns.  The
 certification is in two places: special._zeta_sum (Z, Y, the Hurwitz and

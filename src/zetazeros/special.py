@@ -388,7 +388,8 @@ def _em_once(
         # Every product and sum below runs along the orders from k = 1, so the orders a
         # stage shares with all K round alike: a point's bits do not depend on its block.
         scale = np.add.reduce(w_abs, axis=1)[:, None]
-        stages = (_EM_FIRST_ORDERS, _EM_MAX_HALF_ORDER) if (s.real >= 0.0).all() else (_EM_MAX_HALF_ORDER,)
+        right = (s.real >= 0.0).all()
+        stages = (_EM_FIRST_ORDERS, _EM_MAX_HALF_ORDER) if right else (_EM_MAX_HALF_ORDER,)
         for orders in stages:
             poch = s[:, None] + _POCH_OFFSETS[:orders]
             steps = poch[:, 1:]
@@ -411,6 +412,12 @@ def _em_once(
         # At Re s < 0 the corrections can grow before they fall and cancel, so
         # every order used counts toward the round-off, not only the first.
         round_rem = (rounding + np.add.accumulate(mag, axis=1)[rows, used]) * _EPS
+        # At Re s < 0 the terms grow with n and cancel, and each one's phase t log(n + b) is
+        # rounded to about eps |t| log(m + b): every term counts that too.  (The same rounding
+        # of its real part, eps |sigma| log(m + b), is not counted; nor is either at Re s >= 0.)
+        if not right and s.imag.any():
+            left = s.real < 0.0
+            round_rem[left] *= 1.0 + np.abs(s.imag[left]) * math.log(c.tails.max())
     return _weigh(value, w) + np.add.accumulate(terms, axis=1)[rows, used], rem, round_rem
 
 
@@ -631,15 +638,22 @@ SERIES_SIGMA_THRESHOLD = 0.75
 _LI_ORDER = 18  # the tail sums Boole's terms of order 0 .. 18, and reads order 19 for its stopping rule
 _LI_GRID = 32  # partial sums run over whole multiples of 32 terms, so that rows line up alike in any block
 _LI_NEGLIGIBLE = 0.05  # both routes end the series where what is left is below this times the target
-_LI_MAX_TERMS = 1 << 26  # a larger N on either route (a near an integer) is refused: seconds of work
+_LI_MAX_TERMS = 1 << 26  # a larger N on route (a) or (c) (a near an integer) is refused: seconds of work
+_LI_EXPANSION_TERMS = 1 << 12  # route (b) takes a point whose route (a) or (c) would need more terms than this
+_LI_EXPANSION_CAP = 10.0  # and whose 2 pi dist(a, Z) |s| is at most this (measured errors below 4e-14)
+_LI_EXPANSION_ORDERS = 48  # the most zeta(s - k) a point's expansion may take; at the cap it takes about 30
 
 _LI_OFFSETS = np.arange(_LI_ORDER + 1, dtype=float)
+_LI_ORDERS = np.arange(_LI_EXPANSION_ORDERS, dtype=float)
+_LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(_LI_EXPANSION_ORDERS)])
+_QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])  # (-i)^k at k mod 4
 
 
 def _angles(n: np.ndarray, a: float) -> np.ndarray:
     """The angle of z^n, z = e^{2 pi i a}, reduced to [-pi, pi] so that the
-    phase stays accurate for large n (x - rint(x) is exact)."""
-    x = a * n
+    phase stays accurate for large n: x = (a - round a) n is rounded to
+    eps |x|, not to eps a n as a n would be near a = 1, and x - rint(x) is exact."""
+    x = (a - round(a)) * n
     x -= np.rint(x)
     x *= 2.0 * math.pi
     return x
@@ -669,9 +683,10 @@ def _li_constants(a: float) -> np.ndarray:
 
 
 def _li_series(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
-    """Li_s(e^{2 pi i a}) + lam Li_s(e^{-2 pi i a}) from the Dirichlet series
-    sum_n (z^n + lam conj(z)^n) n^{-s}, z = e^{2 pi i a}, at a 1-D array of
-    points (Re s > 0); returns the arrays (value, error estimate).
+    """Li_s(e^{2 pi i a}) + lam Li_s(e^{-2 pi i a}) at a 1-D array of points
+    (Re s > 0), from the Dirichlet series sum_n (z^n + lam conj(z)^n) n^{-s},
+    z = e^{2 pi i a}, or near a = 0 or 1 from its expansion in zeta(s - k);
+    returns the arrays (value, error estimate).
 
     Each point takes the route that needs fewer terms for target_abs_tol:
       (a) for Re s > 1, the partial sum to N with the tail
@@ -684,18 +699,27 @@ def _li_series(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> 
           |s+j|/(2 pi N dist(a, Z)) with N = max(32, 6(|s|+8)/|1-z|): term j+1
           is about (|s|+j)/(6(|s|+8)) times term j, so 19 orders meet the
           default target at small |s| too, and each point takes one tail.
-    A point whose N on its route would exceed _LI_MAX_TERMS raises
-    UnsupportedError before anything is summed.
-    Both estimates add eps times sum_n |terms| <= (1 + |lam|) (1 + int_1^L x^{-sigma} dx),
-    L the last n of the partial sum.  The partial sums of all points run
-    through _li_partial_sums, the tails of all route (c) points at once.
+    A point whose route would need more than _LI_EXPANSION_TERMS terms, where
+    2 pi dist(a, Z) |s| is at most _LI_EXPANSION_CAP and s is not a positive
+    integer (a pole of Gamma(1 - s)), takes instead
+      (b) the expansion Gamma(1-s) (-mu)^{s-1} + sum_k zeta(s-k) mu^k / k!
+          (_li_expansion), whose cost grows with |s| dist(a, Z), not with
+          |s| / dist(a, Z).  A point whose bound there does not certify the
+          target goes back to its route, unless that route would need more than
+          _LI_MAX_TERMS terms: there route (b)'s value and bound stand.
+    Any other point whose N would exceed _LI_MAX_TERMS raises UnsupportedError
+    before anything is summed.
+    The estimates of (a) and (c) add eps times sum_n |terms| <= (1 + |lam|)
+    (1 + int_1^L x^{-sigma} dx), L the last n of the partial sum.  Their partial
+    sums run through _li_partial_sums, the tails of all route (c) points at once.
     """
     tol = cfg.target_abs_tol
     weight = 1.0 + abs(lam)
     gap = abs(_one_minus_z(a))
+    near = _TWO_PI * abs(a - round(a))  # |mu| of route (b)
     negligible = _LI_NEGLIGIBLE * min(tol, _EPS)
-    last, errs = [], []  # per point: the last n summed, the error estimate
-    euler, starts = [], []  # route (c): the points and their N
+    last, starts, errs = [], [], []  # per point: the last n summed, route (c)'s N or 0, the error estimate
+    expand, refused = [], []  # route (b)'s points, and whether their route (a) or (c) is refused
     for i, x in enumerate(s.tolist()):
         sigma = x.real
         # route (c)'s N, clipped so that the float stays an int; an N past the clip is refused below
@@ -706,21 +730,47 @@ def _li_series(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> 
             n = math.ceil(math.exp(log_n))
             err = weight * n ** (1.0 - sigma) / (sigma - 1.0)
             last.append(n)
+            starts.append(0)
         else:
             err = 0.0
             last.append(n - 1)
-            euler.append(i)
             starts.append(n)
-        if n > _LI_MAX_TERMS:
+        # route (b) unless past its cap or at a positive integer, a pole of Gamma(1 - s)
+        if n > _LI_EXPANSION_TERMS and near * abs(x) <= _LI_EXPANSION_CAP and not (sigma.is_integer() and not x.imag):
+            expand.append(i)
+            refused.append(n > _LI_MAX_TERMS)
+        elif n > _LI_MAX_TERMS:
             raise UnsupportedError(f"the periodic series at s = {x}, a = {a} needs more than {_LI_MAX_TERMS} terms")
         log_last = math.log(last[-1])
         rise = (1.0 - sigma) * log_last  # int_1^L x^{-sigma} dx = expm1(rise) / (1 - sigma)
         errs.append(err + _EPS * weight * (1.0 + (math.expm1(rise) / (1.0 - sigma) if rise else log_last)))
-    values = _li_partial_sums(s, last, a, lam)
     errs = np.array(errs)
+    if not expand:
+        return _li_summed(s, last, starts, a, lam, tol, errs)
+    idx = np.array(expand)
+    value, err = _li_expansion(s[idx], a, cfg, lam)
+    keep = _certified(value, err, tol) | np.array(refused)
+    values = np.empty(s.shape, dtype=complex)
+    values[idx[keep]], errs[idx[keep]] = value[keep], err[keep]
+    # back to route (a) or (c); a mask, since np.setdiff1d imports numpy.ma on first use (10-20 ms)
+    back = np.ones(s.size, dtype=bool)
+    back[idx[keep]] = False
+    rest = np.flatnonzero(back)
+    if rest.size:
+        values[rest], errs[rest] = _li_summed(
+            s[rest], [last[i] for i in rest], [starts[i] for i in rest], a, lam, tol, errs[rest])
+    return values, errs
+
+
+def _li_summed(s: np.ndarray, last: List[int], starts: List[int], a: float, lam: float, tol: float,
+               errs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Routes (a) and (c) of _li_series: the partial sums to last, plus the tails of the points whose
+    route (c) N in starts is not 0, and errs plus the tails' estimates."""
+    values = _li_partial_sums(s, last, a, lam)
+    euler = [i for i, n in enumerate(starts) if n]
     if euler:
         idx = slice(None) if len(euler) == len(last) else np.array(euler)
-        tail, err = _li_euler_tail(s[idx], np.array(starts), a, lam, tol)
+        tail, err = _li_euler_tail(s[idx], np.array([starts[i] for i in euler]), a, lam, tol)
         values[idx] += tail
         errs[idx] += err
     return values, errs
@@ -787,6 +837,114 @@ def _li_euler_tail(s: np.ndarray, n: np.ndarray, a: float, lam: float, tol: floa
     if lam:
         tail = tail + lam * zn.conj() * np.add.accumulate(derivs[:, :-1] * coef[:-1].conj(), axis=1)[rows, used]
     return tail, (1.0 + abs(lam)) * mag[rows, stop]
+
+
+def _li_expansion(s: np.ndarray, a: float, cfg: EvalSettings, lam: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Route (b) of _li_series: Li_s(e^mu) + lam Li_s(e^{-mu}), mu = 2 pi i x with x = a - round(a),
+    at a 1-D array of points that are not positive integers, from
+
+        Li_s(e^mu) = Gamma(1-s) (-mu)^{s-1} + sum_k zeta(s-k) mu^k / k!      (|mu| < 2 pi),
+
+    the same zeta values serving e^{-mu} with (-1)^k, and each leading term one exponential of
+    log Gamma(1-s) + (s-1) log(-+mu).  Returns the arrays (value, bound) and never warns.
+
+    A point's orders depend on that point alone.  For k > sigma the functional equation bounds
+    |zeta(s-k) mu^k / k!| by B_k = 2 (2pi)^{sigma-1} cosh(pi t/2) |Gamma(1-s)| zeta(k+1-sigma)
+    |x|^k |(1-s)_k| / k!, and B_{k+1} <= rho_k B_k with rho_k = |x| (1 + |s|/(k+1)), which falls with k.
+    Where rho_k <= 1/2, everything after order k is at most B_k, so _first_stop ends the series at the
+    first such k whose B_k is below 0.05 min(target, eps), within _LI_EXPANSION_ORDERS.  The zeta(s-k)
+    come from _expansion_zetas.  The bound adds
+    each zeta bound times |mu|^k / k!; the rounding of each term, of its coefficient mu^k / k!, of its
+    argument s - k and of the sum; B_k at the last order, for the truncation; and the rounding of each
+    leading exponent, eps (2 + pi |s| + |log Gamma(1-s)| + |s-1| |log mu|) times its value."""
+    x = a - round(a)
+    tol = cfg.target_abs_tol
+    log_mu = complex(math.log(_TWO_PI * abs(x)), math.copysign(0.5 * math.pi, x))  # log(-mu) is its conjugate
+    log_gammas = np.array([log_gamma(1.0 - z) for z in s.tolist()])
+    sigma = s.real
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # log B_k, and inf where the bound does not hold (k <= sigma) or rho_k > 1/2
+        log_poch = np.zeros((s.size, _LI_EXPANSION_ORDERS))
+        np.add.accumulate(np.log(np.abs(_LI_ORDERS[1:] - s[:, None])), axis=1, out=log_poch[:, 1:])
+        log_cosh = 0.5 * math.pi * np.abs(s.imag) + np.log1p(np.exp(-math.pi * np.abs(s.imag))) - math.log(2.0)
+        log_b = (math.log(2.0) + (sigma - 1.0) * _LOG_TWO_PI + log_cosh + log_gammas.real)[:, None] + log_poch
+        log_b += _LI_ORDERS * math.log(abs(x)) - _LOG_FACTORIALS + np.log1p(1.0 / (_LI_ORDERS - sigma[:, None]))
+        holds = (_LI_ORDERS > sigma[:, None]) & (abs(x) * (1.0 + np.abs(s)[:, None] / (_LI_ORDERS + 1.0)) <= 0.5)
+        mag = np.where(holds, np.exp(log_b), np.inf)
+    used, stop = _first_stop(mag, 0, _LI_NEGLIGIBLE * min(tol, _EPS))
+    rows = np.arange(s.size)
+
+    counts, point, order = _expansion_terms(used)
+    args = s[point] - order
+    zetas, zeta_bounds = _expansion_zetas(s.tobytes(), used.tobytes(), cfg)
+
+    # mu^k / k! as products of the exact phases i^{+-1}, and 1 + lam (-1)^k
+    coef = np.multiply.accumulate(np.concatenate(([1.0], 2j * math.pi * x / _LI_ORDERS[1:])))
+    coef = coef * (1.0 + lam * (-1.0) ** _LI_ORDERS)
+    terms = zetas * coef[order]
+    sizes = np.abs(terms)
+    table = np.zeros((s.size, int(counts.max())), dtype=complex)
+    table[point, order] = terms
+    # rounding of each term: its product and coefficient (2k + 2), its place in the sum, and its argument
+    # s - k, whose real part is rounded to eps |sigma - k| where zeta'/zeta is about log |s - k|
+    noise = (2.0 * order + 2.0 + counts[point] + np.abs(args.real) * np.log(2.0 + np.abs(args))) * sizes
+    bound = np.bincount(point, zeta_bounds * np.abs(coef[order]) + _EPS * noise, minlength=s.size)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        lead = np.exp(log_gammas + (s - 1.0) * log_mu.conjugate())
+        lead_size = np.abs(lead)
+        if lam:
+            lead_conj = np.exp(log_gammas + (s - 1.0) * log_mu)
+            lead = lead + lam * lead_conj
+            lead_size += abs(lam) * np.abs(lead_conj)
+    phase = 2.0 + math.pi * np.abs(s) + np.abs(log_gammas) + np.abs(s - 1.0) * abs(log_mu)
+    values = np.add.accumulate(table, axis=1)[rows, used] + lead
+    bound += (1.0 + abs(lam)) * mag[rows, stop] + _EPS * phase * lead_size
+    return values, bound
+
+
+def _expansion_terms(used: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(counts, point, order) of the terms k = 0 .. used of each point, point after point."""
+    counts = used + 1
+    point = np.repeat(np.arange(used.size), counts)
+    return counts, point, np.arange(point.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+@lru_cache(maxsize=2)
+def _expansion_zetas(points: bytes, used: bytes, cfg: EvalSettings) -> Tuple[np.ndarray, np.ndarray]:
+    """zeta(s - k) and their bounds for k = 0 .. used of each point s (the bytes of two 1-D arrays),
+    point after point, for _li_expansion.  Cached: Li_w(e^{2 pi i b}) and Li_w(e^{-2 pi i b}), which
+    _hurwitz_reflect takes one after the other, need the same zeta(w - k).
+
+    All are one Euler-Maclaurin batch at Re >= 1/2: zeta(s - k) itself where Re(s - k) >= 1/2, else
+    zeta(w) at w = 1 - s + k, reflected as _hurwitz_reflect does at base 1, zeta(s - k) = (c- + c+) zeta(w),
+    with c-+ = Gamma(w) (2pi)^{-w} e^{-+ i pi w/2} = c-+(1 - s) prod_{j<k} (1 - s + j)/(2 pi) (-+i)^k from
+    one exponential per point.  A reflected bound is (|c-| + |c+|) times zeta(w)'s bound plus the rounding
+    of c-+ times |zeta(w)|: eps (1 + pi |1 - s|/2) for that exponential's phase, as _fe_factor_columns
+    charges, and 4 eps for each factor of the product and 3 eps for the rest."""
+    s = np.frombuffer(points, dtype=complex)
+    used = np.frombuffer(used, dtype=np.intp)
+    counts, point, order = _expansion_terms(used)
+    args = s[point] - order
+    left = args.real < 0.5
+    zetas, bounds = _hurwitz_combination(np.where(left, 1.0 - args, args), (1.0,), (1.0,), cfg)
+    if left.any():
+        w = 1.0 - s
+        log_g = np.array([log_gamma(z) for z in w.tolist()]) - w * _LOG_TWO_PI
+        steps = np.ones((s.size, int(counts.max())), dtype=complex)
+        steps[:, 1:] = (w[:, None] + _LI_ORDERS[:steps.shape[1] - 1]) / _TWO_PI
+        at, k = point[left], order[left]
+        product = np.multiply.accumulate(steps, axis=1)[at, k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            c_minus = np.exp(log_g - 0.5j * math.pi * w)[at] * product * _QUARTER_TURNS[k % 4]
+            c_plus = np.exp(log_g + 0.5j * math.pi * w)[at] * product * _QUARTER_TURNS[-k % 4]
+            rounding = _EPS * (4.0 + 0.5 * math.pi * np.abs(w)[at] + 4.0 * k)
+            zeta_w = zetas[left]
+            zetas[left] = (c_minus + c_plus) * zeta_w
+            bounds[left] = (np.abs(c_minus) + np.abs(c_plus)) * (bounds[left] + rounding * np.abs(zeta_w))
+    for arr in (zetas, bounds):
+        arr.setflags(write=False)
+    return zetas, bounds
 
 
 def _li_rational(s: np.ndarray, r: int, q: int, cfg: EvalSettings, lam: float = 0.0) -> np.ndarray:
@@ -876,7 +1034,10 @@ def periodic_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
     ``s`` is a number or an array of points; each route gets its points in one call (see
     _periodic): the functional equation for Re s <= SERIES_SIGMA_THRESHOLD, the exact
     decomposition into Hurwitz zetas zeta(s, n/q) for exact a = r/q at any larger Re s,
-    otherwise the Dirichlet series (_li_series).  An uncertified point gets an AccuracyWarning.
+    otherwise _li_series: the Dirichlet series, or near a = 0 or 1, where that series would
+    need more than 2^12 terms, the expansion Gamma(1-s) (-mu)^{s-1} + sum_k zeta(s-k) mu^k/k!,
+    mu = 2 pi i (a - round a), whose cost grows with |s| dist(a, Z), not |s| / dist(a, Z).
+    An uncertified point gets an AccuracyWarning.
     """
     pts, shape = as_points(s)
     alpha = Alpha.coerce(a)

@@ -34,6 +34,10 @@ def periodic(s, a):
 
 
 def family(name, s, a):
+    return families(s, a)[name]
+
+
+def families(s, a):
     za, zb = mp.zeta(s, a), mp.zeta(s, 1 - a)
     la, lb = periodic(s, a), periodic(s, 1 - a)
     return {
@@ -44,7 +48,7 @@ def family(name, s, a):
         "X": za - zb - 1j * (la - lb),
         "hurwitz": za,
         "periodic": la,
-    }[name]
+    }
 
 
 def l_value(s, q, chi):
@@ -159,6 +163,29 @@ def main():
             za, zb = periodic(s, mp.mpf(a)), periodic(s, 1 - mp.mpf(a))
             print(f"    ({a!r}, {sigma!r}, {t!r}): (complex({mp.nstr(za.real, 17)}, {mp.nstr(za.imag, 17)}),"
                   f" complex({mp.nstr(zb.real, 17)}, {mp.nstr(zb.imag, 17)})),")
+    print("# ROUTE_B in tests/test_route_b.py: the periodic series near a = 0 and 1, where route (b), the expansion")
+    print("# in zeta(s - k), takes most points, and the reflections that reach it; Hurwitz's formula at 40 digits,")
+    print("# checked against 70, at the doubles the test passes (1 - a rounded to a double)")
+    for a in (2e-7, 1e-4, 1e-3, 2e-3):
+        for shift, names in ((a, ("periodic", "P", "O", "hurwitz", "Z", "Y", "X")), (1.0 - a, ("periodic", "P", "O", "hurwitz"))):
+            for sigma in (0.8, 1.05, 3, 12, -0.9, -3.8):
+                for t in (3, 97, 232, 786):
+                    s = mp.mpc(sigma, t)
+                    with mp.workdps(70):
+                        check = families(s, mp.mpf(shift))
+                    with mp.workdps(40):
+                        values = families(s, mp.mpf(shift))
+                    for name in names:
+                        if (sigma > 0) != (name in ("periodic", "P", "O")):
+                            continue
+                        v = values[name]
+                        assert abs(v - check[name]) <= mp.mpf("1e-30") * max(1, abs(check[name])), (name, shift, s)
+                        print(f"    ({name!r}, {shift!r}, {sigma!r}, {t}): complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)}),")
+    print("# CLIFFS in tests/test_route_b.py: points whose route (a) or (c) needed 3e5 to 2e8 terms")
+    for s, a in ((complex(1.05, 3), 1e-7), (complex(4, 3), 2e-7), (complex(3.5, 3), 1e-8), (complex(3.01, 3), 1e-9)):
+        with mp.workdps(40):
+            v = family("periodic", mp.mpc(s), mp.mpf(a))
+        print(f"    ({s!r}, {a!r}): complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)}),")
     print("# O_AT_A_005 in tests/test_families.py: O(sigma, 0.05) on the real axis")
     for sigma in (0.75, 0.8, 0.85, 0.9, 1.0, 1.05, 1.15, 1.2):
         v = family("O", mp.mpf(sigma), mp.mpf(0.05))

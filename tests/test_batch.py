@@ -29,7 +29,7 @@ from zetazeros import (
 from zetazeros import special, zeros
 
 FAMILIES = (Family.Z, Family.P, Family.Y, Family.O, Family.X, Family.HURWITZ, Family.PERIODIC)
-SHIFTS = (Alpha.parse("2/7"), Alpha(0.31))
+SHIFTS = (Alpha.parse("2/7"), Alpha(0.31), Alpha(0.001))
 
 
 def census_points(rng, n):
@@ -201,10 +201,12 @@ def em_blocks_within_the_cap(blocks):
 
 def test_em_blocks_hold_at_most_the_term_cap(monkeypatch):
     blocks = []  # (points, bases, shift m) of every pass
+    own = []  # per pass: whether it runs at the points themselves, not at a reflection's 1 - s
     original = special._em_once
 
     def recording(s, base_key, w, m, *args):
         blocks.append((s.size, len(base_key), m))
+        own.append(bool(np.isin(s, pts).all()))
         return original(s, base_key, w, m, *args)
 
     monkeypatch.setattr(special, "_em_once", recording)
@@ -214,9 +216,11 @@ def test_em_blocks_hold_at_most_the_term_cap(monkeypatch):
         eval_family(Family.Z, pts, Alpha.parse("2/7"))
         eval_family(Family.Y, pts, Alpha(0.31))
     em_blocks_within_the_cap(blocks)
-    del blocks[:]
+    del blocks[:], own[:]
     special._li_rational(pts, 2, 9, special.DEFAULT_SETTINGS)  # nine bases n/9
-    assert {nb for _, nb, _ in blocks} == {9}
+    # the points left of Re s = 0 that one pass does not certify are reflected, and the base
+    # 9/9 = 1 has no partner 1 - b: its zeta(1 - s) takes a pass of its own
+    assert {nb for (_, nb, _), mine in zip(blocks, own) if mine} == {9}
     assert em_blocks_within_the_cap(blocks)  # the 514 points of shift 25 take full blocks of 121
 
 
@@ -268,6 +272,31 @@ def test_li_series_array_matches_point_by_point(lam):
     # at 1e-14 too: from N = 6(|s|+4)/|1-z|, 19 orders would leave s = 1.1 short of it
     for tol in (1e-12, 1e-14):
         check_li_series_block(lam, tol)
+
+
+# At a = 0.0005 and 1 - a: route (a) at sigma = 14; route (b), the expansion in zeta(s - k), at
+# the three points whose route (c) would need more than 2^12 terms; and at 2 + 1e-9i, where
+# Gamma(1 - s) and zeta(s - 1) nearly cancel, route (b) does not certify and route (c) takes over.
+EXPANDED_SERIES = np.array([14.0 + 3.0j, 1.05 + 786.0j, 3.0 - 97.0j, 0.8 + 232.0j, 2.0 + 1e-9j])
+
+
+@pytest.mark.parametrize("a", (0.0005, 1.0 - 0.0005))
+@pytest.mark.parametrize("lam", (0.0, 1.0, -1.0))
+def test_li_series_with_the_expansion_matches_point_by_point(a, lam):
+    calls = []
+    original_expansion, original_tail = special._li_expansion, special._li_euler_tail
+    cfg = special.DEFAULT_SETTINGS
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(special, "_li_expansion", lambda s, *args: calls.append(("b", s.size)) or original_expansion(s, *args))
+        patch.setattr(special, "_li_euler_tail", lambda s, *args: calls.append(("c", s.size)) or original_tail(s, *args))
+        values, errs = special._li_series(EXPANDED_SERIES, a, cfg, lam)
+    assert calls == [("b", 4), ("c", 1)]
+    assert (errs <= cfg.target_abs_tol * np.maximum(1.0, np.abs(values))).all()
+    alone = [special._li_series(EXPANDED_SERIES[i:i + 1], a, cfg, lam) for i in range(EXPANDED_SERIES.size)]
+    assert np.array_equal(np.concatenate([v for v, _ in alone]), values)
+    assert np.array_equal(np.concatenate([e for _, e in alone]), errs)
+    reverse = special._li_series(EXPANDED_SERIES[::-1], a, cfg, lam)
+    assert np.array_equal(reverse[0][::-1], values) and np.array_equal(reverse[1][::-1], errs)
 
 
 @pytest.mark.parametrize("a", (0.3, 0.05))
@@ -323,16 +352,26 @@ def test_series_terms_stay_within_the_term_cap_and_the_rounded_spans(lam, monkey
     assert max(rows for rows, _ in terms) > 32 and any(n == special._BLOCK_TERMS for _, n in terms)
 
 
-def test_series_memory_is_bounded_by_the_term_cap():
-    # s = 1.2 + 800i at a = 0.001 sums about 7.7e5 terms; in chunks of
-    # _BLOCK_TERMS no temporary grows with them.
+def check_series_memory(s, a):
     tracemalloc.start()
     try:
-        special._li_series(np.array([1.2 + 800.0j]), 0.001, special.DEFAULT_SETTINGS)
+        special._li_series(np.array([s]), a, special.DEFAULT_SETTINGS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * special._BLOCK_TERMS * 16  # a few complex temporaries of the cap
+
+
+def test_series_memory_is_bounded_by_the_term_cap():
+    # route (c) sums about 7.8e4 terms at s = 1.2 + 400i, a = 0.005 (2 pi a |s| = 12.6, past
+    # route (b)'s cap); in chunks of _BLOCK_TERMS no temporary grows with them
+    check_series_memory(1.2 + 400.0j, 0.005)
+
+
+def test_expansion_memory_is_bounded_by_the_term_cap():
+    # at s = 1.2 + 800i, a = 0.001 route (b) takes the place of 7.7e5 terms of route (c): 18
+    # zeta(s - k) in one batch, whose Euler-Maclaurin blocks hold at most the cap
+    check_series_memory(1.2 + 800.0j, 0.001)
 
 
 @pytest.mark.parametrize("sigma, t", [(0.5, 4e6), (0.5, 1e8), (-1.0, 1e8), (0.5, 1e308), (-1.0, 1.7e308)])

@@ -565,8 +565,9 @@ def test_periodic_domain():
 
 def test_periodic_series_vs_functional_equation():
     # the two evaluation strategies agree across the overlap strip; the functional equation's
-    # bound cannot certify draws 21 and 82 (sigma 2.75 and 2.49 at a = 0.1 and 0.3, ROADMAP
-    # item 4) and certifies every other draw
+    # bound cannot certify draws 21, 38, 82 and 86 (sigma 2.5-2.9, where its pass at Re(1-s) < 0
+    # charges the phase rounding of its terms; mpmath puts the errors of 38 and 86 at 1.2e-12
+    # and 6.9e-13, ROADMAP item 4) and certifies every other draw
     from zetazeros.special import _li_functional_equation, _li_series
     from zetazeros import DEFAULT_SETTINGS
 
@@ -577,7 +578,7 @@ def test_periodic_series_vs_functional_equation():
         a = float(rng.choice([0.1, 0.3, 0.45]))
         v1, _ = _li_series(s, a, DEFAULT_SETTINGS)
         v2, rem = _li_functional_equation(s, a, DEFAULT_SETTINGS)
-        assert (rem[0] <= tol * max(1.0, abs(v2[0]))) == (i not in (21, 82)), i
+        assert (rem[0] <= tol * max(1.0, abs(v2[0]))) == (i not in (21, 38, 82, 86)), i
         assert abs(v1[0] - v2[0]) < 1e-8
 
 
