@@ -29,7 +29,9 @@ Riemann zetas, the rational sums and L) takes the reflection at its
 uncertified points left of Re s = 0 and then warns, and special._periodic
 (P, O and the periodic zeta) warns once for its functional-equation and
 series points.  The factors of the functional equations
-(special._fe_factors, formed in log space) are taken point by point.
+(special._fe_factors) are taken point by point, each by a route its point
+alone decides: math.lgamma with a real phase at real w > 0, Stirling's
+series in log space at complex w.
 """
 
 from __future__ import annotations
@@ -144,12 +146,14 @@ def functional_equation_pair(fam: Family, s, a: AlphaLike, cfg: EvalSettings = D
     Callers assert the closeness of the two sides.  ``s`` is a number (the
     sides are two complexes) or an array of points (two arrays of its shape):
     each side is one ``eval_family`` call over all the points, and only the
-    factor is formed point by point.  The two sides are not always computed
-    independently: for P and O at Re s >= 0.25 the left side at 1 - s takes
-    the functional-equation route, which is the partner's own
-    Euler-Maclaurin pass at s, so there the pair checks the factor algebra
-    only (relative residuals about 1e-16, against about 3e-14 for Z and Y at
-    a = 0.3 and Re s in [0.3, 6]).  Every point needs Re s > 0 and s != 1.
+    factor is formed point by point (special._fe_factor_columns: math.lgamma
+    with a real phase at real s, Stirling's series in log space at complex
+    s).  The two sides are not always computed independently: for P and O
+    at Re s >= 0.25 the left side at 1 - s takes the functional-equation
+    route, which is the partner's own Euler-Maclaurin pass at s, so there the
+    pair checks the factor algebra only (relative residuals about 1e-16,
+    against about 3e-14 for Z and Y at a = 0.3 and Re s in [0.3, 6]).  Every
+    point needs Re s > 0 and s != 1.
     """
     pts, shape = as_points(s)
     if not (pts.real > 0.0).all():

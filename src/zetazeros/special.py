@@ -167,14 +167,22 @@ def _fe_factors(w: complex) -> Tuple[complex, complex, complex]:
     """(c-, g, c+) with g = Gamma(w) (2pi)^{-w} and c-+ = g e^{-+ i pi w/2}.
 
     Every functional equation here is a combination of these, through
-    2 g cos(pi w/2) = c- + c+ and 2 g sin(pi w/2) = i (c- - c+).  Each factor
-    is one exponential of log Gamma(w) - w log 2pi -+ i pi w/2, so c-+ stay in
-    double range where Gamma(w) underflows and e^{pi |Im w|/2} overflows.
+    2 g cos(pi w/2) = c- + c+ and 2 g sin(pi w/2) = i (c- - c+).  A real w > 0
+    takes g = exp(lgamma(w) - w log 2pi) and the real phase cos(pi w/2) -+ i sin(pi w/2)
+    (math.lgamma: one exp, one cos and one sin).  Any other w takes each factor as
+    one exponential of Stirling's log Gamma(w) - w log 2pi -+ i pi w/2, so c-+ stay in
+    double range where Gamma(w) underflows and e^{pi |Im w|/2} overflows.  The route
+    depends on the point alone, so a point gets the same bits alone as in any block.
     Raises DomainError for a factor beyond the double range.
     """
-    log_g = log_gamma(w) - w * _LOG_TWO_PI
-    half = 0.5j * math.pi * w
     try:
+        if w.imag == 0.0 and w.real > 0.0:
+            x = w.real
+            g = math.exp(math.lgamma(x) - x * _LOG_TWO_PI)
+            cos, sin = g * math.cos(0.5 * math.pi * x), g * math.sin(0.5 * math.pi * x)
+            return complex(cos, -sin), complex(g), complex(cos, sin)
+        log_g = log_gamma(w) - w * _LOG_TWO_PI
+        half = 0.5j * math.pi * w
         return cmath.exp(log_g - half), cmath.exp(log_g), cmath.exp(log_g + half)
     except OverflowError:
         raise DomainError(f"functional-equation factor at w = {w} is beyond the double range") from None
@@ -543,8 +551,9 @@ def hurwitz_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
 
 def _fe_factor_columns(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """c- and c+ of _fe_factors at each point of w, and the relative rounding each carries,
-    eps (1 + pi |w|/2): that of its exponent's -+ i pi w/2.  Where cos or sin(pi w/2) vanishes,
-    c- +- c+ is that rounding alone."""
+    eps (1 + pi |w|/2): that of its phase pi w/2, whether the point takes the real route
+    (math.lgamma and cos, sin(pi w/2) at real w > 0) or Stirling's series in log space (complex w).
+    Where cos or sin(pi w/2) vanishes, c- +- c+ is that rounding alone."""
     factors = np.array([_fe_factors(x) for x in w.tolist()]).reshape(-1, 3)
     return factors[:, 0], factors[:, 2], _EPS * (1.0 + 0.5 * math.pi * np.abs(w))
 
@@ -970,9 +979,11 @@ def _li_functional_equation(
     through Li_s(e^{2 pi i a}) = c+ zeta(1-s, a) + c- zeta(1-s, 1-a) with
     c-+ = Gamma(1-s) (2pi)^{s-1} e^{-+ i pi (1-s)/2} from _fe_factors.
 
-    One Euler-Maclaurin pass over the bases (a, 1-a) at w = 1-s, with the point weights
-    W = (c+ + lam c-, c- + lam c+), gives the entire parts of the two zeta(w, b) and one
-    bound on the weighted sum.  Their pole parts add -sum_j W_j b_j^s / s.  For |s| < 0.25,
+    At real s < 1, c-+ take _fe_factors' real route (math.lgamma and a real phase); at
+    complex s, Stirling's series in log space.  One Euler-Maclaurin pass over the bases
+    (a, 1-a) at w = 1-s, with the point weights W = (c+ + lam c-, c- + lam c+), gives the
+    entire parts of the two zeta(w, b) and one bound on the weighted sum.  Their pole parts
+    add -sum_j W_j b_j^s / s, with math.exp and a real division at real s.  For |s| < 0.25,
     where that sum cancels against 1/s, it is formed as sum_j W_j (1 - b_j^s)/s -
     (1 + lam)(c- + c+)/s, with c- + c+ = 2 g sin(pi s/2) (g = Gamma(w) (2pi)^{-w}): every
     term is finite at s = 0.  Returns the arrays (value, bound) and never warns; the bound
@@ -991,6 +1002,8 @@ def _li_functional_equation(
                 # 2 sin(pi s/2)/s = pi e^{-i pi s/2} (e^{i pi s} - 1)/(i pi s)
                 pair_over_s = math.pi * g * cmath.exp(-0.5j * math.pi * x) * _exprel(1j * math.pi * x)
                 pole = -(wa * la * _exprel(x * la) + wb * lb * _exprel(x * lb)) - (1.0 + lam) * pair_over_s
+            elif x.imag == 0.0:
+                pole = -(wa * math.exp(x.real * la) + wb * math.exp(x.real * lb)) / x.real
             else:
                 pole = -(wa * cmath.exp(x * la) + wb * cmath.exp(x * lb)) / x
         except OverflowError:

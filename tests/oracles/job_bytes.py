@@ -26,6 +26,12 @@ stdout differs only in the numbers it prints (the same rows and the same
 non-numeric fields), is marked "numbers only" with the largest relative move
 |new - old| / max(|old|, |new|) of a printed number; the summary counts
 both kinds.
+
+``diff --reference`` also checks every changed job of the after-dump
+against mpmath with perfbench/reference.py's ``check(job, stdout, warned)``,
+as perfbench/run.py does (a job that exits nonzero fails).  It prints the
+count checked, the count failed and the worst error ratio per workload and
+subcommand, and exits 1 if any check fails, as it does if any job changed.
 """
 
 from __future__ import annotations
@@ -121,6 +127,7 @@ def diff(args) -> int:
     with open(args.after) as fh:
         after = json.load(fh)
     changed = collections.Counter()
+    moved = []  # the after-records of the changed jobs
     moves = []  # the largest relative move of each job whose printed numbers alone moved
     key = lambda r: (r["workload"], r["seed"], r["pass"], r["index"])  # noqa: E731
     old = {key(r): r for r in before["jobs"]}
@@ -140,13 +147,43 @@ def diff(args) -> int:
             fields.append(f"numbers only, largest relative move {move:.3g}")
         record = b or a
         changed[record["workload"], record["kind"]] += 1
+        if b is not None:
+            moved.append(b)
         print(f"{k[0]} seed {k[1]} pass {k[2]} job {k[3]} ({', '.join(fields)}): {' '.join(record['argv'])}")
     for (workload, kind), n in sorted(changed.items()):
         print(f"  {workload:10s} {kind:8s} {n} changed")
     total = sum(changed.values())
     print(f"{total} of {len(set(old) | set(new))} jobs changed: {len(moves)} in printed numbers only"
           + (f" (largest relative move {max(moves):.3g})" if moves else "") + f", {total - len(moves)} otherwise")
-    return 1 if changed else 0
+    failed = _check_reference(moved, after["src"]) if args.reference else 0
+    return 1 if changed or failed else 0
+
+
+def _check_reference(records, src: str) -> int:
+    """Check ``records`` against perfbench/reference.py; print the counts per workload and
+    subcommand and every failure; return the number that failed."""
+    sys.path.insert(0, src)  # the L-function checks take their character tables from the package
+    from reference import check_task
+    from workloads import Job
+
+    checked, failed, worst = collections.Counter(), collections.Counter(), collections.defaultdict(float)
+    for r in records:
+        group = r["workload"], r["kind"]
+        checked[group] += 1
+        if r["rc"] != 0:
+            failed[group] += 1
+            print(f"  FAILED exit code {r['rc']} :: {' '.join(r['argv'])}")
+            continue
+        verdict = check_task((Job(r["kind"], tuple(r["argv"])), r["stdout"], bool(r["warn_accuracy"])))
+        worst[group] = max(worst[group], verdict.err_ratio)
+        if not verdict.ok:
+            failed[group] += 1
+            print(f"  FAILED {verdict.reason} :: {' '.join(r['argv'])}")
+    for group in sorted(checked):
+        print(f"  {group[0]:10s} {group[1]:8s} {checked[group]} checked against the reference, "
+              f"{failed[group]} failed, worst error ratio {worst[group]:.3g}")
+    print(f"{sum(checked.values())} changed jobs checked against the reference: {sum(failed.values())} failed")
+    return sum(failed.values())
 
 
 def main(argv=None) -> int:
@@ -163,6 +200,8 @@ def main(argv=None) -> int:
     p_diff = sub.add_parser("diff", help="print the jobs whose records differ; exit 1 if any")
     p_diff.add_argument("before")
     p_diff.add_argument("after")
+    p_diff.add_argument("--reference", action="store_true",
+                        help="check every changed job of AFTER against perfbench/reference.py; exit 1 if one fails")
     p_diff.set_defaults(func=diff)
     args = parser.parse_args(argv)
     return args.func(args)

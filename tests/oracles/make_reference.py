@@ -15,6 +15,8 @@ import mpmath as mp
 
 mp.mp.dps = 50
 
+FE_REAL_BANDS = ((0.25, 17), (17, 41), (41, 100), (100, 170))
+
 
 def z_pair(w, a):
     return mp.zeta(w, a) + mp.zeta(w, 1 - a)
@@ -206,6 +208,27 @@ def main():
             val = mp.loggamma(mp.mpc(sigma, t))
             print(f"        ({sigma!r}, {t!r}, {mp.nstr(val.real, 25)!r}, {mp.nstr(val.imag, 25)!r}),")
         print("    ],")
+    print("# FE_REAL in tests/test_special.py: the functional-equation factor at real w, (w, g, 2 g cos(pi w/2),")
+    print("# 2 g sin(pi w/2)) with g = Gamma(w) (2pi)^{-w}, at 40 digits checked against 70, printed to 20: per band")
+    print("# 40 points spread over it and 10 where the real route is most exposed: w within 1e-3 of 1 and 2, where")
+    print("# lgamma vanishes, and integers and half-integers, where cos or sin(pi w/2) vanishes")
+    for lo, hi in FE_REAL_BANDS:
+        points = [round(lo + (hi - lo) * ((0.1 + 0.618034 * k) % 1.0), 4) for k in range(40)]
+        if lo < 1.0:
+            points += [0.999, 0.9996, 1.0007, 1.001, 1.999, 2.0004, 2.001, 1.0, 2.0, 2.5]
+        else:
+            whole = [math.floor(lo + (hi - lo) * (k + 0.5) / 5) for k in range(5)]
+            points += [float(n) for n in whole] + [n + 0.5 for n in whole]
+        for w in sorted(points):
+            row = []
+            for dps in (70, 40):
+                with mp.workdps(dps):
+                    x = mp.mpf(w)  # the double the test passes
+                    g = mp.gamma(x) * (2 * mp.pi) ** (-x)
+                    row.append((g, 2 * g * mp.cospi(x / 2), 2 * g * mp.sinpi(x / 2)))
+            for check, value in zip(*row):
+                assert abs(value - check) <= mp.mpf("1e-30") * abs(row[0][0]), w
+            print(f"    ({w!r}, " + ", ".join(repr(mp.nstr(v, 20)) for v in row[1]) + "),")
     print("# GAMMA_REAL in tests/test_special.py: Gamma(x) on [0.25, 20], 25 digits")
     for k in range(12):
         x = round(0.25 + 19.75 * ((0.1 + 0.618034 * k) % 1.0), 4)

@@ -1,8 +1,9 @@
 """The far field of the functional-equation routes: |Im s| from 455 to 800,
 where e^{pi |t|/2} and Gamma(1-s) leave the double range on their own and
-only their log-space product (special._fe_factors) stays finite; and the
-line Re s = 0 up to |Im s| = 800, where an Euler-Maclaurin pass is sized
-closest to its target.
+only their log-space product stays finite (special._fe_factors: Stirling's
+series in log space at complex w; only a real w takes math.lgamma with a
+real phase); and the line Re s = 0 up to |Im s| = 800, where an
+Euler-Maclaurin pass is sized closest to its target.
 
 Expected values are mpmath numbers frozen from tests/oracles/make_reference.py
 (50 digits; Li through Hurwitz's formula in zeta(1-s, .), since mp.polylog is
