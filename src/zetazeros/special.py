@@ -644,15 +644,18 @@ def riemann_zeta(s, cfg: EvalSettings = DEFAULT_SETTINGS):
 # Re s above which Li_s is summed as a series instead of through the functional equation.
 SERIES_SIGMA_THRESHOLD = 0.75
 
-_LI_ORDER = 18  # the tail sums Boole's terms of order 0 .. 18, and reads order 19 for its stopping rule
+_LI_ORDER = 40  # the tail sums Boole's terms of order 0 .. 40, and reads order 41 for its stopping rule
 _LI_GRID = 32  # partial sums run over whole multiples of 32 terms, so that rows line up alike in any block
 _LI_NEGLIGIBLE = 0.05  # both routes end the series where what is left is below this times the target
 _LI_MAX_TERMS = 1 << 26  # a larger N on route (a) or (c) (a near an integer) is refused: seconds of work
-_LI_EXPANSION_TERMS = 1 << 12  # route (b) takes a point whose route (a) or (c) would need more terms than this
+# route (b) takes a point whose route (a) or (c) would need more terms than this; at 1 << 12 the
+# functional-equation checks at a = 0.0045-0.0055, |t| ~ 30, took route (c) and warned
+_LI_EXPANSION_TERMS = 1 << 11
 _LI_EXPANSION_CAP = 10.0  # and whose 2 pi dist(a, Z) |s| is at most this (measured errors below 4e-14)
 _LI_EXPANSION_ORDERS = 48  # the most zeta(s - k) a point's expansion may take; at the cap it takes about 30
 
 _LI_OFFSETS = np.arange(_LI_ORDER + 1, dtype=float)
+_LI_INV_FACTORIALS = np.array([1.0 / math.factorial(k) for k in range(_LI_ORDER + 2)])
 _LI_ORDERS = np.arange(_LI_EXPANSION_ORDERS, dtype=float)
 _LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(_LI_EXPANSION_ORDERS)])
 _QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])  # (-i)^k at k mod 4
@@ -679,14 +682,17 @@ def _one_minus_z(a: float) -> complex:
 def _li_constants(a: float) -> np.ndarray:
     """c_0 .. c_{_LI_ORDER+1} of 1/(1 - z e^x) = sum_j c_j x^j, z = e^{2 pi i a}:
     c_j = -B_{j+1}(0; z)/(j+1)! in Apostol's x/(z e^x - 1) = sum_n B_n(0; z) x^n/n!
-    (T. M. Apostol, On the Lerch zeta function, Pacific J. Math. 1 (1951)), formed as
-    c_0 = 1/(1-z), c_j = z/(1-z) sum_{i=1..j} c_{j-i}/i!, with 1 - z from _one_minus_z."""
-    one_minus_z = _one_minus_z(a)
-    ratio = cmath.exp(2j * math.pi * (a - round(a))) / one_minus_z
-    coef = [1.0 / one_minus_z]
-    for j in range(1, _LI_ORDER + 2):
-        coef.append(ratio * sum(coef[j - i] / math.factorial(i) for i in range(1, j + 1)))
-    out = np.array(coef)
+    (T. M. Apostol, On the Lerch zeta function, Pacific J. Math. 1 (1951)), formed as the
+    reciprocal of the power series f = 1 - z e^x, f_0 = 1 - z from _one_minus_z, by Newton's
+    doubling: from the first m coefficients g of 1/f, the next m are -g (f g)_{m..2m-1}, so
+    42 coefficients take 6 steps of two convolutions."""
+    f = -cmath.exp(2j * math.pi * (a - round(a))) * _LI_INV_FACTORIALS
+    f[0] = _one_minus_z(a)
+    out = np.array([1.0 / f[0]])
+    while out.size < f.size:
+        m = min(2 * out.size, f.size)
+        high = np.convolve(f[:m], out)[out.size:m]  # (f g)_{size..m-1}; below them f g = 1
+        out = np.concatenate((out, -np.convolve(out, high)[:m - out.size]))
     out.setflags(write=False)
     return out
 
@@ -705,9 +711,12 @@ def _li_series(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> 
       (c) the partial sum to N-1 plus the tail sum_{n>=N}, summed by Boole's
           formula as z^N sum_j c_j f^{(j)}(N), f(x) = x^{-s} (_li_euler_tail;
           and its conjugate for lam), each order gaining about
-          |s+j|/(2 pi N dist(a, Z)) with N = max(32, 6(|s|+8)/|1-z|): term j+1
-          is about (|s|+j)/(6(|s|+8)) times term j, so 19 orders meet the
-          default target at small |s| too, and each point takes one tail.
+          |s+j|/(2 pi N dist(a, Z)) with N = max(32, (3|s|+48)/|1-z|): term j+1
+          is about (|s|+j)/(3|s|+48) times term j, a factor 3 or more up to
+          j = 16 and about 3 at every order at large |s|, so 41 orders meet the
+          default target and each point takes one tail.  Terms cost one complex
+          exponential per point each and orders a few products, so N stays
+          about 3 times the stationary point |s|/|1-z| of the tail's terms.
     A point whose route would need more than _LI_EXPANSION_TERMS terms, where
     2 pi dist(a, Z) |s| is at most _LI_EXPANSION_CAP and s is not a positive
     integer (a pole of Gamma(1 - s)), takes instead
@@ -732,7 +741,7 @@ def _li_series(s: np.ndarray, a: float, cfg: EvalSettings, lam: float = 0.0) -> 
     for i, x in enumerate(s.tolist()):
         sigma = x.real
         # route (c)'s N, clipped so that the float stays an int; an N past the clip is refused below
-        n = max(32, math.ceil(min(6.0 * (abs(x) + 8.0) / gap, _LI_MAX_TERMS + 1)))
+        n = max(32, math.ceil(min((3.0 * abs(x) + 48.0) / gap, _LI_MAX_TERMS + 1)))
         # route (a) needs log N >= log(weight / ((sigma-1) negligible)) / (sigma-1)
         log_n = math.log(weight / ((sigma - 1.0) * negligible)) / (sigma - 1.0) if sigma > 1.0 else math.inf
         if log_n <= math.log(n):
@@ -1048,7 +1057,7 @@ def periodic_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
     _periodic): the functional equation for Re s <= SERIES_SIGMA_THRESHOLD, the exact
     decomposition into Hurwitz zetas zeta(s, n/q) for exact a = r/q at any larger Re s,
     otherwise _li_series: the Dirichlet series, or near a = 0 or 1, where that series would
-    need more than 2^12 terms, the expansion Gamma(1-s) (-mu)^{s-1} + sum_k zeta(s-k) mu^k/k!,
+    need more than 2^11 terms, the expansion Gamma(1-s) (-mu)^{s-1} + sum_k zeta(s-k) mu^k/k!,
     mu = 2 pi i (a - round a), whose cost grows with |s| dist(a, Z), not |s| / dist(a, Z).
     An uncertified point gets an AccuracyWarning.
     """

@@ -158,13 +158,28 @@ def main():
                     print(f"    ({name!r}, {a}, {sigma}, {t}): complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)}),")
 
     print("# ROUTE_C in tests/test_families.py: Li_s(e^{2 pi i a}) and Li_s(e^{-2 pi i a}) at points of the")
-    print("# series' route (c), Hurwitz's formula at the doubles the test passes")
-    for a in (1e-3, 0.03, 0.2, 0.49):
-        for sigma, t in ((0.5, 14.0), (0.8, -25.0), (1.7, 310.0), (2.6, -800.0), (4.0, -90.0), (1.1, 0.0), (0.3, 2.0)):
-            s = mp.mpc(sigma, t)
-            za, zb = periodic(s, mp.mpf(a)), periodic(s, 1 - mp.mpf(a))
-            print(f"    ({a!r}, {sigma!r}, {t!r}): (complex({mp.nstr(za.real, 17)}, {mp.nstr(za.imag, 17)}),"
-                  f" complex({mp.nstr(zb.real, 17)}, {mp.nstr(zb.imag, 17)})),")
+    print("# series' route (c), Hurwitz's formula at the doubles the test passes; last, the first points of the")
+    print("# far-field lines at a ~ 0.03 and |t| ~ 550 (X, O, P, periodic), where a point sums the most terms")
+    points = [(a, sigma, t) for a in (1e-3, 0.03, 0.2, 0.49)
+              for sigma, t in ((0.5, 14.0), (0.8, -25.0), (1.7, 310.0), (2.6, -800.0), (4.0, -90.0), (1.1, 0.0), (0.3, 2.0))]
+    points += [(0.0300528, 1.5303, 557.7608), (0.0299481, 1.0917, -562.0871), (0.0303483, 1.0026, 509.8928),
+               (0.0277268, 1.3905, 589.0204)]
+    for a, sigma, t in points:
+        s = mp.mpc(sigma, t)
+        za, zb = periodic(s, mp.mpf(a)), periodic(s, 1 - mp.mpf(a))
+        print(f"    ({a!r}, {sigma!r}, {t!r}): (complex({mp.nstr(za.real, 17)}, {mp.nstr(za.imag, 17)}),"
+              f" complex({mp.nstr(zb.real, 17)}, {mp.nstr(zb.imag, 17)})),")
+    print("# LI_CONSTANTS in tests/test_families.py: c_0 .. c_41 of 1/(1 - z e^x) = sum_j c_j x^j, z = e^{2 pi i a},")
+    print("# the coefficients of Boole's tail on route (c), from (1 - z e^x) sum_j c_j x^j = 1 at 50 digits")
+    for a in (0.001, 0.03, 0.123456, 0.2, 0.37, 0.4999, 0.5, 0.75, 0.999):
+        z = mp.expjpi(2 * mp.mpf(a))
+        coef = [1 / (1 - z)]
+        for j in range(1, 42):
+            coef.append(z / (1 - z) * mp.fsum(coef[j - i] / mp.factorial(i) for i in range(1, j + 1)))
+        print(f"    {a!r}: (")
+        for c in coef:
+            print(f"        complex({mp.nstr(c.real, 17)}, {mp.nstr(c.imag, 17)}),")
+        print("    ),")
     print("# ROUTE_B in tests/test_route_b.py: the periodic series near a = 0 and 1, where route (b), the expansion")
     print("# in zeta(s - k), takes most points, and the reflections that reach it; Hurwitz's formula at 40 digits,")
     print("# checked against 70, at the doubles the test passes (1 - a rounded to a double)")
