@@ -32,6 +32,7 @@ from .core import (
     EvalSettings,
     PoleError,
     UnsupportedError,
+    ZetaError,
     as_points,
     from_points,
     require_finite,
@@ -487,39 +488,92 @@ def _scaled_pass(s: np.ndarray, bases, weights: np.ndarray, cfg: EvalSettings, e
     return values * scale, rems * np.abs(scale)
 
 
+def _scaled_reflect(s: np.ndarray, bases, weights: np.ndarray, cfg: EvalSettings, scale: np.ndarray):
+    """scale sum_j w_j zeta(s, b_j) and its bound from _hurwitz_reflect (Re s < 0)."""
+    value, rem = _hurwitz_reflect(s, bases, weights, cfg)
+    return value * scale, rem * np.abs(scale)
+
+
+# Re s at or below which _zeta_sum reflects a point off the real axis before any Euler-Maclaurin pass.
+# With the pass first everywhere (the pass, its 2m and 4m retries, then the reflection), the pass's
+# value was kept, per Re s band, at these shares of the off-axis points with q = 1 of the benchmark's
+# far-field seeds 1-4, passes 0-23 (tests/oracles/route_outcomes.py prints this table):
+#
+#     Re s         < -6      [-6, -3)   [-3, -2)   [-2, -1)   [-1, 0)
+#     pass kept    0/1900    20/728     20/197     143/283    282/334
+#
+# Right of -2 the pass wins most points; count tiles reach Re s = -1.  On the real axis the pass
+# keeps going first, as it does for every point whose reflection does not certify.
+_REFLECT_FIRST_SIGMA = -2.0
+
+
 def _zeta_sum(s: np.ndarray, bases, weights, cfg: EvalSettings, q: int = 1) -> np.ndarray:
-    """q^{-s} sum_j w_j zeta(s, b_j) at a 1-D array of points, one Euler-Maclaurin pass certified on
-    that value (entire for weights that sum to zero).  Of the points it leaves uncertified: where the
-    smallest base's b^{-s} overflows, every base's first term leaves the pass, q^{-s} zeta(s, b) =
-    (qb)^{-s} + q^{-s} zeta(s, b + 1); at Re s < 0, _hurwitz_reflect's value is taken where its bound
-    is the smaller relative to the smallest value it allows.  Then one _settle call warns."""
+    """q^{-s} sum_j w_j zeta(s, b_j) at a 1-D array of points (entire for weights that sum to zero).
+
+    A point off the real axis with Re s <= _REFLECT_FIRST_SIGMA takes _hurwitz_reflect first, and a
+    finite certified value there is final.  Every other point, and every such point whose reflection
+    raises or does not certify, goes through _ladder, which starts with one Euler-Maclaurin pass."""
     w_arr = np.asarray(weights, dtype=complex)
     entire = abs(sum(weights)) <= len(weights) * _EPS * sum(map(abs, weights))
     # values beyond the double range come out inf or NaN: _settle warns, or the reflection raises
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.exp(-math.log(q) * s)  # q^{-s}
-        values, rems = _scaled_pass(s, bases, w_arr, cfg, entire, scale)
-        certified = _certified(values, rems, cfg.target_abs_tol)
-        if certified.all():
-            return values
-        far = np.flatnonzero(~certified & (s.real > 0.0) & (s.real * -math.log(min(bases)) >= _LOG_DBL_MAX))
-        if far.size:
-            value, rem = _scaled_pass(s[far], [b + 1.0 for b in bases], w_arr, cfg, entire, scale[far])
-            qb = q * np.asarray(bases)  # for q > 1 the bases are n/q: qb is the integer n, to rounding
-            direct = np.exp(-s[far, None] * np.log(np.rint(qb) if q > 1 else qb))  # (qb)^{-s}
-            values[far] = value + _weigh(direct, w_arr)
-            rems[far] = rem + _EPS * _weigh(np.abs(direct), np.abs(w_arr))
-        idx = np.flatnonzero(~certified & (s.real < 0.0))
-        if idx.size:
-            value, rem = _hurwitz_reflect(s[idx], bases, w_arr, cfg)
-            value, rem = value * scale[idx], rem * np.abs(scale[idx])
-            beyond = ~np.isfinite(value)
-            if beyond.any():
-                raise DomainError(f"the value at s = {complex(s[idx[beyond][0]])} is beyond the double range")
-            em_bounds = _relative_bounds(rems[idx], values[idx])
-            take = (_relative_bounds(rem, value) < em_bounds) | (em_bounds == math.inf)
-            values[idx[take]], rems[idx[take]] = value[take], rem[take]
-        _settle(s, values, rems, cfg)
+        first = np.flatnonzero((s.real <= _REFLECT_FIRST_SIGMA) & (s.imag != 0.0))
+        if first.size:
+            try:
+                value, rem = _scaled_reflect(s[first], bases, w_arr, cfg, scale[first])
+            except (ZetaError, ArithmeticError):
+                # as ZeroDivisionError at a base below 2^-54, whose 1 - b rounds to 1: the pass goes first at
+                # these points too, and the reflection raises again only where the pass does not certify
+                first = first[:0]
+        if not first.size:
+            return _ladder(s, bases, w_arr, cfg, entire, q, scale)
+        values, rems = np.empty(s.shape, dtype=complex), np.empty(s.shape)
+        values[first], rems[first] = value, rem
+        final, formed = np.zeros(s.shape, dtype=bool), np.zeros(s.shape, dtype=bool)
+        final[first], formed[first] = _certified(value, rem, cfg.target_abs_tol), True
+        at = np.flatnonzero(~final)
+        if at.size:
+            values[at] = _ladder(s[at], bases, w_arr, cfg, entire, q, scale[at], (formed[at], values[at], rems[at]))
+    return values
+
+
+def _ladder(s: np.ndarray, bases, w_arr: np.ndarray, cfg: EvalSettings, entire: bool, q: int, scale: np.ndarray,
+            formed=None) -> np.ndarray:
+    """_zeta_sum at a 1-D array of points: one Euler-Maclaurin pass certified on that value.  Of the
+    points it leaves uncertified: where the smallest base's b^{-s} overflows, every base's first term
+    leaves the pass, q^{-s} zeta(s, b) = (qb)^{-s} + q^{-s} zeta(s, b + 1); at Re s < 0, the reflection's
+    value is taken where its bound is the smaller relative to the smallest value it allows, and one
+    that is not finite raises DomainError.  formed, if given, is (mask, values, bounds) of the scaled
+    reflections _zeta_sum already formed at these points, which are taken instead of new ones.  Then
+    one _settle call warns (_zeta_sum's other points are certified)."""
+    values, rems = _scaled_pass(s, bases, w_arr, cfg, entire, scale)
+    certified = _certified(values, rems, cfg.target_abs_tol)
+    if certified.all():
+        return values
+    far = np.flatnonzero(~certified & (s.real > 0.0) & (s.real * -math.log(min(bases)) >= _LOG_DBL_MAX))
+    if far.size:
+        value, rem = _scaled_pass(s[far], [b + 1.0 for b in bases], w_arr, cfg, entire, scale[far])
+        qb = q * np.asarray(bases)  # for q > 1 the bases are n/q: qb is the integer n, to rounding
+        direct = np.exp(-s[far, None] * np.log(np.rint(qb) if q > 1 else qb))  # (qb)^{-s}
+        values[far] = value + _weigh(direct, w_arr)
+        rems[far] = rem + _EPS * _weigh(np.abs(direct), np.abs(w_arr))
+    idx = np.flatnonzero(~certified & (s.real < 0.0))
+    if idx.size:
+        if formed is None:
+            value, rem = _scaled_reflect(s[idx], bases, w_arr, cfg, scale[idx])
+        else:
+            have, value, rem = (x[idx] for x in formed)
+            new = ~have
+            if new.any():
+                value[new], rem[new] = _scaled_reflect(s[idx[new]], bases, w_arr, cfg, scale[idx[new]])
+        beyond = ~np.isfinite(value)
+        if beyond.any():
+            raise DomainError(f"the value at s = {complex(s[idx[beyond][0]])} is beyond the double range")
+        em_bounds = _relative_bounds(rems[idx], values[idx])
+        take = (_relative_bounds(rem, value) < em_bounds) | (em_bounds == math.inf)
+        values[idx[take]], rems[idx[take]] = value[take], rem[take]
+    _settle(s, values, rems, cfg)
     return values
 
 
@@ -533,9 +587,12 @@ def hurwitz_zeta(s, a: AlphaLike, cfg: EvalSettings = DEFAULT_SETTINGS):
     by ``Alpha.coerce``, like the families' a, so it must lie in (0, 1].
 
     Euler-Maclaurin is the workhorse.  Deep in the left half-plane with t != 0
-    its direct block cancels catastrophically in doubles, so when the internal
-    error model cannot certify target_abs_tol the reflection through the
-    absolutely convergent conjugate series at 1-s is used instead, point by
+    its direct block cancels catastrophically in doubles, so at Re s <= -2 off
+    the real axis the reflection through the absolutely convergent conjugate
+    series at 1-s comes first, and is final where it certifies target_abs_tol.
+    Every other point, and one whose reflection does not certify, takes
+    Euler-Maclaurin, and at Re s < 0 the reflection where the pass cannot
+    certify the tolerance and the reflection's bound is the smaller, point by
     point; if neither route certifies the tolerance an AccuracyWarning is
     attached.
     """
@@ -608,9 +665,10 @@ def hurwitz_pair_diff(s, a: float, cfg: EvalSettings = DEFAULT_SETTINGS):
     entire), so it is usable at every s including s = 1, and it avoids the
     cancellation of two separately rounded values for Re s > 0.  Deep in the
     left half-plane with t != 0 the pair's reflection, one series at 1-s
-    times c- - c+ = -2i Gamma(1-s) (2pi)^{s-1} sin(pi(1-s)/2), takes over
-    point by point when Euler-Maclaurin cannot certify the tolerance.  ``s``
-    is a number or an array of points.
+    times c- - c+ = -2i Gamma(1-s) (2pi)^{s-1} sin(pi(1-s)/2), goes first at
+    Re s <= -2, and elsewhere takes over point by point where Euler-Maclaurin
+    cannot certify the tolerance (see _zeta_sum).  ``s`` is a number or an
+    array of points.
     """
     pts, shape = as_points(s)
     if not 0.0 < a < 1.0:
@@ -645,6 +703,7 @@ def riemann_zeta(s, cfg: EvalSettings = DEFAULT_SETTINGS):
 SERIES_SIGMA_THRESHOLD = 0.75
 
 _LI_ORDER = 40  # the tail sums Boole's terms of order 0 .. 40, and reads order 41 for its stopping rule
+_LI_FIRST_ORDERS = 21  # a tail block forms orders 0 .. 20 first; most rows stop near order 16
 _LI_GRID = 32  # partial sums run over whole multiples of 32 terms, so that rows line up alike in any block
 _LI_NEGLIGIBLE = 0.05  # both routes end the series where what is left is below this times the target
 _LI_MAX_TERMS = 1 << 26  # a larger N on route (a) or (c) (a near an integer) is refused: seconds of work
@@ -840,20 +899,28 @@ def _li_euler_tail(s: np.ndarray, n: np.ndarray, a: float, lam: float, tol: floa
     vanishes.  Returns the tail and its error estimate: (1 + |lam|) times that
     of one of the two series (their terms have the same magnitudes)."""
     coef = _li_constants(a)
-    steps = np.empty((s.size, _LI_ORDER + 2), dtype=complex)
-    steps[:, 0] = np.exp(-s * np.log(n))  # N^{-s}
-    steps[:, 1:] = -(s[:, None] + _LI_OFFSETS) / n[:, None]  # f^{(j+1)}(N) / f^{(j)}(N)
-    derivs = np.multiply.accumulate(steps, axis=1)
-    terms = derivs * coef
-    mag = np.abs(terms)
-    mag = np.maximum(mag[:, :-1], mag[:, 1:])
-    used, stop = _first_stop(mag, 0, _LI_NEGLIGIBLE * tol)
+    head = np.exp(-s * np.log(n))  # N^{-s}
+    # A block forms orders 0 .. _LI_FIRST_ORDERS - 1 first, and all _LI_ORDER + 2 only if some row
+    # has not stopped before the stage's last order, as _em_once does: every product and sum runs
+    # along the orders from 0, so the orders a stage shares with all of them round alike.
+    for orders in (_LI_FIRST_ORDERS, _LI_ORDER + 2):
+        steps = np.empty((s.size, orders), dtype=complex)
+        steps[:, 0] = head
+        steps[:, 1:] = -(s[:, None] + _LI_OFFSETS[:orders - 1]) / n[:, None]  # f^{(j+1)}(N) / f^{(j)}(N)
+        derivs = np.multiply.accumulate(steps, axis=1)
+        terms = derivs * coef[:orders]
+        mag = np.abs(terms)
+        mag = np.maximum(mag[:, :-1], mag[:, 1:])
+        used, stop = _first_stop(mag, 0, _LI_NEGLIGIBLE * tol)
+        if (used < orders - 2).all():
+            break  # each row stopped before the stage's last order, as it would with all of them
     rows = np.arange(s.size)
     zn = np.exp(1j * _angles(n, a))
     # out-of-place products throughout: numpy's in-place complex multiply rounds a one-point array differently
     tail = zn * np.add.accumulate(terms[:, :-1], axis=1)[rows, used]
     if lam:
-        tail = tail + lam * zn.conj() * np.add.accumulate(derivs[:, :-1] * coef[:-1].conj(), axis=1)[rows, used]
+        conj = np.add.accumulate(derivs[:, :-1] * coef[:orders - 1].conj(), axis=1)[rows, used]
+        tail = tail + lam * zn.conj() * conj
     return tail, (1.0 + abs(lam)) * mag[rows, stop]
 
 

@@ -265,6 +265,19 @@ def main():
                 print(f"        complex({mp.nstr(root.real, 17)}, {mp.nstr(root.imag, 17)}),")
             print("    ],")
 
+    print("# DEEP_LEFT in tests/test_deep_left.py: Z, Y and Hurwitz at Re s <= -2 near the real axis, where the")
+    print("# reflection goes first; then the far-field line Y(-3.2094 + it, 0.209367), t = -3.0546 + 0.471 k, at the")
+    print("# doubles the CLI forms.  Hurwitz sums in mp.zeta at 30 digits, at the doubles a and 1 - a the test passes")
+    points = [(name, a, sigma, t) for name in ("Z", "Y", "hurwitz") for a in (0.05, 0.2, 0.3)
+              for sigma in (-2.5, -3.4, -5.0) for t in (0.01, -0.01, 0.5, -0.5, 1.2, -1.2, 3.0, -3.0)]
+    points += [("Y", 0.209367, -3.2094, -3.0546 + k * 0.471) for k in range(5)]
+    with mp.workdps(30):
+        for name, a, sigma, t in points:
+            s = mp.mpc(sigma, t)
+            za, zb = mp.zeta(s, mp.mpf(a)), mp.zeta(s, mp.mpf(1.0 - a))
+            v = {"Z": za + zb, "Y": za - zb, "hurwitz": za}[name]
+            print(f"    ({name!r}, {a!r}, {sigma!r}, {t!r}): complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)}),")
+
     print("# frozen values where reflection wins on relative bound")
     print(f"zeta(-120+3j, 0.3) = {mp.nstr(mp.zeta(mp.mpc(-120, 3), mp.mpf('0.3')), 17)}")
     print(f"zeta(-200, 0.3) = {mp.nstr(mp.zeta(-200, mp.mpf('0.3')), 17)}")

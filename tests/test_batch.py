@@ -580,3 +580,32 @@ def test_em_orders_past_the_first_stage_round_as_all_of_them(monkeypatch):
     for got in staged + unstaged:
         for x, y in zip(got, staged[0]):
             assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("lam", (0.0, 1.0, -1.0))
+def test_tail_orders_past_the_first_stage_round_as_all_of_them(lam, monkeypatch):
+    # a block of Boole's tail forms _LI_FIRST_ORDERS orders, and all of them only if a row
+    # needs more; the orders both share round alike, so staged and unstaged tails give the
+    # same bits, alone, in a block and in a reversed block
+    stages = []
+    first_stop = special._first_stop
+    monkeypatch.setattr(special, "_first_stop", lambda mag, *args: stages.append(mag.shape[1]) or first_stop(mag, *args))
+    rng = np.random.default_rng(40)
+    pts = rng.uniform(0.76, 3.5, 30) + 1j * rng.uniform(-800.0, 800.0, 30) * rng.choice((0.0, 0.01, 1.0), 30)
+    a = 0.0371
+    gap = abs(special._one_minus_z(a))
+    starts = np.array([max(32, int(np.ceil((3.0 * abs(s) + 48.0) / gap))) for s in pts.tolist()])
+
+    def forms(tol):
+        block = special._li_euler_tail(pts, starts, a, lam, tol)
+        reverse = special._li_euler_tail(pts[::-1], starts[::-1], a, lam, tol)
+        alone = [special._li_euler_tail(pts[i:i + 1], starts[i:i + 1], a, lam, tol) for i in range(pts.size)]
+        return block, [x[::-1] for x in reverse], [np.concatenate(x) for x in zip(*alone)]
+
+    staged = {tol: forms(tol) for tol in (1e-12, 1e-14)}
+    assert {special._LI_FIRST_ORDERS - 1, special._LI_ORDER + 1} <= set(stages)  # columns of the stopping rule
+    monkeypatch.setattr(special, "_LI_FIRST_ORDERS", special._LI_ORDER + 2)
+    for tol, (block, *others) in staged.items():
+        for got in others + list(forms(tol)):
+            for x, y in zip(got, block):
+                assert np.array_equal(x, y)
